@@ -26,7 +26,6 @@ from .core import (
     word_str,
 )
 from .rewrite import (
-    Redex,
     compare_shortlex,
     enumerate_normal_forms,
     find_redexes,

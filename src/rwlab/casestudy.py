@@ -35,7 +35,9 @@ from .core import (
     RwlabError,
     Word,
     instantiate_schema,
+    is_freely_reduced,
     word_str,
+    words_over,
 )
 from .completion import (
     bfs_equivalence_oracle,
@@ -44,6 +46,7 @@ from .completion import (
 )
 from .invariant import (
     A_LETTERS,
+    LETTER_EXPONENTS,
     CtParams,
     CASE_STUDY_WEIGHTS,
     WeightSpec,
@@ -67,7 +70,6 @@ from .squier import Edge, Path, compose, invert, lift_path
 from .structure import isometry_check
 
 _EXP = {1: "p", -1: "m"}
-_INV = {"a": "a'", "a'": "a", "b": "b'", "b'": "b"}
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +78,7 @@ _INV = {"a": "a'", "a'": "a", "b": "b'", "b'": "b"}
 
 
 def _i_rules() -> List[Rule]:
-    return [Rule(f"I_{x}", (x, _INV[x]), EMPTY) for x in A_LETTERS]
+    return [Rule(f"I_{x}", (x, _A_ALPHABET.involution[x]), EMPTY) for x in A_LETTERS]
 
 
 def _k_rules() -> List[Rule]:
@@ -210,9 +212,7 @@ def c_bar_rule(w: Word, eps: int, delta: int) -> Rule:
 
 
 def schema_exponents(schema: RuleSchema) -> Tuple[int, int]:
-    eps = 1 if schema.lhs_suffix[0] == "a" else -1
-    delta = 1 if schema.lhs_suffix[1] == "b" else -1
-    return eps, delta
+    return LETTER_EXPONENTS[schema.lhs_suffix[0]][0], LETTER_EXPONENTS[schema.lhs_suffix[1]][1]
 
 
 @lru_cache(maxsize=None)
@@ -260,7 +260,7 @@ def build_ct_circuit(params: CtParams) -> Path:
     f = params.family
     if f == "CT1":
         x, w1, w2, eps, delta = params.x, params.w1, params.w2, params.eps, params.delta
-        xx = (x, _INV[x])
+        xx = (x, _A_ALPHABET.involution[x])
         tail_l, tail_r = a_pow(eps) + b_pow(delta), b_pow(delta) + a_pow(eps)
         i_rule = q.rule_named(f"I_{x}")
         bare = _close(
@@ -275,7 +275,7 @@ def build_ct_circuit(params: CtParams) -> Path:
         )
     elif f == "CT2":
         x = params.x
-        xinv = _INV[x]
+        xinv = _A_ALPHABET.involution[x]
         bare = _close(
             [Edge((x,), q.rule_named(f"I_{xinv}"), 1, EMPTY)],
             [Edge(EMPTY, q.rule_named(f"I_{x}"), 1, (x,))],
@@ -318,7 +318,7 @@ def build_ct_circuit(params: CtParams) -> Path:
         )
     elif f == "CT6":
         x = params.x
-        xinv = _INV[x]
+        xinv = _A_ALPHABET.involution[x]
         bare = _close(
             [
                 Edge((x,), q.rule_named(f"K_{xinv}"), 1, EMPTY),
@@ -384,31 +384,13 @@ class Report:
         return out
 
 
-def a_words(max_len: int) -> List[Word]:
-    out = []
-    for n in range(max_len + 1):
-        out.extend(itertools.product(A_LETTERS, repeat=n))
-    return out
-
-
 def reduced_a_words(max_len: int) -> List[Word]:
-    inv = _INV
-    out = [EMPTY]
-    frontier = [EMPTY]
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for x in A_LETTERS:
-                if not w or inv[w[-1]] != x:
-                    nxt.append(w + (x,))
-        out.extend(nxt)
-        frontier = nxt
-    return out
+    return [w for w in words_over(A_LETTERS, max_len) if is_freely_reduced(w, _A_ALPHABET)]
 
 
 def word_splits(max_total: int) -> Iterator[Tuple[Word, Word]]:
     """All pairs (w1, w2) with |w1| + |w2| <= max_total."""
-    for w in a_words(max_total):
+    for w in words_over(A_LETTERS, max_total):
         for cut in range(len(w) + 1):
             yield w[:cut], w[cut:]
 
@@ -431,7 +413,7 @@ def ct_parameter_sweep(
     for x in A_LETTERS:
         yield CtParams("CT2", x=x)
         yield CtParams("CT6", x=x)
-    for w in a_words(max_word_len):
+    for w in words_over(A_LETTERS, max_word_len):
         for eps, delta in itertools.product(SIGNS, repeat=2):
             yield CtParams("CT3", w=w, eps=eps, delta=delta)
             yield CtParams("CT4", w=w, eps=eps, delta=delta)
@@ -513,9 +495,7 @@ def is_case_study_nf(w: Word) -> bool:
     h bʲ aᵏ, and h h."""
     hs = w.count("h")
     if hs == 0:
-        return all(l in A_LETTERS for l in w) and all(
-            _INV[w[i]] != w[i + 1] for i in range(len(w) - 1)
-        )
+        return all(l in A_LETTERS for l in w) and is_freely_reduced(w, _A_ALPHABET)
     if hs == 1:
         if not w or w[0] != "h":
             return False
@@ -541,11 +521,10 @@ def verify_prop31(max_len: int = 6, schema_var_bound: int = 3) -> Report:
     bad = 0
     n_words = 0
     letters = qbar.alphabet.letters
-    for n in range(max_len + 1):
-        for w in itertools.product(letters, repeat=n):
-            n_words += 1
-            if not is_case_study_nf(normalize(w, qbar)):
-                bad += 1
+    for w in words_over(letters, max_len):
+        n_words += 1
+        if not is_case_study_nf(normalize(w, qbar)):
+            bad += 1
     report.add(
         "prop31 normal-form shapes",
         bad == 0,
@@ -567,12 +546,11 @@ def verify_prop31(max_len: int = 6, schema_var_bound: int = 3) -> Report:
     nf_to_class: Dict[Word, int] = {}
     disagreements = 0
     n_checked = 0
-    for n in range(agreement_len + 1):
-        for w in itertools.product(letters, repeat=n):
-            n_checked += 1
-            cls, nf = classof(w), normalize(w, qbar)
-            if class_to_nf.setdefault(cls, nf) != nf or nf_to_class.setdefault(nf, cls) != cls:
-                disagreements += 1
+    for w in words_over(letters, agreement_len):
+        n_checked += 1
+        cls, nf = classof(w), normalize(w, qbar)
+        if class_to_nf.setdefault(cls, nf) != nf or nf_to_class.setdefault(nf, cls) != cls:
+            disagreements += 1
     report.add(
         "prop31 oracle agreement",
         disagreements == 0,
@@ -624,16 +602,15 @@ def verify_identities(exhaust_len: int = 5, samples: int = 1000, seed: int = 7) 
             bad[0] += 1
 
     n_ii = 0
-    for w in a_words(exhaust_len):
+    for w in words_over(A_LETTERS, exhaust_len):
         for eps, delta in itertools.product(SIGNS, repeat=2):
             n_ii += 1
             if phi_swap(w, eps, delta) != expected_swap_image(w, eps, delta):
                 bad[1] += 1
 
     def check_iii(x: str, w: Word, eps: int, delta: int) -> bool:
-        val = -1 if x == "a" else 1 if x == "a'" else 0
         shift = scale(
-            val,
+            -LETTER_EXPONENTS[x][0],
             sub(
                 from_word(w + b_pow(delta) + a_pow(eps), ambient),
                 from_word(w + a_pow(eps) + b_pow(delta), ambient),
@@ -643,7 +620,7 @@ def verify_identities(exhaust_len: int = 5, samples: int = 1000, seed: int = 7) 
 
     n_iii = 0
     for x in A_LETTERS:
-        for w in a_words(exhaust_len - 1):
+        for w in words_over(A_LETTERS, exhaust_len - 1):
             for eps, delta in itertools.product(SIGNS, repeat=2):
                 n_iii += 1
                 if not check_iii(x, w, eps, delta):

@@ -13,7 +13,17 @@ import sys
 from pathlib import Path as FsPath
 
 from . import casestudy, completion, invariant, obstruction, rewrite, ring, structure
-from .core import EMPTY, ParseError, Presentation, RwlabError, parse_presentation, word, word_str
+from .core import (
+    EMPTY,
+    ParseError,
+    Presentation,
+    RwlabError,
+    ValidationError,
+    Word,
+    parse_presentation,
+    word,
+    word_str,
+)
 from .invariant import CtParams, CASE_STUDY_WEIGHTS
 
 
@@ -26,6 +36,26 @@ def _load_presentation(args) -> Presentation:
     return casestudy.preset(args.preset)
 
 
+def _word_over(text: str, *presentations: Presentation) -> Word:
+    """Parse a word and reject letters undeclared in any of the presentations."""
+    w = word(text)
+    for p in presentations:
+        for letter in w:
+            if letter not in p.alphabet:
+                raise ValidationError(f"undeclared letter {letter}")
+    return w
+
+
+def _nonnegative_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
+    return n
+
+
 def _add_common(sub, preset_default="Qbar"):
     sub.add_argument("-p", "--pres-file", help="presentation file")
     sub.add_argument(
@@ -34,6 +64,10 @@ def _add_common(sub, preset_default="Qbar"):
         choices=("P", "Q", "Qbar", "M4", "N4"),
         help="built-in presentation (default %(default)s)",
     )
+    _add_output(sub)
+
+
+def _add_output(sub):
     sub.add_argument("--machine", action="store_true", help="tab-separated key=value output")
     sub.add_argument("--jobs", type=int, default=1, help="accepted for interface compatibility; execution is single-process")
 
@@ -89,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("nf", help="enumerate normal forms")
     _add_common(s)
-    s.add_argument("--max-len", type=int, required=True)
+    s.add_argument("--max-len", type=_nonnegative_int, required=True)
 
     s = sub.add_parser("peaks", help="list critical peaks")
     _add_common(s)
@@ -111,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("v")
 
     s = sub.add_parser("phi", help="invariant of a critical circuit")
-    _add_common(s)
+    _add_output(s)
     s.add_argument("--circuit", required=True, choices=invariant.CT_FAMILIES)
     s.add_argument("--x")
     s.add_argument("--w")
@@ -121,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument(f"--{slot}", type=_sign)
 
     s = sub.add_parser("partial", help="the derivation of a free-group word")
-    _add_common(s, preset_default="P")
+    _add_output(s)
     s.add_argument("-w", "--word", required=True)
 
     s = sub.add_parser("classify", help="H-class of a word")
@@ -136,26 +170,26 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("ball", help="distances within a Cayley ball")
     _add_common(s)
     s.add_argument("-w", "--word", default="", help="center (default the empty word)")
-    s.add_argument("--radius", type=int, required=True)
+    s.add_argument("--radius", type=_nonnegative_int, required=True)
 
     s = sub.add_parser("dist", help="directed distance d(x, y)")
     _add_common(s)
     s.add_argument("x")
     s.add_argument("y")
-    s.add_argument("--radius", type=int, required=True)
+    s.add_argument("--radius", type=_nonnegative_int, required=True)
 
     s = sub.add_parser("isometry", help="compare two systems' Cayley balls")
     _add_common(s, preset_default="M4")
     s.add_argument("--preset2", default="N4", choices=("P", "Q", "Qbar", "M4", "N4"))
-    s.add_argument("--radius", type=int, required=True)
+    s.add_argument("--radius", type=_nonnegative_int, required=True)
     s.add_argument("-w", "--word", default="", help="ball center")
 
     s = sub.add_parser("hn", help="b-exponent membership test")
-    _add_common(s, preset_default="P")
+    _add_output(s)
     s.add_argument("-w", "--word", required=True)
 
     s = sub.add_parser("witness", help="ring-verified witness construction")
-    _add_common(s, preset_default="P")
+    _add_output(s)
     s.add_argument("--kind", required=True, choices=("commutator", "phi2x"))
     s.add_argument("--circuit", choices=invariant.CT_FAMILIES)
     s.add_argument("--x")
@@ -166,12 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument(f"--{slot}", type=_sign)
 
     s = sub.add_parser("verify", help="run a verification suite")
-    _add_common(s)
+    _add_output(s)
     s.add_argument(
         "suite", choices=("prop31", "figure2", "identities", "obstruction", "isometry")
     )
-    s.add_argument("--max-len", type=int, help="main sweep bound")
-    s.add_argument("--radius", type=int)
+    s.add_argument("--max-len", type=_nonnegative_int, help="main sweep bound")
+    s.add_argument("--radius", type=_nonnegative_int)
 
     return parser
 
@@ -182,7 +216,7 @@ def run(argv) -> int:
 
     if args.verb == "reduce":
         p = _load_presentation(args)
-        w = word(args.word)
+        w = _word_over(args.word, p)
         if args.trace:
             path = rewrite.reduction_path(w, p)
             trace = rewrite.format_trace(path)
@@ -225,7 +259,7 @@ def run(argv) -> int:
 
     if args.verb == "equal":
         p = _load_presentation(args)
-        same = completion.word_problem_equal(word(args.u), word(args.v), p)
+        same = completion.word_problem_equal(_word_over(args.u, p), _word_over(args.v, p), p)
         return _emit_scalar(args, "equal", "true" if same else "false")
 
     if args.verb == "phi":
@@ -244,23 +278,23 @@ def run(argv) -> int:
 
     if args.verb == "classify":
         p = _load_presentation(args)
-        return _emit_scalar(args, "hclass", structure.classify(word(args.word), p))
+        return _emit_scalar(args, "hclass", structure.classify(_word_over(args.word, p), p))
 
     if args.verb == "sigma":
         p = _load_presentation(args)
-        same = structure.sigma_equal(word(args.w1), word(args.w2), p)
+        same = structure.sigma_equal(_word_over(args.w1, p), _word_over(args.w2, p), p)
         return _emit_scalar(args, "sigma", "true" if same else "false")
 
     if args.verb == "ball":
         p = _load_presentation(args)
-        ball = structure.cayley_ball(p, word(args.word), args.radius)
+        ball = structure.cayley_ball(p, _word_over(args.word, p), args.radius)
         for line in ball.dump_lines(p.ordering):
             print(line)
         return 0
 
     if args.verb == "dist":
         p = _load_presentation(args)
-        d = structure.d_A(p, word(args.x), word(args.y), args.radius)
+        d = structure.d_A(p, _word_over(args.x, p), _word_over(args.y, p), args.radius)
         if args.machine:
             return _emit_scalar(args, "dist", d if d is not None else "unreachable")
         print(d if d is not None else f"unreachable within radius {args.radius}")
@@ -269,7 +303,7 @@ def run(argv) -> int:
     if args.verb == "isometry":
         p1 = _load_presentation(args)
         p2 = casestudy.preset(args.preset2)
-        result = structure.isometry_check(p1, p2, args.radius, word(args.word))
+        result = structure.isometry_check(p1, p2, args.radius, _word_over(args.word, p1, p2))
         for line in result.lines():
             print(line)
         return 0 if result.passed else 1

@@ -36,6 +36,7 @@ from .core import (
 from .rewrite import (
     check_orientation,
     compare_shortlex,
+    find_redexes,
     normalize,
     reduction_path,
 )
@@ -307,17 +308,10 @@ def knuth_bendix(
     def lhs_reducible(r: Rule, others: Presentation) -> bool:
         # A schema instance carrying the very same rewrite does not count:
         # it is the same rule seen through the schema, not a simplification.
-        from .rewrite import find_redexes
-
-        for redex in find_redexes(r.lhs, others):
-            same = (
-                redex.position == 0
-                and redex.rule.lhs == r.lhs
-                and redex.rule.rhs == r.rhs
-            )
-            if not same:
-                return True
-        return False
+        return any(
+            e.left or e.rule.lhs != r.lhs or e.rule.rhs != r.rhs
+            for e in find_redexes(r.lhs, others)
+        )
 
     def interreduce() -> bool:
         requeue: deque = deque()

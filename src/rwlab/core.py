@@ -10,6 +10,7 @@ function, so shared values are safe to use concurrently.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
@@ -82,6 +83,12 @@ class Alphabet:
     @cached_property
     def _letter_set(self) -> frozenset:
         return frozenset(self.letters)
+
+
+def is_freely_reduced(w: Word, alphabet: Alphabet) -> bool:
+    """Whether no letter of ``w`` is followed by its declared formal inverse."""
+    inv = alphabet.involution
+    return all(inv.get(x) != y for x, y in zip(w, w[1:]))
 
 
 def formal_inverse(w: Word, alphabet: Alphabet) -> Word:
@@ -181,12 +188,6 @@ class RuleSchema:
     def _range_set(self) -> frozenset:
         return frozenset(self.variable_range)
 
-    def lhs_pattern(self) -> tuple:
-        return (self.lhs_prefix, self.variable, self.lhs_suffix)
-
-    def rhs_pattern(self) -> tuple:
-        return (self.rhs_prefix, self.variable, self.rhs_suffix)
-
 
 def instantiate_schema(schema: RuleSchema, v: Word) -> Rule:
     """Substitute ``v`` for the schema variable, producing a named rule."""
@@ -213,10 +214,11 @@ class Presentation:
     ordering: Optional[OrderingSpec] = None
 
     def __post_init__(self):
-        names = [r.name for r in self.rules] + [s.name for s in self.schemas]
-        dupes = {n for n in names if names.count(n) > 1}
+        counts = Counter(r.name for r in self.rules)
+        counts.update(s.name for s in self.schemas)
+        dupes = [n for n, c in counts.items() if c > 1]
         if dupes:
-            raise ValidationError(f"duplicate rule/schema name: {sorted(dupes)[0]}")
+            raise ValidationError(f"duplicate rule/schema name: {min(dupes)}")
         for r in self.rules:
             for letter in r.lhs + r.rhs:
                 if letter not in self.alphabet:
@@ -393,10 +395,6 @@ def parse_presentation(text: str) -> Presentation:
         raise ParseError(str(exc)) from None
 
 
-def _side_str(w: Word) -> str:
-    return word_str(w)
-
-
 def pretty_print(p: Presentation) -> str:
     """Serialize a presentation; ``parse_presentation`` inverts this."""
     lines = ["letters " + " ".join(p.alphabet.letters)]
@@ -405,10 +403,10 @@ def pretty_print(p: Presentation) -> str:
     if p.ordering is not None:
         lines.append("order " + " ".join(p.ordering.precedence))
     for r in p.rules:
-        lines.append(f"rule {r.name} : {_side_str(r.lhs)} -> {_side_str(r.rhs)}")
+        lines.append(f"rule {r.name} : {word_str(r.lhs)} -> {word_str(r.rhs)}")
     for s in p.schemas:
-        lhs = " ".join(filter(None, [_side_str(s.lhs_prefix) if s.lhs_prefix else "", s.variable, _side_str(s.lhs_suffix) if s.lhs_suffix else ""]))
-        rhs = " ".join(filter(None, [_side_str(s.rhs_prefix) if s.rhs_prefix else "", s.variable, _side_str(s.rhs_suffix) if s.rhs_suffix else ""]))
+        lhs = " ".join(s.lhs_prefix + (s.variable,) + s.lhs_suffix)
+        rhs = " ".join(s.rhs_prefix + (s.variable,) + s.rhs_suffix)
         rng = " ".join(s.variable_range)
         lines.append(f"schema {s.name} ( {s.variable} : {rng} ) : {lhs} -> {rhs}")
     return "\n".join(lines) + "\n"

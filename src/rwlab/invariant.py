@@ -18,10 +18,13 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .core import EMPTY, Presentation, RwlabError, Word
-from .ring import RingElement, add, from_word, right_mul, scale, sub, zero
+from .ring import RingElement, from_word, right_mul, scale, sub, total, zero
 from .squier import Edge, Path
 
 A_LETTERS = ("a", "a'", "b", "b'")
+
+# (a-exponent, b-exponent) of each free-group letter
+LETTER_EXPONENTS = {"a": (1, 0), "a'": (-1, 0), "b": (0, 1), "b'": (0, -1)}
 
 
 @dataclass(frozen=True)
@@ -47,25 +50,22 @@ class WeightSpec:
 CASE_STUDY_WEIGHTS = WeightSpec.of({"K_a": 1, "K_a'": -1})
 
 
-def _letter_value(letter: str) -> int:
-    if letter == "a":
-        return -1
-    if letter == "a'":
-        return 1
-    if letter in ("b", "b'"):
-        return 0
-    raise RwlabError(f"derivation is only defined on letters a, a', b, b' (got {letter})")
-
-
 def partial_derivation(w: Word, ambient: Presentation) -> RingElement:
     """∂w, by the recursion ∂(x·w') = (∂x)·w' + ∂w' with ∂a = −1, ∂a' = +1,
     ∂b = ∂b' = 0 and ∂ε = 0, evaluated in the free-group ring."""
-    values = [_letter_value(letter) for letter in w]  # validates every letter
-    acc = zero(ambient)
-    for i, val in enumerate(values):
-        if val:
-            acc = add(acc, scale(val, from_word(w[i + 1 :], ambient)))
-    return acc
+    for letter in w:
+        if letter not in LETTER_EXPONENTS:
+            raise RwlabError(
+                f"derivation is only defined on letters a, a', b, b' (got {letter})"
+            )
+    return total(
+        (
+            scale(-LETTER_EXPONENTS[x][0], from_word(w[i + 1 :], ambient))
+            for i, x in enumerate(w)
+            if LETTER_EXPONENTS[x][0]
+        ),
+        ambient,
+    )
 
 
 def phi_edge(e: Edge, weights: WeightSpec, ambient: Presentation) -> RingElement:
@@ -78,12 +78,7 @@ def phi_edge(e: Edge, weights: WeightSpec, ambient: Presentation) -> RingElement
 
 
 def phi_path(p: Path, weights: WeightSpec, ambient: Presentation) -> RingElement:
-    acc = zero(ambient)
-    for e in p.edges:
-        wt = weights.get(e.rule.name)
-        if wt:
-            acc = add(acc, scale(e.sign * wt, from_word(e.right, ambient)))
-    return acc
+    return total((phi_edge(e, weights, ambient) for e in p.edges), ambient)
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +166,6 @@ def _shifted_commutator(x: RingElement, w2: Word, eps: int, delta: int) -> RingE
     )
 
 
-def _a_exponent_of(letter: str) -> Optional[int]:
-    if letter == "a":
-        return 1
-    if letter == "a'":
-        return -1
-    return None
-
-
 def closed_form_ct(params: CtParams, ambient: Presentation) -> RingElement:
     """The Φ-image of a family instance as a closed-form ring expression."""
     f = params.family
@@ -187,14 +174,14 @@ def closed_form_ct(params: CtParams, ambient: Presentation) -> RingElement:
     if f == "CT4":
         return scale(-params.eps, _basic_commutator(params.eps, params.delta, ambient))
     if f == "CT6":
-        e = _a_exponent_of(params.x)
-        if e is None:
+        e = LETTER_EXPONENTS[params.x][0]
+        if not e:
             return zero(ambient)
         unit = sub(from_word(a_pow(-e), ambient), from_word(EMPTY, ambient))
         return scale(e, unit)
     if f == "CT1":
-        e = _a_exponent_of(params.x)
-        if e is None:
+        e = LETTER_EXPONENTS[params.x][0]
+        if not e:
             return zero(ambient)
         unit = sub(from_word(a_pow(-e), ambient), from_word(EMPTY, ambient))
         return scale(e, _shifted_commutator(unit, params.w2, params.eps, params.delta))

@@ -17,10 +17,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Union
 
-from .core import EMPTY, Presentation, RwlabError, Word, formal_inverse, word_str
-from .invariant import CtParams, a_pow, b_pow, closed_form_ct
+from .core import (
+    EMPTY,
+    Presentation,
+    RwlabError,
+    Word,
+    formal_inverse,
+    is_freely_reduced,
+    word_str,
+)
+from .invariant import LETTER_EXPONENTS, CtParams, a_pow, b_pow, closed_form_ct
 from .rewrite import normalize
-from .ring import RingElement, add, format_ring, from_word, right_mul, scale, sub, zero
+from .ring import RingElement, format_ring, from_word, right_mul, scale, sub, total
 
 
 class WitnessError(RwlabError):
@@ -29,7 +37,7 @@ class WitnessError(RwlabError):
 
 def b_exponent(w: Word) -> int:
     """(#b) − (#b')."""
-    return sum(1 if l == "b" else -1 if l == "b'" else 0 for l in w)
+    return sum(LETTER_EXPONENTS.get(l, (0, 0))[1] for l in w)
 
 
 def hn_member(w: Word) -> bool:
@@ -150,13 +158,14 @@ class Witness:
     target: RingElement
 
     def evaluate(self) -> RingElement:
-        acc = zero(self.target.ambient)
-        for t in self.terms:
-            acc = add(
-                acc,
-                scale(t.sign, right_mul(_source_value(t.source, self.target.ambient), t.multiplier)),
-            )
-        return acc
+        ambient = self.target.ambient
+        return total(
+            (
+                scale(t.sign, right_mul(_source_value(t.source, ambient), t.multiplier))
+                for t in self.terms
+            ),
+            ambient,
+        )
 
     def verified(self) -> bool:
         return self.evaluate() == self.target
@@ -178,11 +187,6 @@ def _checked(terms: List[WitnessTerm], target: RingElement) -> Witness:
     return w
 
 
-def _is_reduced(w: Word, ambient: Presentation) -> bool:
-    inv = ambient.alphabet.involution
-    return all(inv.get(w[i]) != w[i + 1] for i in range(len(w) - 1))
-
-
 def commutator_witness(w: Word, eps: int, delta: int, ambient: Presentation) -> Witness:
     """Express w·(bᵈaᵉ − aᵉbᵈ) as a signed sum of circuit-family images.
 
@@ -190,7 +194,7 @@ def commutator_witness(w: Word, eps: int, delta: int, ambient: Presentation) -> 
     image; a leading aᵉ letter is peeled with a CT1 image (whose w2 slot is
     the current suffix), a leading bᵉ letter with a CT7 image.
     """
-    if not _is_reduced(w, ambient):
+    if not is_freely_reduced(w, ambient.alphabet):
         raise WitnessError("commutator_witness requires a reduced word")
     target = sub(
         from_word(w + b_pow(delta) + a_pow(eps), ambient),
@@ -200,14 +204,13 @@ def commutator_witness(w: Word, eps: int, delta: int, ambient: Presentation) -> 
     u = w
     while u:
         head, rest = u[0], u[1:]
-        if head in ("a", "a'"):
-            e = 1 if head == "a" else -1
+        ea, eb = LETTER_EXPONENTS[head]
+        if ea:
             params = CtParams("CT1", x=head, w1=EMPTY, w2=u, eps=eps, delta=delta)
-            terms.append(WitnessTerm(params, EMPTY, -e))
+            terms.append(WitnessTerm(params, EMPTY, -ea))
         else:
-            e = 1 if head == "b" else -1
             params = CtParams(
-                "CT7", w1=EMPTY, eps1=1, delta1=e, w2=rest, eps2=eps, delta2=delta
+                "CT7", w1=EMPTY, eps1=1, delta1=eb, w2=rest, eps2=eps, delta2=delta
             )
             terms.append(WitnessTerm(params, EMPTY, 1))
         u = rest
@@ -232,15 +235,15 @@ def phi_to_x_witness(params: CtParams, ambient: Presentation) -> Witness:
     if f == "CT4":
         return _checked([_x_term(EMPTY, params.eps, params.delta, -params.eps)], target)
     if f == "CT6":
-        if params.x in ("b", "b'"):
+        e = LETTER_EXPONENTS[params.x][0]
+        if not e:
             return _checked([], target)
-        e = 1 if params.x == "a" else -1
         mult = ("a'",) if e == 1 else EMPTY
         return _checked([WitnessTerm(ONE_MINUS_A, mult, 1)], target)
     if f == "CT1":
-        if params.x in ("b", "b'"):
+        e = LETTER_EXPONENTS[params.x][0]
+        if not e:
             return _checked([], target)
-        e = 1 if params.x == "a" else -1
         shifted = normalize(a_pow(-e) + params.w2, ambient)
         return _checked(
             [

@@ -1,4 +1,4 @@
-"""Redex search, single-step rewriting, normalization, shortlex order.
+"""Rule applications as edges, single-step rewriting, normalization, shortlex order.
 
 Reduction strategy: leftmost redex, plain rules before schema matches at a
 position, ties broken by declaration order.  On a confluent system the
@@ -10,7 +10,7 @@ step cap guards explicitly-unchecked runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
 from typing import Iterator, List, Optional
 
 from .core import (
@@ -36,18 +36,6 @@ class RewriteError(RwlabError):
 
 class OrientationError(RewriteError):
     pass
-
-
-@dataclass(frozen=True)
-class Redex:
-    """An occurrence of a rule instance's lhs inside a word."""
-
-    position: int
-    rule: Rule
-
-    @property
-    def matched_length(self) -> int:
-        return len(self.rule.lhs)
 
 
 def compare_shortlex(u: Word, v: Word, ordering: OrderingSpec) -> int:
@@ -77,50 +65,47 @@ def _schema_match_at(w: Word, i: int, s: RuleSchema) -> Optional[Rule]:
     return None
 
 
-def _redexes_at(w: Word, i: int, p: Presentation) -> Iterator[Redex]:
+def _redexes_at(w: Word, i: int, p: Presentation) -> Iterator[Edge]:
     seen = set()
     for r in p.rules_by_first.get(w[i], ()):
         if w[i : i + len(r.lhs)] == r.lhs:
             seen.add((r.lhs, r.rhs))
-            yield Redex(i, r)
+            yield Edge(w[:i], r, 1, w[i + len(r.lhs) :])
     for s in p.schemas:
         inst = _schema_match_at(w, i, s)
         if inst is not None and (inst.lhs, inst.rhs) not in seen:
             seen.add((inst.lhs, inst.rhs))
-            yield Redex(i, inst)
+            yield Edge(w[:i], inst, 1, w[i + len(inst.lhs) :])
 
 
-def find_redexes(w: Word, p: Presentation) -> List[Redex]:
-    """All redexes of ``w``: per position, plain rules first then the
-    shortest schema instantiation per schema; schema matches that duplicate
-    a plain rule's rewrite at the same position are dropped."""
-    out: List[Redex] = []
+def find_redexes(w: Word, p: Presentation) -> List[Edge]:
+    """All rule applications to ``w``, as positive edges with source ``w``:
+    per position, plain rules first then the shortest schema instantiation
+    per schema; schema matches that duplicate a plain rule's rewrite at the
+    same position are dropped."""
+    out: List[Edge] = []
     for i in range(len(w)):
         out.extend(_redexes_at(w, i, p))
     return out
 
 
-def _first_redex(w: Word, p: Presentation) -> Optional[Redex]:
+def _first_redex(w: Word, p: Presentation) -> Optional[Edge]:
     for i in range(len(w)):
-        for redex in _redexes_at(w, i, p):
-            return redex
+        for e in _redexes_at(w, i, p):
+            return e
     return None
 
 
-def rewrite_at(w: Word, r: Redex, sign: int = 1) -> Word:
-    """Apply a redex: replace the matched side by the other side.
+def rewrite_at(w: Word, e: Edge) -> Word:
+    """Apply the rule application ``e`` to ``w``, which must be its source.
 
-    With sign −1 the rule's rhs must occur at the position and is replaced
-    by the lhs (a reverse step).
+    A negative edge is a reverse step: the rule's rhs is replaced by its lhs.
     """
-    src = r.rule.lhs if sign == 1 else r.rule.rhs
-    dst = r.rule.rhs if sign == 1 else r.rule.lhs
-    i = r.position
-    if w[i : i + len(src)] != src:
+    if e.source != w:
         raise RewriteError(
-            f"invalid redex: {r.rule.name} does not match {word_str(w)} at {i}"
+            f"invalid redex: {e.rule.name} does not match {word_str(w)} at {len(e.left)}"
         )
-    return w[:i] + dst + w[i + len(src) :]
+    return e.target
 
 
 def _schema_oriented(s: RuleSchema, ordering: OrderingSpec) -> bool:
@@ -148,7 +133,7 @@ def _schema_oriented(s: RuleSchema, ordering: OrderingSpec) -> bool:
     return False
 
 
-_orientation_ok: "weakref.WeakKeyDictionary" = None  # populated lazily
+_orientation_ok = weakref.WeakKeyDictionary()  # presentation -> True once checked
 
 
 def check_orientation(p: Presentation) -> None:
@@ -156,11 +141,6 @@ def check_orientation(p: Presentation) -> None:
 
     The outcome is memoized per presentation; presentations are immutable.
     """
-    global _orientation_ok
-    if _orientation_ok is None:
-        import weakref
-
-        _orientation_ok = weakref.WeakKeyDictionary()
     if _orientation_ok.get(p):
         return
     if p.ordering is None:
@@ -205,10 +185,10 @@ def normalize(
             if hit is not None:
                 cur = hit
                 break
-        redex = _first_redex(cur, p)
-        if redex is None:
+        e = _first_redex(cur, p)
+        if e is None:
             break
-        cur = rewrite_at(cur, redex)
+        cur = rewrite_at(cur, e)
         if seenwords is not None:
             seenwords.append(cur)
     else:
@@ -225,10 +205,9 @@ def reduction_path(w: Word, p: Presentation, max_steps: int = DEFAULT_STEP_CAP) 
     edges = []
     cur = w
     for _ in range(max_steps):
-        redex = _first_redex(cur, p)
-        if redex is None:
+        e = _first_redex(cur, p)
+        if e is None:
             return Path(w, tuple(edges))
-        e = Edge(cur[: redex.position], redex.rule, 1, cur[redex.position + redex.matched_length :])
         edges.append(e)
         cur = e.target
     raise RewriteError(f"step cap exceeded while reducing {word_str(w)}")

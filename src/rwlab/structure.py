@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .core import EMPTY, Presentation, Word, shortlex_key, word_str
+from .core import EMPTY, Presentation, RwlabError, Word, shortlex_key, word_str
 from .rewrite import normalize
 
 
@@ -78,6 +78,8 @@ def cayley_ball(
     p: Presentation, center: Word, radius: int, cache: Optional[SuccessorCache] = None
 ) -> Ball:
     """Least right-multiplication distances from ``center`` up to ``radius``."""
+    if radius < 0:
+        raise RwlabError(f"radius must be non-negative (got {radius})")
     if cache is None:
         cache = SuccessorCache(p)
     start = normalize(center, p)

@@ -10,7 +10,6 @@ import random
 import time
 
 from rwlab.casestudy import (
-    a_words,
     c_bar_rule,
     classify_peak,
     is_case_study_nf,
@@ -23,7 +22,7 @@ from rwlab.casestudy import (
 )
 from rwlab.completion import is_confluent_bounded, knuth_bendix
 from rwlab.core import word, words_over
-from rwlab.invariant import CASE_STUDY_WEIGHTS, phi_path
+from rwlab.invariant import A_LETTERS, CASE_STUDY_WEIGHTS, phi_path
 from rwlab.rewrite import compare_shortlex, normalize
 from rwlab.ring import zero
 from rwlab.squier import compose, interchange_square, invert
@@ -170,7 +169,7 @@ def test_criterion_08_structure():
 
     by_nf, by_vec = {}, {}
     sigma_ok = True
-    for w in a_words(5):
+    for w in words_over(A_LETTERS, 5):
         nf = normalize(("h",) + w, qbar)
         vec = exponent_vector(w)
         if by_nf.setdefault(nf, vec) != vec or by_vec.setdefault(vec, nf) != nf:

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import rwlab
 from rwlab.cli import main
 from rwlab.core import pretty_print
 from rwlab.casestudy import preset
@@ -155,3 +161,55 @@ def test_output_is_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "verify", "identities", "--max-len", "2")
     code2, out2, _ = run_cli(capsys, "verify", "identities", "--max-len", "2")
     assert (code1, out1) == (code2, out2)
+
+
+def run_cli_process(*argv, timeout=20):
+    """Run the CLI in a child process, so that a hang fails the test."""
+    src = str(Path(rwlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "rwlab.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env=env,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("ball", "--radius", "-1"), "must be non-negative, got -1"),
+        (("dist", "a", "b", "--radius", "-2"), "must be non-negative, got -2"),
+        (("verify", "figure2", "--max-len", "-1"), "must be non-negative, got -1"),
+        (("reduce", "-w", "q"), "undeclared letter q"),
+        (("equal", "q", "q"), "undeclared letter q"),
+    ],
+    ids=["ball-radius", "dist-radius", "verify-max-len", "reduce-letter", "equal-letter"],
+)
+def test_bad_bounds_and_letters_exit_2(argv, message):
+    result = run_cli_process(*argv)
+    assert result.returncode == 2
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("phi", "--circuit", "CT2", "--x", "a"),
+        ("partial", "-w", "a"),
+        ("hn", "-w", "a"),
+        ("witness", "--kind", "phi2x", "--circuit", "CT2", "--x", "a"),
+        ("verify", "figure2", "--max-len", "0"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_verbs_without_a_presentation_reject_preset_flags(argv, capsys):
+    for flag in (("--preset", "Q"), ("-p", "q.pres")):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -7,6 +7,7 @@ from rwlab.core import EMPTY, Alphabet, OrderingSpec, Presentation, Rule, word, 
 from rwlab.casestudy import is_case_study_nf
 from rwlab.rewrite import (
     OrientationError,
+    RewriteError,
     compare_shortlex,
     enumerate_normal_forms,
     find_redexes,
@@ -16,10 +17,11 @@ from rwlab.rewrite import (
     reduction_path,
     rewrite_at,
 )
+from rwlab.squier import Edge
 
 
 def names_at(w, p):
-    return [(r.position, r.rule.name) for r in find_redexes(word(w), p)]
+    return [(len(e.left), e.rule.name) for e in find_redexes(word(w), p)]
 
 
 def test_find_redexes_examples(Q):
@@ -40,22 +42,21 @@ def test_find_redexes_order_and_schema_dedup(Qbar):
 
 def test_rewrite_at_examples(Q):
     w = word("a a' b")
-    redex = find_redexes(w, Q)[0]
-    assert rewrite_at(w, redex) == word("b")
+    e = find_redexes(w, Q)[0]
+    assert rewrite_at(w, e) == word("b")
     # reverse step: the rhs (empty word) occurs at position 0 of "b"
-    from rwlab.rewrite import Redex
-
-    back = Redex(0, Q.rule_named("I_a"))
-    assert rewrite_at(word("b"), back, sign=-1) == word("a a' b")
-    redex = find_redexes(word("h a b"), Q)[0]
-    assert rewrite_at(word("h a b"), redex) == word("h b a")
+    back = Edge(EMPTY, Q.rule_named("I_a"), -1, word("b"))
+    assert rewrite_at(word("b"), back) == word("a a' b")
+    e = find_redexes(word("h a b"), Q)[0]
+    assert rewrite_at(word("h a b"), e) == word("h b a")
 
 
 def test_rewrite_at_rejects_bad_position(Q):
-    from rwlab.rewrite import Redex
-
-    with pytest.raises(Exception):
-        rewrite_at(word("b a"), Redex(0, Q.rule_named("I_a")), 1)
+    with pytest.raises(RewriteError):
+        rewrite_at(word("b a"), Edge(EMPTY, Q.rule_named("I_a"), 1, word("b a")))
+    # the matched side is right but the contexts are another word's
+    with pytest.raises(RewriteError):
+        rewrite_at(word("a a' b"), Edge(EMPTY, Q.rule_named("I_a"), 1, word("a")))
 
 
 def test_normalize_examples(Qbar):

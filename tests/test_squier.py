@@ -70,10 +70,7 @@ def _random_path(q, rng, n_edges=5):
         edges = []
         cur = w
         for _ in range(n_edges):
-            candidates = [
-                Edge(cur[: r.position], r.rule, 1, cur[r.position + r.matched_length :])
-                for r in find_redexes(cur, q)
-            ]
+            candidates = find_redexes(cur, q)
             # backward steps: any rhs occurrence can be expanded back to a lhs
             for rule in q.rules:
                 L = len(rule.rhs)

@@ -1,8 +1,10 @@
 import itertools
 import random
 
+import pytest
+
 from rwlab.casestudy import verify_isometry
-from rwlab.core import EMPTY, word
+from rwlab.core import EMPTY, Alphabet, OrderingSpec, Presentation, Rule, RwlabError, word
 from rwlab.rewrite import enumerate_normal_forms, normalize
 from rwlab.structure import (
     HClass,
@@ -149,3 +151,10 @@ def test_isometry_rejects_different_vertex_sets(Q, P):
 
 def test_isometry_driver_small():
     assert verify_isometry(radius=2, h_radius=2, nf_len=4).passed
+
+
+def test_cayley_ball_rejects_negative_radius():
+    # x x -> ε presents a two-element monoid, so even an unchecked search ends
+    p = Presentation(Alphabet(("x",)), (Rule("X", ("x", "x"), EMPTY),), (), OrderingSpec(("x",)))
+    with pytest.raises(RwlabError, match="non-negative"):
+        cayley_ball(p, EMPTY, -1)

@@ -19,10 +19,7 @@ def random_mixed_path(p, rng, max_edges=5, max_len=9, start=None):
         edges = []
         cur = w
         for _ in range(rng.randint(1, max_edges)):
-            candidates = [
-                Edge(cur[: r.position], r.rule, 1, cur[r.position + r.matched_length :])
-                for r in find_redexes(cur, p)
-            ]
+            candidates = find_redexes(cur, p)
             for rule in p.rules:
                 L = len(rule.rhs)
                 for i in range(len(cur) - L + 1):
