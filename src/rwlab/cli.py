@@ -56,7 +56,7 @@ def _nonnegative_int(text: str) -> int:
     return n
 
 
-def _add_common(sub, preset_default="Qbar"):
+def _add_common(sub, preset_default="Qbar", machine=False):
     sub.add_argument("-p", "--pres-file", help="presentation file")
     sub.add_argument(
         "--preset",
@@ -64,11 +64,12 @@ def _add_common(sub, preset_default="Qbar"):
         choices=("P", "Q", "Qbar", "M4", "N4"),
         help="built-in presentation (default %(default)s)",
     )
-    _add_output(sub)
+    _add_output(sub, machine)
 
 
-def _add_output(sub):
-    sub.add_argument("--machine", action="store_true", help="tab-separated key=value output")
+def _add_output(sub, machine=False):
+    if machine:
+        sub.add_argument("--machine", action="store_true", help="tab-separated key=value output")
     sub.add_argument("--jobs", type=int, default=1, help="accepted for interface compatibility; execution is single-process")
 
 
@@ -117,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     s = sub.add_parser("reduce", help="normalize a word")
-    _add_common(s)
+    _add_common(s, machine=True)
     s.add_argument("-w", "--word", required=True)
     s.add_argument("--trace", action="store_true", help="print one rewrite step per line")
 
@@ -140,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--schema-bound", type=int, default=2)
 
     s = sub.add_parser("equal", help="decide u = v over a complete system")
-    _add_common(s)
+    _add_common(s, machine=True)
     s.add_argument("u")
     s.add_argument("v")
 
@@ -159,11 +160,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("-w", "--word", required=True)
 
     s = sub.add_parser("classify", help="H-class of a word")
-    _add_common(s)
+    _add_common(s, machine=True)
     s.add_argument("-w", "--word", required=True)
 
     s = sub.add_parser("sigma", help="stabilizer congruence test")
-    _add_common(s)
+    _add_common(s, machine=True)
     s.add_argument("w1")
     s.add_argument("w2")
 
@@ -173,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--radius", type=_nonnegative_int, required=True)
 
     s = sub.add_parser("dist", help="directed distance d(x, y)")
-    _add_common(s)
+    _add_common(s, machine=True)
     s.add_argument("x")
     s.add_argument("y")
     s.add_argument("--radius", type=_nonnegative_int, required=True)
@@ -185,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("-w", "--word", default="", help="ball center")
 
     s = sub.add_parser("hn", help="b-exponent membership test")
-    _add_output(s)
+    _add_output(s, machine=True)
     s.add_argument("-w", "--word", required=True)
 
     s = sub.add_parser("witness", help="ring-verified witness construction")
@@ -200,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument(f"--{slot}", type=_sign)
 
     s = sub.add_parser("verify", help="run a verification suite")
-    _add_output(s)
+    _add_output(s, machine=True)
     s.add_argument(
         "suite", choices=("prop31", "figure2", "identities", "obstruction", "isometry")
     )
@@ -309,7 +310,7 @@ def run(argv) -> int:
         return 0 if result.passed else 1
 
     if args.verb == "hn":
-        member = obstruction.hn_member(word(args.word))
+        member = obstruction.hn_member(_word_over(args.word, casestudy.preset("P")))
         return _emit_scalar(args, "member", "true" if member else "false")
 
     if args.verb == "witness":
@@ -327,18 +328,20 @@ def run(argv) -> int:
         return 0
 
     if args.verb == "verify":
+        if args.max_len is not None and args.suite in ("obstruction", "isometry"):
+            parser.error(f"verify {args.suite} takes no --max-len")
+        if args.radius is not None and args.suite != "isometry":
+            parser.error(f"verify {args.suite} takes no --radius")
         if args.suite == "prop31":
-            report = casestudy.verify_prop31(args.max_len or 6)
+            report = casestudy.verify_prop31(6 if args.max_len is None else args.max_len)
         elif args.suite == "figure2":
-            report = casestudy.verify_figure2(
-                args.max_len if args.max_len is not None else 4
-            )
+            report = casestudy.verify_figure2(4 if args.max_len is None else args.max_len)
         elif args.suite == "identities":
-            report = casestudy.verify_identities(args.max_len or 5)
+            report = casestudy.verify_identities(5 if args.max_len is None else args.max_len)
         elif args.suite == "obstruction":
             report = casestudy.verify_obstruction()
         else:
-            report = casestudy.verify_isometry(radius=args.radius or 4)
+            report = casestudy.verify_isometry(radius=4 if args.radius is None else args.radius)
         return _emit_report(report, args)
 
     parser.error(f"unknown verb {args.verb}")

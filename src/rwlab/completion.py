@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .core import (
     EMPTY,
@@ -251,13 +251,6 @@ class CompletionReport:
         return self.status == "completed"
 
 
-def _orient(u: Word, v: Word, p: Presentation) -> Optional[Tuple[Word, Word]]:
-    c = compare_shortlex(u, v, p.ordering)
-    if c == 0:
-        return None
-    return (u, v) if c > 0 else (v, u)
-
-
 def knuth_bendix(
     p: Presentation,
     max_new_rules: int = 100,
@@ -267,94 +260,75 @@ def knuth_bendix(
     """Bounded Knuth-Bendix completion under the presentation's shortlex order.
 
     Unresolved peak pairs are oriented into new rules, smallest source
-    first, with interreduction after every addition (right sides are kept
-    normalized; a rule whose lhs becomes reducible by another rule is
-    dropped and its equation re-queued).  Stops when no unresolved peaks
-    remain ("completed") or when a bound trips ("bounded-out").  Identical
-    pairs are discarded; shortlex is total, so no pair is unorientable.
+    first, with one interreduction pass after every addition (right sides
+    are kept normalized; a rule whose lhs becomes reducible by another rule
+    is dropped and its equation pushed on a stack of pending equations,
+    which are oriented before the next peak is sought).  Stops when no
+    unresolved peaks remain ("completed") or when a bound trips
+    ("bounded-out").  Identical pairs are discarded; shortlex is total, so
+    no pair is unorientable.
+
+    Each rule is tested against the live system ``sys``, itself included: a
+    rule never rewrites its own rhs, since every word met while reducing the
+    rhs is shortlex-below the lhs and so cannot contain it.  A pass fixes a
+    failing rule and tests the same index again (after its rhs changes, a
+    schema instance or rule with the old rewrite reduces its lhs); dropping
+    a rule or normalizing a rhs keeps earlier rules passing, so one pass
+    makes the changes that restarting at the first rule would.
     """
     check_orientation(p)
     report = CompletionReport("completed")
     rules: List[Rule] = list(p.rules)
+    sys = p
     taken = {r.name for r in rules} | {s.name for s in p.schemas}
-    counter = itertools.count(1)
-
-    def fresh_name() -> str:
-        while True:
-            name = f"kb{next(counter)}"
-            if name not in taken:
-                taken.add(name)
-                return name
-
-    def current() -> Presentation:
-        return Presentation(p.alphabet, tuple(rules), p.schemas, p.ordering)
-
-    def add_rule(u: Word, v: Word) -> bool:
-        """Orient and add u = v; returns False when the budget is exhausted."""
-        sys = current()
-        u, v = normalize(u, sys), normalize(v, sys)
-        oriented = _orient(u, v, p)
-        if oriented is None:
-            return True
-        lhs, rhs = oriented
-        if len(lhs) > max_lhs_len or len(report.added) >= max_new_rules:
-            report.status = "bounded-out"
-            return False
-        rule = Rule(fresh_name(), lhs, rhs)
-        rules.append(rule)
-        report.added.append(rule)
-        return interreduce()
-
-    def lhs_reducible(r: Rule, others: Presentation) -> bool:
-        # A schema instance carrying the very same rewrite does not count:
-        # it is the same rule seen through the schema, not a simplification.
-        return any(
-            e.left or e.rule.lhs != r.lhs or e.rule.rhs != r.rhs
-            for e in find_redexes(r.lhs, others)
-        )
-
-    def interreduce() -> bool:
-        requeue: deque = deque()
-        changed = True
-        while changed:
-            changed = False
-            for i, r in enumerate(rules):
-                others = Presentation(
-                    p.alphabet, tuple(rules[:i] + rules[i + 1 :]), p.schemas, p.ordering
-                )
-                if lhs_reducible(r, others):
-                    rules.pop(i)
-                    report.removed.append(r)
-                    requeue.append((r.lhs, r.rhs))
-                    changed = True
-                    break
-                new_rhs = normalize(r.rhs, others)
-                if new_rhs != r.rhs:
-                    rules[i] = Rule(r.name, r.lhs, new_rhs, r.origin)
-                    changed = True
-                    break
-        while requeue:
-            u, v = requeue.popleft()
-            if not add_rule(u, v):
-                return False
-        return True
-
-    if not interreduce():
-        return current(), report
+    names = (name for name in map("kb{}".format, itertools.count(1)) if name not in taken)
+    pending: List[Tuple[Word, Word]] = []  # dropped equations, used as a stack
 
     while True:
-        sys = current()
-        unresolved = []
-        for peak in critical_peaks(sys, schema_var_bound):
-            nf1 = normalize(peak.result1, sys)
-            nf2 = normalize(peak.result2, sys)
-            if nf1 != nf2:
-                unresolved.append((peak, nf1, nf2))
-        if not unresolved:
+        dropped = []
+        i = 0
+        while i < len(rules):
+            r = rules[i]
+            # The rule's own edge, or a schema instance carrying the very same
+            # rewrite, does not count: it is the same rule, not a simplification.
+            if any(
+                e.left or e.rule.lhs != r.lhs or e.rule.rhs != r.rhs
+                for e in find_redexes(r.lhs, sys)
+            ):
+                del rules[i]
+                report.removed.append(r)
+                dropped.append((r.lhs, r.rhs))
+            else:
+                rhs = normalize(r.rhs, sys)
+                if rhs == r.rhs:
+                    i += 1
+                    continue
+                rules[i] = Rule(r.name, r.lhs, rhs, r.origin)
+            sys = Presentation(p.alphabet, tuple(rules), p.schemas, p.ordering)
+        pending.extend(reversed(dropped))
+
+        while True:
+            if pending:
+                u, v = pending.pop()
+            else:
+                for peak in critical_peaks(sys, schema_var_bound):
+                    u, v = normalize(peak.result1, sys), normalize(peak.result2, sys)
+                    if u != v:
+                        break  # critical_peaks is already source-sorted
+                else:
+                    return sys, report
+            u, v = normalize(u, sys), normalize(v, sys)
+            c = compare_shortlex(u, v, p.ordering)
+            if c:
+                break
+        lhs, rhs = (u, v) if c > 0 else (v, u)
+        if len(lhs) > max_lhs_len or len(report.added) >= max_new_rules:
+            report.status = "bounded-out"
             return sys, report
-        peak, nf1, nf2 = unresolved[0]  # critical_peaks is already source-sorted
-        if not add_rule(nf1, nf2):
-            return current(), report
+        rule = Rule(next(names), lhs, rhs)
+        rules.append(rule)
+        report.added.append(rule)
+        sys = Presentation(p.alphabet, tuple(rules), p.schemas, p.ordering)
 
 
 # ---------------------------------------------------------------------------

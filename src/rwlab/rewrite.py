@@ -5,7 +5,7 @@ position, ties broken by declaration order.  On a confluent system the
 normal form is strategy-independent; the fixed strategy just makes traces
 reproducible.  Termination is enforced by checking that every rule and
 schema orients lhs > rhs under the presentation's shortlex ordering; a hard
-step cap guards explicitly-unchecked runs.
+step cap is a backstop.
 """
 
 from __future__ import annotations
@@ -158,44 +158,32 @@ def check_orientation(p: Presentation) -> None:
     _orientation_ok[p] = True
 
 
-def normalize(
-    w: Word,
-    p: Presentation,
-    max_steps: int = DEFAULT_STEP_CAP,
-    allow_unoriented: bool = False,
-) -> Word:
+def normalize(w: Word, p: Presentation, max_steps: int = DEFAULT_STEP_CAP) -> Word:
     """Reduce ``w`` to an irreducible word by the leftmost-redex strategy.
 
-    The orientation check guarantees termination; pass ``allow_unoriented``
-    to skip it and rely on the step cap instead.
+    The orientation check guarantees termination; the step cap is a backstop.
     """
-    if not allow_unoriented:
-        check_orientation(p)
-        cache = p._nf_cache
-        hit = cache.get(w)
-        if hit is not None:
-            return hit
-    else:
-        cache = None
-    seenwords = [w] if cache is not None else None
+    check_orientation(p)
+    cache = p._nf_cache
+    hit = cache.get(w)
+    if hit is not None:
+        return hit
+    seenwords = [w]
     cur = w
     for _ in range(max_steps):
-        if cache is not None:
-            hit = cache.get(cur)
-            if hit is not None:
-                cur = hit
-                break
+        hit = cache.get(cur)
+        if hit is not None:
+            cur = hit
+            break
         e = _first_redex(cur, p)
         if e is None:
             break
         cur = rewrite_at(cur, e)
-        if seenwords is not None:
-            seenwords.append(cur)
+        seenwords.append(cur)
     else:
         raise RewriteError(f"step cap exceeded while reducing {word_str(w)}")
-    if cache is not None:
-        for u in seenwords:
-            cache[u] = cur
+    for u in seenwords:
+        cache[u] = cur
     return cur
 
 

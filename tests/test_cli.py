@@ -213,3 +213,71 @@ def test_verbs_without_a_presentation_reject_preset_flags(argv, capsys):
             main([*argv, *flag])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "obstruction", "--max-len", "1"), "verify obstruction takes no --max-len"),
+        (("verify", "isometry", "--max-len", "1"), "verify isometry takes no --max-len"),
+        (("verify", "prop31", "--radius", "3"), "verify prop31 takes no --radius"),
+        (("verify", "figure2", "--radius", "3"), "verify figure2 takes no --radius"),
+        (("verify", "identities", "--radius", "3"), "verify identities takes no --radius"),
+        (("verify", "obstruction", "--radius", "3"), "verify obstruction takes no --radius"),
+    ],
+    ids=[
+        "obstruction-max-len",
+        "isometry-max-len",
+        "prop31-radius",
+        "figure2-radius",
+        "identities-radius",
+        "obstruction-radius",
+    ],
+)
+def test_verify_rejects_bounds_its_suite_ignores(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+def test_verify_max_len_zero_shrinks_the_sweep(capsys):
+    code, out, _ = run_cli(capsys, "verify", "identities", "--max-len", "0")
+    assert code == 0
+    lines = out.splitlines()
+    assert "identity (iii) letter prefix\tpass\t0 exhaustive + 1000 randomized instances" in lines
+    assert "identity (iv) word prefix\tpass\t4 exhaustive + 1000 randomized instances" in lines
+
+
+def test_hn_rejects_undeclared_letters():
+    result = run_cli_process("hn", "-w", "h q")
+    assert result.returncode == 2
+    assert "undeclared letter h" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("phi", "--circuit", "CT2", "--x", "a"),
+        ("partial", "-w", "a"),
+        ("witness", "--kind", "phi2x", "--circuit", "CT2", "--x", "a"),
+        ("nf", "--max-len", "1"),
+        ("peaks", "--preset", "P"),
+        ("confluence", "--preset", "P"),
+        ("complete", "--max-rules", "1"),
+        ("ball", "--radius", "1"),
+        ("isometry", "--radius", "1"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_verbs_without_machine_output_reject_the_flag(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--machine"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --machine" in captured.err
+    assert captured.out == ""
