@@ -33,7 +33,7 @@ from .rewrite import (
     reduction_path,
     rewrite_at,
 )
-from .squier import Edge, Path, act, compose, edge_endpoints, interchange_square, invert, lift_path
+from .squier import Edge, Path, act, compose, interchange_square, invert, lift_path
 from .completion import (
     CriticalCircuit,
     CriticalPeak,

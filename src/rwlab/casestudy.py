@@ -66,7 +66,7 @@ from .obstruction import (
 )
 from .rewrite import enumerate_normal_forms, normalize
 from .ring import RingElement, from_word, negate, right_mul, scale, sub
-from .squier import Edge, Path, compose, invert, lift_path
+from .squier import Edge, Path, lift_path
 from .structure import isometry_check
 
 _EXP = {1: "p", -1: "m"}
@@ -244,9 +244,9 @@ def _realize_c_bar(rule: Rule) -> Optional[Path]:
 
 
 def _close(down_right: List[Edge], down_left: List[Edge]) -> Path:
-    right = Path(down_right[0].source, tuple(down_right))
-    left = Path(down_left[0].source, tuple(down_left))
-    return compose(right, invert(left))
+    """The right descent followed by the left descent read backwards."""
+    up_left = tuple(e.inverse() for e in reversed(down_left))
+    return Path(down_right[0].source, tuple(down_right) + up_left)
 
 
 def build_ct_circuit(params: CtParams) -> Path:

@@ -128,17 +128,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("peaks", help="list critical peaks")
     _add_common(s)
-    s.add_argument("--schema-bound", type=int, default=0)
+    s.add_argument("--schema-bound", type=_nonnegative_int, default=0)
 
     s = sub.add_parser("confluence", help="resolve every critical peak")
     _add_common(s)
-    s.add_argument("--schema-bound", type=int, default=0)
+    s.add_argument("--schema-bound", type=_nonnegative_int, default=0)
 
     s = sub.add_parser("complete", help="bounded Knuth-Bendix completion")
     _add_common(s, preset_default="Q")
-    s.add_argument("--max-rules", type=int, default=50)
-    s.add_argument("--max-lhs-len", type=int, default=6)
-    s.add_argument("--schema-bound", type=int, default=2)
+    s.add_argument("--max-rules", type=_nonnegative_int, default=50)
+    s.add_argument("--max-lhs-len", type=_nonnegative_int, default=6)
+    s.add_argument("--schema-bound", type=_nonnegative_int, default=2)
 
     s = sub.add_parser("equal", help="decide u = v over a complete system")
     _add_common(s, machine=True)
@@ -341,7 +341,8 @@ def run(argv) -> int:
         elif args.suite == "obstruction":
             report = casestudy.verify_obstruction()
         else:
-            report = casestudy.verify_isometry(radius=4 if args.radius is None else args.radius)
+            radius = 4 if args.radius is None else args.radius
+            report = casestudy.verify_isometry(radius=radius, h_radius=min(3, radius))
         return _emit_report(report, args)
 
     parser.error(f"unknown verb {args.verb}")

@@ -40,7 +40,7 @@ from .rewrite import (
     normalize,
     reduction_path,
 )
-from .squier import Edge, Path, compose, invert, path_of_edge
+from .squier import Edge, Path
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ class CriticalPeak:
 
     def peak_path(self) -> Path:
         """The path result1 -> source -> result2 through the two edges."""
-        return compose(invert(path_of_edge(self.edge1())), path_of_edge(self.edge2()))
+        return Path(self.result1, (self.edge1().inverse(), self.edge2()))
 
     def describe(self) -> str:
         return f"peak {word_str(self.source)} [{self.rule1.name},{self.rule2.name}]"
@@ -120,7 +120,9 @@ class CriticalCircuit:
 
     def circuit(self) -> Path:
         """The closed path p1⁻¹ ∘ (peak) ∘ p2, based at the common endpoint."""
-        return compose(compose(invert(self.p1), self.peak.peak_path()), self.p2)
+        back = tuple(e.inverse() for e in reversed(self.p1.edges))
+        peak = (self.peak.edge1().inverse(), self.peak.edge2())
+        return Path(self.p1.tau, back + peak + self.p2.edges)
 
 
 @dataclass(frozen=True)
@@ -191,13 +193,12 @@ def critical_peaks(p: Presentation, schema_var_bound: int = 0) -> List[CriticalP
 
 
 def resolve_peak(peak: CriticalPeak, p: Presentation):
-    """Normalize both descendants; a common irreducible yields a circuit,
+    """Reduce both descendants; a common irreducible yields a circuit,
     otherwise the distinct pair is reported as data (a completion candidate)."""
-    nf1 = normalize(peak.result1, p)
-    nf2 = normalize(peak.result2, p)
-    if nf1 != nf2:
-        return UnresolvedPeak(peak, nf1, nf2)
-    return CriticalCircuit(peak, reduction_path(peak.result1, p), reduction_path(peak.result2, p))
+    p1, p2 = reduction_path(peak.result1, p), reduction_path(peak.result2, p)
+    if p1.tau != p2.tau:
+        return UnresolvedPeak(peak, p1.tau, p2.tau)
+    return CriticalCircuit(peak, p1, p2)
 
 
 @dataclass

@@ -111,11 +111,8 @@ class OrderingSpec:
     """Shortlex ordering data: precedence lists every letter, greatest first."""
 
     precedence: tuple
-    kind: str = "shortlex"
 
     def __post_init__(self):
-        if self.kind != "shortlex":
-            raise ValidationError(f"unsupported ordering kind: {self.kind}")
         if len(set(self.precedence)) != len(self.precedence):
             raise ValidationError("ordering precedence letters must be distinct")
 
@@ -288,11 +285,11 @@ def words_over(letters: Iterable, max_len: int) -> Iterator[Word]:
 # ---------------------------------------------------------------------------
 
 
-def _parse_side(tokens, declared, var=None, line=None) -> Word:
+def _parse_side(tokens, declared, line=None) -> Word:
     if tokens == [EPSILON]:
         return EMPTY
     for t in tokens:
-        if t != var and t not in declared:
+        if t not in declared:
             raise ParseError(f"undeclared letter {t}", line)
     return tuple(tokens)
 
@@ -374,10 +371,10 @@ def parse_presentation(text: str) -> Presentation:
             if lhs_seq.count(var) != 1 or rhs_seq.count(var) != 1:
                 raise ParseError("schema variable must occur exactly once per side", lineno)
             li, ri = lhs_seq.index(var), rhs_seq.index(var)
-            lhs_prefix = _parse_side(lhs_seq[:li], declared, line=lineno) if lhs_seq[:li] else EMPTY
-            lhs_suffix = _parse_side(lhs_seq[li + 1 :], declared, line=lineno) if lhs_seq[li + 1 :] else EMPTY
-            rhs_prefix = _parse_side(rhs_seq[:ri], declared, line=lineno) if rhs_seq[:ri] else EMPTY
-            rhs_suffix = _parse_side(rhs_seq[ri + 1 :], declared, line=lineno) if rhs_seq[ri + 1 :] else EMPTY
+            lhs_prefix = _parse_side(lhs_seq[:li], declared, line=lineno)
+            lhs_suffix = _parse_side(lhs_seq[li + 1 :], declared, line=lineno)
+            rhs_prefix = _parse_side(rhs_seq[:ri], declared, line=lineno)
+            rhs_suffix = _parse_side(rhs_seq[ri + 1 :], declared, line=lineno)
             try:
                 schemas.append(
                     RuleSchema(name, var, tuple(rng), lhs_prefix, lhs_suffix, rhs_prefix, rhs_suffix)

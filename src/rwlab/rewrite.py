@@ -27,7 +27,7 @@ from .core import (
 )
 from .squier import Edge, Path
 
-DEFAULT_STEP_CAP = 10**6
+STEP_CAP = 10**6
 
 
 class RewriteError(RwlabError):
@@ -158,47 +158,50 @@ def check_orientation(p: Presentation) -> None:
     _orientation_ok[p] = True
 
 
-def normalize(w: Word, p: Presentation, max_steps: int = DEFAULT_STEP_CAP) -> Word:
-    """Reduce ``w`` to an irreducible word by the leftmost-redex strategy.
+def _leftmost_steps(w: Word, p: Presentation) -> Iterator[Edge]:
+    """The leftmost-redex edges reducing ``w`` to an irreducible word.
 
-    The orientation check guarantees termination; the step cap is a backstop.
+    The orientation check guarantees termination; ``STEP_CAP`` steps are a
+    backstop, past which a further redex raises.
     """
     check_orientation(p)
-    cache = p._nf_cache
-    hit = cache.get(w)
-    if hit is not None:
-        return hit
-    seenwords = [w]
-    cur = w
-    for _ in range(max_steps):
-        hit = cache.get(cur)
-        if hit is not None:
-            cur = hit
-            break
-        e = _first_redex(cur, p)
+    e = _first_redex(w, p)
+    for _ in range(STEP_CAP):
         if e is None:
-            break
-        cur = rewrite_at(cur, e)
-        seenwords.append(cur)
-    else:
+            return
+        yield e
+        e = _first_redex(e.target, p)
+    if e is not None:
         raise RewriteError(f"step cap exceeded while reducing {word_str(w)}")
-    for u in seenwords:
-        cache[u] = cur
-    return cur
 
 
-def reduction_path(w: Word, p: Presentation, max_steps: int = DEFAULT_STEP_CAP) -> Path:
+def normalize(w: Word, p: Presentation) -> Word:
+    """Reduce ``w`` to an irreducible word by the leftmost-redex strategy.
+
+    Every word met on the way is cached with the result, and the reduction
+    stops at the first word already cached.
+    """
+    cache = p._nf_cache
+    nf = cache.get(w)
+    if nf is not None:
+        return nf
+    passed = [w]
+    nf = w
+    for e in _leftmost_steps(w, p):
+        nf = e.target
+        hit = cache.get(nf)
+        if hit is not None:
+            nf = hit
+            break
+        passed.append(nf)
+    for u in passed:
+        cache[u] = nf
+    return nf
+
+
+def reduction_path(w: Word, p: Presentation) -> Path:
     """The positive path witnessing ``w ->* normalize(w)`` under the strategy."""
-    check_orientation(p)
-    edges = []
-    cur = w
-    for _ in range(max_steps):
-        e = _first_redex(cur, p)
-        if e is None:
-            return Path(w, tuple(edges))
-        edges.append(e)
-        cur = e.target
-    raise RewriteError(f"step cap exceeded while reducing {word_str(w)}")
+    return Path(w, tuple(_leftmost_steps(w, p)))
 
 
 def format_trace(path: Path) -> str:

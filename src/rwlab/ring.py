@@ -35,15 +35,6 @@ class RingElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, w: Word) -> int:
-        for u, c in self.terms:
-            if u == w:
-                return c
-        return 0
-
-    def as_dict(self) -> Dict[Word, int]:
-        return dict(self.terms)
-
 
 def _make(terms: Dict[Word, int], ambient: Presentation) -> RingElement:
     items = [(w, c) for w, c in terms.items() if c != 0]

@@ -51,10 +51,6 @@ class Edge:
         return f"({word_str(self.left)}, {self.rule.name}, {self.sign:+d}, {word_str(self.right)})"
 
 
-def edge_endpoints(e: Edge) -> tuple:
-    return (e.source, e.target)
-
-
 @dataclass(frozen=True)
 class Path:
     """A composable sequence of edges starting at ``start``."""
@@ -95,14 +91,6 @@ class Path:
         for e in self.edges:
             parts.append(f" --({e.rule.name},{e.sign:+d})@{len(e.left)}--> {word_str(e.target)}")
         return "".join(parts)
-
-
-def empty_path(w: Word) -> Path:
-    return Path(w, ())
-
-
-def path_of_edge(e: Edge) -> Path:
-    return Path(e.source, (e,))
 
 
 def compose(p: Path, q: Path) -> Path:
@@ -150,14 +138,9 @@ def interchange_square(e1: Edge, e2: Edge) -> Path:
     mid = w[b1:a2]
     other1 = e1.rule.rhs if e1.sign == 1 else e1.rule.lhs
     other2 = e2.rule.rhs if e2.sign == 1 else e2.rule.lhs
-    first = e1  # (left1, r1, s1, mid · side2 · right2)
     second = Edge(e1.left + other1 + mid, e2.rule, e2.sign, e2.right)
     third = Edge(e1.left, e1.rule, e1.sign, mid + other2 + e2.right)
-    fourth = e2
-    return compose(
-        compose(path_of_edge(first), path_of_edge(second)),
-        compose(invert(path_of_edge(third)), invert(path_of_edge(fourth))),
-    )
+    return Path(w, (e1, second, third.inverse(), e2.inverse()))
 
 
 Realization = Callable[[Rule], Optional[Path]]
@@ -171,19 +154,17 @@ def lift_path(p: Path, realize: Realization) -> Path:
     endpoints are preserved and lifting commutes with composition and
     inversion.
     """
-    out = empty_path(p.start)
+    edges = []
     for e in p.edges:
         base = realize(e.rule)
         if base is None:
-            step = path_of_edge(e)
-        else:
-            if base.iota != e.rule.lhs or base.tau != e.rule.rhs:
-                raise PathError(
-                    f"realization of {e.rule.name} has endpoints "
-                    f"{word_str(base.iota)} -> {word_str(base.tau)}, expected rule sides"
-                )
-            step = act(e.left, base, e.right)
-            if e.sign == -1:
-                step = invert(step)
-        out = compose(out, step)
-    return out
+            edges.append(e)
+            continue
+        if base.iota != e.rule.lhs or base.tau != e.rule.rhs:
+            raise PathError(
+                f"realization of {e.rule.name} has endpoints "
+                f"{word_str(base.iota)} -> {word_str(base.tau)}, expected rule sides"
+            )
+        steps = base.edges if e.sign == 1 else reversed(base.edges)
+        edges.extend(Edge(e.left + b.left, b.rule, b.sign * e.sign, b.right + e.right) for b in steps)
+    return Path(p.start, tuple(edges))

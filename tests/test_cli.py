@@ -185,8 +185,24 @@ def run_cli_process(*argv, timeout=20):
         (("verify", "figure2", "--max-len", "-1"), "must be non-negative, got -1"),
         (("reduce", "-w", "q"), "undeclared letter q"),
         (("equal", "q", "q"), "undeclared letter q"),
+        (("peaks", "--preset", "Qbar", "--schema-bound", "-1"), "must be non-negative, got -1"),
+        (("confluence", "--schema-bound", "-1"), "must be non-negative, got -1"),
+        (("complete", "--schema-bound", "-1"), "must be non-negative, got -1"),
+        (("complete", "--max-rules", "-3"), "must be non-negative, got -3"),
+        (("complete", "--max-lhs-len", "-1"), "must be non-negative, got -1"),
     ],
-    ids=["ball-radius", "dist-radius", "verify-max-len", "reduce-letter", "equal-letter"],
+    ids=[
+        "ball-radius",
+        "dist-radius",
+        "verify-max-len",
+        "reduce-letter",
+        "equal-letter",
+        "peaks-schema-bound",
+        "confluence-schema-bound",
+        "complete-schema-bound",
+        "complete-max-rules",
+        "complete-max-lhs-len",
+    ],
 )
 def test_bad_bounds_and_letters_exit_2(argv, message):
     result = run_cli_process(*argv)
@@ -281,3 +297,11 @@ def test_verbs_without_machine_output_reject_the_flag(argv, capsys):
     captured = capsys.readouterr()
     assert "unrecognized arguments: --machine" in captured.err
     assert captured.out == ""
+
+
+def test_verify_isometry_radius_bounds_the_ball_around_h(capsys):
+    code, out, _ = run_cli(capsys, "verify", "isometry", "--radius", "1")
+    assert code == 0
+    names = [line.split("\t")[0] for line in out.splitlines()]
+    assert "isometry ball radius 1 around ε" in names
+    assert "isometry ball radius 1 around h" in names

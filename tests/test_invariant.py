@@ -23,7 +23,7 @@ from rwlab.invariant import (
     phi_path,
 )
 from rwlab.ring import add, format_ring, from_word, negate, right_mul, scale, sub, zero
-from rwlab.squier import Edge, act, compose, empty_path, interchange_square, invert
+from rwlab.squier import Edge, Path, act, compose, interchange_square, invert
 
 SIGNS = (1, -1)
 
@@ -69,7 +69,7 @@ def test_phi_edge_examples(q, ZG, ZM):
 
 
 def test_phi_path_examples(ZG):
-    assert phi_path(empty_path(word("a")), CASE_STUDY_WEIGHTS, ZG) == zero(ZG)
+    assert phi_path(Path(word("a")), CASE_STUDY_WEIGHTS, ZG) == zero(ZG)
     # the three-edge swap path for w = a
     value = phi_path(build_C_path(word("a"), 1, 1), CASE_STUDY_WEIGHTS, ZG)
     assert value == sub(from_word(word("b a"), ZG), from_word(word("a b"), ZG))

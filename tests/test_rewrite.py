@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rwlab import rewrite
 from rwlab.completion import equivalence_classes
 from rwlab.core import EMPTY, Alphabet, OrderingSpec, Presentation, Rule, word, words_over
 from rwlab.casestudy import is_case_study_nf
@@ -106,6 +107,21 @@ def test_normalize_rejects_unoriented():
     )
     with pytest.raises(OrientationError):
         normalize(word("a"), p)
+
+
+def test_step_cap_stops_normalize_and_reduction_path(Qbar, monkeypatch):
+    # a fresh copy has an empty normal-form cache, so every step is taken
+    p = Presentation(Qbar.alphabet, Qbar.rules, Qbar.schemas, Qbar.ordering)
+    two, four = word("a h b"), word("a a h b")
+    assert len(reduction_path(two, p)) == 2 and len(reduction_path(four, p)) == 4
+    monkeypatch.setattr(rewrite, "STEP_CAP", 2)
+    assert normalize(two, p) == reduction_path(two, p).tau == word("h b a")
+    messages = []
+    for reduce in (normalize, reduction_path):
+        with pytest.raises(RewriteError) as exc:
+            reduce(four, p)
+        messages.append(str(exc.value))
+    assert messages == ["step cap exceeded while reducing a a h b"] * 2
 
 
 def test_compare_shortlex_examples(Qbar):

@@ -10,12 +10,9 @@ from rwlab.squier import (
     PathError,
     act,
     compose,
-    edge_endpoints,
-    empty_path,
     interchange_square,
     invert,
     lift_path,
-    path_of_edge,
 )
 
 
@@ -26,18 +23,18 @@ def q():
 
 def test_edge_endpoints_examples(q):
     e = Edge(word("b"), q.rule_named("K_a"), 1, EMPTY)
-    assert edge_endpoints(e) == (word("b a h"), word("b h a"))
+    assert (e.source, e.target) == (word("b a h"), word("b h a"))
     e = Edge(EMPTY, q.rule_named("I_a"), -1, word("b"))
-    assert edge_endpoints(e) == (word("b"), word("a a' b"))
+    assert (e.source, e.target) == (word("b"), word("a a' b"))
     e = Edge(EMPTY, q.rule_named("C_pp"), 1, word("a"))
-    assert edge_endpoints(e) == (word("h a b a"), word("h b a a"))
+    assert (e.source, e.target) == (word("h a b a"), word("h b a a"))
 
 
 def test_compose_identity_and_mismatch(q):
     e = Edge(EMPTY, q.rule_named("K_a"), 1, word("b"))
-    p = path_of_edge(e)
-    assert compose(empty_path(p.iota), p) == p
-    assert compose(p, empty_path(p.tau)) == p
+    p = Path(e.source, (e,))
+    assert compose(Path(p.iota), p) == p
+    assert compose(p, Path(p.tau)) == p
     with pytest.raises(PathError):
         compose(p, p)  # tau != iota
 
@@ -46,7 +43,7 @@ def test_compose_two_steps(q):
     # a h b -> h a b -> h b a
     e1 = Edge(EMPTY, q.rule_named("K_a"), 1, word("b"))
     e2 = Edge(EMPTY, q.rule_named("C_pp"), 1, EMPTY)
-    p = compose(path_of_edge(e1), path_of_edge(e2))
+    p = compose(Path(e1.source, (e1,)), Path(e2.source, (e2,)))
     assert p.iota == word("a h b")
     assert p.tau == word("h b a")
     assert len(p) == 2
@@ -55,9 +52,9 @@ def test_compose_two_steps(q):
 
 def test_invert_basics(q):
     w = word("a b")
-    assert invert(empty_path(w)) == empty_path(w)
+    assert invert(Path(w)) == Path(w)
     e = Edge(EMPTY, q.rule_named("K_a"), 1, word("b"))
-    assert invert(path_of_edge(e)).edges[0] == Edge(EMPTY, q.rule_named("K_a"), -1, word("b"))
+    assert invert(Path(e.source, (e,))).edges[0] == Edge(EMPTY, q.rule_named("K_a"), -1, word("b"))
 
 
 def _random_path(q, rng, n_edges=5):
@@ -96,7 +93,7 @@ def test_invert_is_an_involution(q):
 
 def test_act_examples(q):
     e = Edge(EMPTY, q.rule_named("K_b"), 1, EMPTY)
-    p = path_of_edge(e)
+    p = Path(e.source, (e,))
     assert act(EMPTY, p, EMPTY) == p
     moved = act(word("a"), p, EMPTY)
     assert moved.edges[0] == Edge(word("a"), q.rule_named("K_b"), 1, EMPTY)
@@ -171,14 +168,14 @@ def _swap_realization(rule):
 
 def test_lift_path_identity_on_plain_rules(q):
     e = Edge(EMPTY, q.rule_named("K_a"), 1, word("b"))
-    p = path_of_edge(e)
+    p = Path(e.source, (e,))
     assert lift_path(p, _swap_realization) == p
 
 
 def test_lift_path_single_schema_edge():
     inst = c_bar_rule(word("a"), 1, 1)
     e = Edge(word("b"), inst, 1, word("a'"))
-    lifted = lift_path(path_of_edge(e), _swap_realization)
+    lifted = lift_path(Path(e.source, (e,)), _swap_realization)
     assert len(lifted) == 3
     assert lifted.iota == e.source and lifted.tau == e.target
     assert all(edge.rule.origin is None for edge in lifted.edges)
@@ -187,8 +184,8 @@ def test_lift_path_single_schema_edge():
 def test_lift_path_inverse_edge():
     inst = c_bar_rule(word("b a"), -1, 1)
     e = Edge(EMPTY, inst, -1, EMPTY)
-    lifted = lift_path(path_of_edge(e), _swap_realization)
-    forward = lift_path(path_of_edge(e.inverse()), _swap_realization)
+    lifted = lift_path(Path(e.source, (e,)), _swap_realization)
+    forward = lift_path(Path(e.target, (e.inverse(),)), _swap_realization)
     assert lifted == invert(forward)
 
 
@@ -199,11 +196,27 @@ def test_lift_path_is_functorial():
     # h a a b -> h a b a (schema), then swap the new pair after h
     e1 = Edge(EMPTY, inst1, 1, EMPTY)
     e2 = Edge(EMPTY, inst2, 1, word("a"))
-    p = compose(path_of_edge(e1), path_of_edge(e2))
+    p = compose(Path(e1.source, (e1,)), Path(e2.source, (e2,)))
     assert lift_path(p, _swap_realization) == compose(
-        lift_path(path_of_edge(e1), _swap_realization),
-        lift_path(path_of_edge(e2), _swap_realization),
+        lift_path(Path(e1.source, (e1,)), _swap_realization),
+        lift_path(Path(e2.source, (e2,)), _swap_realization),
     )
+
+
+def test_lift_path_validates_each_output_edge_a_bounded_number_of_times(monkeypatch):
+    inst = c_bar_rule(word("a b"), 1, -1)
+    e = Edge(word("b'"), inst, 1, word("a"))
+    bare = Path(e.source, (e, e.inverse()) * 3)
+    validated = []
+    post_init = Path.__post_init__
+    monkeypatch.setattr(
+        Path, "__post_init__", lambda self: (validated.append(len(self.edges)), post_init(self))[1]
+    )
+    lifted = lift_path(bare, _swap_realization)
+    monkeypatch.undo()
+    assert len(lifted) == 6 * 5 and lifted.is_closed
+    # each realizing path is built once, then the result once
+    assert sum(validated) <= 3 * len(lifted)
 
 
 def test_path_validation_rejects_gaps(q):
