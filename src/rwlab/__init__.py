@@ -51,6 +51,7 @@ from .invariant import (
     CASE_STUDY_WEIGHTS,
     WeightSpec,
     closed_form_ct,
+    commutator,
     partial_derivation,
     phi_edge,
     phi_path,

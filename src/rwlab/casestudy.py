@@ -46,6 +46,7 @@ from .completion import (
 )
 from .invariant import (
     A_LETTERS,
+    CT_FAMILIES,
     LETTER_EXPONENTS,
     CtParams,
     CASE_STUDY_WEIGHTS,
@@ -53,9 +54,11 @@ from .invariant import (
     a_pow,
     b_pow,
     closed_form_ct,
+    commutator,
     partial_derivation,
     phi_edge,
     phi_path,
+    swap_pair,
 )
 from .obstruction import (
     basepoint_apply,
@@ -65,7 +68,7 @@ from .obstruction import (
     x_generator_a,
 )
 from .rewrite import enumerate_normal_forms, normalize
-from .ring import RingElement, from_word, negate, right_mul, scale, sub
+from .ring import RingElement, from_word, negate, scale, sub
 from .squier import Edge, Path, lift_path
 from .structure import isometry_check
 
@@ -88,13 +91,8 @@ def _k_rules() -> List[Rule]:
 def _c_rules() -> List[Rule]:
     out = []
     for eps, delta in itertools.product((1, -1), repeat=2):
-        out.append(
-            Rule(
-                f"C_{_EXP[eps]}{_EXP[delta]}",
-                ("h",) + a_pow(eps) + b_pow(delta),
-                ("h",) + b_pow(delta) + a_pow(eps),
-            )
-        )
+        ab, ba = swap_pair(eps, delta)
+        out.append(Rule(f"C_{_EXP[eps]}{_EXP[delta]}", ("h",) + ab, ("h",) + ba))
     return out
 
 
@@ -105,32 +103,42 @@ def _z_rules() -> List[Rule]:
 def _c_schemas() -> List[RuleSchema]:
     out = []
     for eps, delta in itertools.product((1, -1), repeat=2):
+        ab, ba = swap_pair(eps, delta)
         out.append(
             RuleSchema(
                 name=f"Cb_{_EXP[eps]}{_EXP[delta]}",
                 variable="w",
                 variable_range=A_LETTERS,
                 lhs_prefix=("h",),
-                lhs_suffix=a_pow(eps) + b_pow(delta),
+                lhs_suffix=ab,
                 rhs_prefix=("h",),
-                rhs_suffix=b_pow(delta) + a_pow(eps),
+                rhs_suffix=ba,
             )
         )
     return out
 
 
-_A_ALPHABET = Alphabet(A_LETTERS, (("a", "a'"), ("b", "b'")))
-_B_ALPHABET = Alphabet(A_LETTERS + ("h",), (("a", "a'"), ("b", "b'")))
-_BZ_ALPHABET = Alphabet(A_LETTERS + ("h", "z"), (("a", "a'"), ("b", "b'")))
+_INVERSES = (("a", "a'"), ("b", "b'"))
+_A_ALPHABET = Alphabet(A_LETTERS, _INVERSES)
+_B_ALPHABET = Alphabet(A_LETTERS + ("h",), _INVERSES)
+_BZ_ALPHABET = Alphabet(A_LETTERS + ("h", "z"), _INVERSES)
+_HZ = Rule("Hz", ("h", "h"), ("z",))
+
+
+def _z_system(extra_rules: List[Rule], base: List[Rule]) -> Presentation:
+    """Q's letters plus z: the rules ``base`` then ``extra_rules``, and the swap schemas."""
+    order = OrderingSpec(A_LETTERS + ("h", "z"))
+    return Presentation(_BZ_ALPHABET, tuple(base + extra_rules), tuple(_c_schemas()), order)
+
+
+PRESETS = ("P", "Q", "Qbar", "M4", "N4")
 
 
 @lru_cache(maxsize=None)
 def preset(name: str) -> Presentation:
-    """The named built-in presentation (P, Q, Qbar, M4 or N4)."""
+    """The named built-in presentation, one of ``PRESETS``."""
     if name == "P":
-        return Presentation(
-            _A_ALPHABET, tuple(_i_rules()), (), OrderingSpec(A_LETTERS)
-        )
+        return Presentation(_A_ALPHABET, tuple(_i_rules()), (), OrderingSpec(A_LETTERS))
     if name == "Q":
         return Presentation(
             _B_ALPHABET,
@@ -141,45 +149,21 @@ def preset(name: str) -> Presentation:
     if name == "Qbar":
         q = preset("Q")
         return Presentation(q.alphabet, q.rules, tuple(_c_schemas()), q.ordering)
-    if name == "M4":
-        zletters = A_LETTERS + ("h",)
-        rules = (
-            _i_rules()
-            + _k_rules()
-            + _c_rules()
-            + [Rule("Hz", ("h", "h"), ("z",))]
-            + [Rule(f"Zl_{y}", ("z", y), ("z",)) for y in zletters]
-            + [Rule(f"Zr_{y}", (y, "z"), ("z",)) for y in zletters]
+    if name in ("M4", "N4"):
+        # M4 sends h h to z, in N4 h is idempotent; z is the zero of both
+        h_square = _HZ if name == "M4" else Rule("Hh", ("h", "h"), ("h",))
+        letters = A_LETTERS + ("h",)
+        zero_rules = (
+            [Rule(f"Zl_{y}", ("z", y), ("z",)) for y in letters]
+            + [Rule(f"Zr_{y}", (y, "z"), ("z",)) for y in letters]
             + [Rule("Zz", ("z", "z"), ("z",))]
         )
-        return Presentation(
-            _BZ_ALPHABET,
-            tuple(rules),
-            tuple(_c_schemas()),
-            OrderingSpec(A_LETTERS + ("h", "z")),
-        )
-    if name == "N4":
-        zletters = A_LETTERS + ("h",)
-        rules = (
-            _i_rules()
-            + _k_rules()
-            + _c_rules()
-            + [Rule("Hh", ("h", "h"), ("h",))]
-            + [Rule(f"Zl_{y}", ("z", y), ("z",)) for y in zletters]
-            + [Rule(f"Zr_{y}", (y, "z"), ("z",)) for y in zletters]
-            + [Rule("Zz", ("z", "z"), ("z",))]
-        )
-        return Presentation(
-            _BZ_ALPHABET,
-            tuple(rules),
-            tuple(_c_schemas()),
-            OrderingSpec(A_LETTERS + ("h", "z")),
-        )
+        return _z_system([h_square] + zero_rules, _i_rules() + _k_rules() + _c_rules())
     raise RwlabError(f"unknown preset {name} (expected P, Q, Qbar, M4 or N4)")
 
 
 def build_presentations() -> Dict[str, Presentation]:
-    return {name: preset(name) for name in ("P", "Q", "Qbar", "M4", "N4")}
+    return {name: preset(name) for name in PRESETS}
 
 
 def m4_uncompleted() -> Presentation:
@@ -189,13 +173,7 @@ def m4_uncompleted() -> Presentation:
     the M4 preset; M4 itself ships the completed rule set so that loading it
     is cheap and deterministic.
     """
-    q = preset("Q")
-    return Presentation(
-        _BZ_ALPHABET,
-        q.rules + (Rule("Hz", ("h", "h"), ("z",)),),
-        tuple(_c_schemas()),
-        OrderingSpec(A_LETTERS + ("h", "z")),
-    )
+    return _z_system([_HZ], list(preset("Q").rules))
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +202,7 @@ def build_C_path(w: Word, eps: int, delta: int) -> Path:
     carried back; 2|w| + 1 edges in total.
     """
     q = preset("Q")
-    tail_l = a_pow(eps) + b_pow(delta)
-    tail_r = b_pow(delta) + a_pow(eps)
+    tail_l, tail_r = swap_pair(eps, delta)
     front, back = [], []
     for i, x in enumerate(w):
         k_rule = q.rule_named(f"K_{x}")
@@ -261,7 +238,7 @@ def build_ct_circuit(params: CtParams) -> Path:
     if f == "CT1":
         x, w1, w2, eps, delta = params.x, params.w1, params.w2, params.eps, params.delta
         xx = (x, _A_ALPHABET.involution[x])
-        tail_l, tail_r = a_pow(eps) + b_pow(delta), b_pow(delta) + a_pow(eps)
+        tail_l, tail_r = swap_pair(eps, delta)
         i_rule = q.rule_named(f"I_{x}")
         bare = _close(
             [
@@ -304,7 +281,7 @@ def build_ct_circuit(params: CtParams) -> Path:
         )
     elif f == "CT5":
         x, w, eps, delta = params.x, params.w, params.eps, params.delta
-        tail_l, tail_r = a_pow(eps) + b_pow(delta), b_pow(delta) + a_pow(eps)
+        tail_l, tail_r = swap_pair(eps, delta)
         k_rule = q.rule_named(f"K_{x}")
         bare = _close(
             [
@@ -330,8 +307,8 @@ def build_ct_circuit(params: CtParams) -> Path:
     elif f == "CT7":
         w1, e1, d1 = params.w1, params.eps1, params.delta1
         w2, e2, d2 = params.w2, params.eps2, params.delta2
-        t1l, t1r = a_pow(e1) + b_pow(d1), b_pow(d1) + a_pow(e1)
-        t2l, t2r = a_pow(e2) + b_pow(d2), b_pow(d2) + a_pow(e2)
+        t1l, t1r = swap_pair(e1, d1)
+        t2l, t2r = swap_pair(e2, d2)
         bare = _close(
             [
                 Edge(EMPTY, c_bar_rule(w1 + t1l + w2, e2, d2), 1, EMPTY),
@@ -481,7 +458,7 @@ def verify_figure2(
     for _ in range(samples):
         check(random_ct_params(rng, max_word_len, ct7_word_len))
 
-    for family in ("CT1", "CT2", "CT3", "CT4", "CT5", "CT6", "CT7"):
+    for family in CT_FAMILIES:
         bad = mismatches.get(family, [])
         detail = f"{counts.get(family, 0)} instances"
         if bad:
@@ -501,14 +478,11 @@ def is_case_study_nf(w: Word) -> bool:
             return False
         rest = w[1:]
         i = 0
-        if i < len(rest) and rest[i] in ("b", "b'"):
-            btype = rest[i]
-            while i < len(rest) and rest[i] == btype:
-                i += 1
-        if i < len(rest) and rest[i] in ("a", "a'"):
-            atype = rest[i]
-            while i < len(rest) and rest[i] == atype:
-                i += 1
+        for pair in (("b", "b'"), ("a", "a'")):  # a run of one b letter, then of one a letter
+            if i < len(rest) and rest[i] in pair:
+                run = rest[i]
+                while i < len(rest) and rest[i] == run:
+                    i += 1
         return i == len(rest)
     return w == ("h", "h")
 
@@ -580,16 +554,11 @@ def verify_identities(exhaust_len: int = 5, samples: int = 1000, seed: int = 7) 
     """The four derivation identities for the swap paths, exhaustively at the
     bound plus randomized tuples."""
     ambient = preset("P")
+    one = from_word(EMPTY, ambient)
     report = Report()
 
     def expected_swap_image(w: Word, eps: int, delta: int) -> RingElement:
-        dw = partial_derivation(w, ambient)
-        return negate(
-            sub(
-                right_mul(dw, b_pow(delta) + a_pow(eps)),
-                right_mul(dw, a_pow(eps) + b_pow(delta)),
-            )
-        )
+        return negate(commutator(partial_derivation(w, ambient), EMPTY, eps, delta))
 
     def phi_swap(w: Word, eps: int, delta: int) -> RingElement:
         return phi_path(build_C_path(w, eps, delta), CASE_STUDY_WEIGHTS, ambient)
@@ -609,13 +578,7 @@ def verify_identities(exhaust_len: int = 5, samples: int = 1000, seed: int = 7) 
                 bad[1] += 1
 
     def check_iii(x: str, w: Word, eps: int, delta: int) -> bool:
-        shift = scale(
-            -LETTER_EXPONENTS[x][0],
-            sub(
-                from_word(w + b_pow(delta) + a_pow(eps), ambient),
-                from_word(w + a_pow(eps) + b_pow(delta), ambient),
-            ),
-        )
+        shift = scale(-LETTER_EXPONENTS[x][0], commutator(one, w, eps, delta))
         return phi_swap((x,) + w, eps, delta) == sub(phi_swap(w, eps, delta), shift)
 
     n_iii = 0
@@ -627,11 +590,7 @@ def verify_identities(exhaust_len: int = 5, samples: int = 1000, seed: int = 7) 
                     bad[2] += 1
 
     def check_iv(w1: Word, w2: Word, eps: int, delta: int) -> bool:
-        dw1 = partial_derivation(w1, ambient)
-        shift = sub(
-            right_mul(dw1, w2 + b_pow(delta) + a_pow(eps)),
-            right_mul(dw1, w2 + a_pow(eps) + b_pow(delta)),
-        )
+        shift = commutator(partial_derivation(w1, ambient), w2, eps, delta)
         return phi_swap(w1 + w2, eps, delta) == sub(phi_swap(w2, eps, delta), shift)
 
     n_iv = 0

@@ -61,7 +61,7 @@ def _add_common(sub, preset_default="Qbar", machine=False):
     sub.add_argument(
         "--preset",
         default=preset_default,
-        choices=("P", "Q", "Qbar", "M4", "N4"),
+        choices=casestudy.PRESETS,
         help="built-in presentation (default %(default)s)",
     )
     _add_output(sub, machine)
@@ -81,24 +81,19 @@ def _sign(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected +1 or -1, got {text}")
 
 
-def _ct_params(args) -> CtParams:
-    from .invariant import _REQUIRED
+def _add_slots(sub) -> None:
+    """One flag per circuit parameter slot: words for w/w1/w2, ±1 for exponents."""
+    kinds = dict.fromkeys(invariant.WORD_SLOTS, word)
+    kinds.update(dict.fromkeys(invariant.EXPONENT_SLOTS, _sign))
+    for slot in invariant.SLOTS:
+        sub.add_argument(f"--{slot}", type=kinds.get(slot, str))
 
-    required = _REQUIRED[args.circuit]
-    kwargs = {}
-    for slot in ("x",):
-        if getattr(args, slot, None) is not None:
-            kwargs[slot] = getattr(args, slot)
-    for slot in ("w", "w1", "w2"):
-        val = getattr(args, slot, None)
-        if val is not None:
-            kwargs[slot] = word(val)
-        elif slot in required:
-            kwargs[slot] = EMPTY  # word slots default to the empty word
-    for slot in ("eps", "delta", "eps1", "delta1", "eps2", "delta2"):
-        val = getattr(args, slot, None)
-        if val is not None:
-            kwargs[slot] = val
+
+def _ct_params(args) -> CtParams:
+    kwargs = {s: getattr(args, s) for s in invariant.SLOTS if getattr(args, s) is not None}
+    for slot in invariant.REQUIRED_SLOTS[args.circuit]:
+        if slot in invariant.WORD_SLOTS:
+            kwargs.setdefault(slot, EMPTY)  # word slots default to the empty word
     return CtParams(args.circuit, **kwargs)
 
 
@@ -148,12 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("phi", help="invariant of a critical circuit")
     _add_output(s)
     s.add_argument("--circuit", required=True, choices=invariant.CT_FAMILIES)
-    s.add_argument("--x")
-    s.add_argument("--w")
-    s.add_argument("--w1")
-    s.add_argument("--w2")
-    for slot in ("eps", "delta", "eps1", "delta1", "eps2", "delta2"):
-        s.add_argument(f"--{slot}", type=_sign)
+    _add_slots(s)
 
     s = sub.add_parser("partial", help="the derivation of a free-group word")
     _add_output(s)
@@ -181,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("isometry", help="compare two systems' Cayley balls")
     _add_common(s, preset_default="M4")
-    s.add_argument("--preset2", default="N4", choices=("P", "Q", "Qbar", "M4", "N4"))
+    s.add_argument("--preset2", default="N4", choices=casestudy.PRESETS)
     s.add_argument("--radius", type=_nonnegative_int, required=True)
     s.add_argument("-w", "--word", default="", help="ball center")
 
@@ -193,12 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(s)
     s.add_argument("--kind", required=True, choices=("commutator", "phi2x"))
     s.add_argument("--circuit", choices=invariant.CT_FAMILIES)
-    s.add_argument("--x")
-    s.add_argument("--w")
-    s.add_argument("--w1")
-    s.add_argument("--w2")
-    for slot in ("eps", "delta", "eps1", "delta1", "eps2", "delta2"):
-        s.add_argument(f"--{slot}", type=_sign)
+    _add_slots(s)
 
     s = sub.add_parser("verify", help="run a verification suite")
     _add_output(s, machine=True)
@@ -318,7 +303,7 @@ def run(argv) -> int:
         if args.kind == "commutator":
             if args.w is None or args.eps is None or args.delta is None:
                 parser.error("commutator witness needs --w, --eps, --delta")
-            w = obstruction.commutator_witness(word(args.w), args.eps, args.delta, ambient)
+            w = obstruction.commutator_witness(args.w, args.eps, args.delta, ambient)
         else:
             if args.circuit is None:
                 parser.error("phi2x witness needs --circuit")
@@ -332,18 +317,10 @@ def run(argv) -> int:
             parser.error(f"verify {args.suite} takes no --max-len")
         if args.radius is not None and args.suite != "isometry":
             parser.error(f"verify {args.suite} takes no --radius")
-        if args.suite == "prop31":
-            report = casestudy.verify_prop31(6 if args.max_len is None else args.max_len)
-        elif args.suite == "figure2":
-            report = casestudy.verify_figure2(4 if args.max_len is None else args.max_len)
-        elif args.suite == "identities":
-            report = casestudy.verify_identities(5 if args.max_len is None else args.max_len)
-        elif args.suite == "obstruction":
-            report = casestudy.verify_obstruction()
-        else:
-            radius = 4 if args.radius is None else args.radius
-            report = casestudy.verify_isometry(radius=radius, h_radius=min(3, radius))
-        return _emit_report(report, args)
+        bound = () if args.max_len is None else (args.max_len,)  # else the suite's default
+        if args.radius is not None:
+            bound = (args.radius, min(3, args.radius))  # isometry: radius, h_radius
+        return _emit_report(getattr(casestudy, f"verify_{args.suite}")(*bound), args)
 
     parser.error(f"unknown verb {args.verb}")
     return 2

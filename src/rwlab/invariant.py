@@ -14,10 +14,10 @@ ever produce free-group contexts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from dataclasses import dataclass, fields
+from typing import Mapping, Optional, Tuple
 
-from .core import EMPTY, Presentation, RwlabError, Word
+from .core import EMPTY, Presentation, RwlabError, Word, word_str
 from .ring import RingElement, from_word, right_mul, scale, sub, total, zero
 from .squier import Edge, Path
 
@@ -88,7 +88,7 @@ def phi_path(p: Path, weights: WeightSpec, ambient: Presentation) -> RingElement
 CT_FAMILIES = ("CT1", "CT2", "CT3", "CT4", "CT5", "CT6", "CT7")
 
 # which parameter slots each family requires
-_REQUIRED = {
+REQUIRED_SLOTS = {
     "CT1": ("x", "w1", "w2", "eps", "delta"),
     "CT2": ("x",),
     "CT3": ("w", "eps", "delta"),
@@ -123,23 +123,44 @@ class CtParams:
     def __post_init__(self):
         if self.family not in CT_FAMILIES:
             raise RwlabError(f"unknown circuit family {self.family}")
-        required = _REQUIRED[self.family]
+        required = REQUIRED_SLOTS[self.family]
         for slot in required:
             if getattr(self, slot) is None:
                 raise RwlabError(f"{self.family} requires parameter {slot}")
-        for slot in ("x", "w", "w1", "w2", "eps", "delta", "eps1", "delta1", "eps2", "delta2"):
+        for slot in SLOTS:
             if slot not in required and getattr(self, slot) is not None:
                 raise RwlabError(f"{self.family} does not take parameter {slot}")
         if self.x is not None and self.x not in A_LETTERS:
             raise RwlabError(f"x must be one of {A_LETTERS}")
-        for slot in ("eps", "delta", "eps1", "delta1", "eps2", "delta2"):
+        for slot in EXPONENT_SLOTS:
             val = getattr(self, slot)
             if val is not None and val not in (1, -1):
                 raise RwlabError(f"{slot} must be +1 or -1")
-        for slot in ("w", "w1", "w2"):
+        for slot in WORD_SLOTS:
             val = getattr(self, slot)
             if val is not None and any(l not in A_LETTERS for l in val):
                 raise RwlabError(f"{slot} must be a word over a, a', b, b'")
+
+    def describe(self) -> str:
+        """``family(slot=value,...)`` over the set slots, words printed with ε
+        and exponents signed."""
+        slots = []
+        for name in SLOTS:
+            val = getattr(self, name)
+            if val is None:
+                continue
+            if name in WORD_SLOTS:
+                val = word_str(val)
+            elif name in EXPONENT_SLOTS:
+                val = f"{val:+d}"
+            slots.append(f"{name}={val}")
+        return f"{self.family}({','.join(slots)})"
+
+
+# the parameter slots in declaration order: x, the word slots, the exponents
+SLOTS = tuple(f.name for f in fields(CtParams) if f.name != "family")
+WORD_SLOTS = tuple(s for s in SLOTS if s.startswith("w"))
+EXPONENT_SLOTS = tuple(s for s in SLOTS if s.startswith(("eps", "delta")))
 
 
 def a_pow(eps: int) -> Word:
@@ -150,20 +171,15 @@ def b_pow(delta: int) -> Word:
     return ("b",) if delta == 1 else ("b'",)
 
 
-def _basic_commutator(eps: int, delta: int, ambient: Presentation) -> RingElement:
-    """b^δ a^ε − a^ε b^δ as a ring element."""
-    return sub(
-        from_word(b_pow(delta) + a_pow(eps), ambient),
-        from_word(a_pow(eps) + b_pow(delta), ambient),
-    )
+def swap_pair(eps: int, delta: int) -> Tuple[Word, Word]:
+    """(a^ε b^δ, b^δ a^ε): the two sides of a pair swap."""
+    return a_pow(eps) + b_pow(delta), b_pow(delta) + a_pow(eps)
 
 
-def _shifted_commutator(x: RingElement, w2: Word, eps: int, delta: int) -> RingElement:
-    """x · w2 · (b^δ a^ε − a^ε b^δ), expanded through the right action."""
-    return sub(
-        right_mul(x, w2 + b_pow(delta) + a_pow(eps)),
-        right_mul(x, w2 + a_pow(eps) + b_pow(delta)),
-    )
+def commutator(x: RingElement, w: Word, eps: int, delta: int) -> RingElement:
+    """x · w · (b^δ a^ε − a^ε b^δ), expanded through the right action."""
+    ab, ba = swap_pair(eps, delta)
+    return sub(right_mul(x, w + ba), right_mul(x, w + ab))
 
 
 def closed_form_ct(params: CtParams, ambient: Presentation) -> RingElement:
@@ -171,22 +187,17 @@ def closed_form_ct(params: CtParams, ambient: Presentation) -> RingElement:
     f = params.family
     if f in ("CT2", "CT3", "CT5"):
         return zero(ambient)
+    one = from_word(EMPTY, ambient)
     if f == "CT4":
-        return scale(-params.eps, _basic_commutator(params.eps, params.delta, ambient))
+        return scale(-params.eps, commutator(one, EMPTY, params.eps, params.delta))
+    if f == "CT7":
+        unit = sub(from_word(b_pow(params.delta1), ambient), one)
+        return scale(params.eps1, commutator(unit, params.w2, params.eps2, params.delta2))
+    # CT1 and CT6 scale the unit a^(−e) − 1 of the letter x's a-exponent e
+    e = LETTER_EXPONENTS[params.x][0]
+    if not e:
+        return zero(ambient)
+    unit = scale(e, sub(from_word(a_pow(-e), ambient), one))
     if f == "CT6":
-        e = LETTER_EXPONENTS[params.x][0]
-        if not e:
-            return zero(ambient)
-        unit = sub(from_word(a_pow(-e), ambient), from_word(EMPTY, ambient))
-        return scale(e, unit)
-    if f == "CT1":
-        e = LETTER_EXPONENTS[params.x][0]
-        if not e:
-            return zero(ambient)
-        unit = sub(from_word(a_pow(-e), ambient), from_word(EMPTY, ambient))
-        return scale(e, _shifted_commutator(unit, params.w2, params.eps, params.delta))
-    # CT7
-    unit = sub(from_word(b_pow(params.delta1), ambient), from_word(EMPTY, ambient))
-    return scale(
-        params.eps1, _shifted_commutator(unit, params.w2, params.eps2, params.delta2)
-    )
+        return unit
+    return commutator(unit, params.w2, params.eps, params.delta)

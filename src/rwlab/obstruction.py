@@ -26,7 +26,15 @@ from .core import (
     is_freely_reduced,
     word_str,
 )
-from .invariant import LETTER_EXPONENTS, CtParams, a_pow, b_pow, closed_form_ct
+from .invariant import (
+    LETTER_EXPONENTS,
+    CtParams,
+    a_pow,
+    b_pow,
+    closed_form_ct,
+    commutator,
+    swap_pair,
+)
 from .rewrite import normalize
 from .ring import RingElement, format_ring, from_word, right_mul, scale, sub, total
 
@@ -130,25 +138,6 @@ def _source_value(source: Source, ambient: Presentation) -> RingElement:
     raise WitnessError(f"unknown witness source {source!r}")
 
 
-def _describe_source(source: Source) -> str:
-    if isinstance(source, CtParams):
-        slots = []
-        for name in ("x", "w", "w1", "w2", "eps", "delta", "eps1", "delta1", "eps2", "delta2"):
-            val = getattr(source, name)
-            if val is None:
-                continue
-            if isinstance(val, tuple):
-                slots.append(f"{name}={word_str(val)}")
-            elif name.startswith(("eps", "delta")):
-                slots.append(f"{name}={val:+d}")
-            else:
-                slots.append(f"{name}={val}")
-        return f"{source.family}({','.join(slots)})"
-    if isinstance(source, XGenRef):
-        return source.describe()
-    return str(source)
-
-
 @dataclass(frozen=True)
 class Witness:
     """A target expressed as a signed sum of right-multiplied generator
@@ -172,7 +161,9 @@ class Witness:
 
     def lines(self) -> List[str]:
         out = [
-            f"{'+' if t.sign > 0 else '-'} {_describe_source(t.source)} * {word_str(t.multiplier)}"
+            f"{'+' if t.sign > 0 else '-'} "
+            f"{t.source if isinstance(t.source, str) else t.source.describe()} "
+            f"* {word_str(t.multiplier)}"
             for t in self.terms
         ]
         out.append(f"target: {format_ring(self.target)}")
@@ -196,10 +187,7 @@ def commutator_witness(w: Word, eps: int, delta: int, ambient: Presentation) -> 
     """
     if not is_freely_reduced(w, ambient.alphabet):
         raise WitnessError("commutator_witness requires a reduced word")
-    target = sub(
-        from_word(w + b_pow(delta) + a_pow(eps), ambient),
-        from_word(w + a_pow(eps) + b_pow(delta), ambient),
-    )
+    target = commutator(from_word(EMPTY, ambient), w, eps, delta)
     terms: List[WitnessTerm] = []
     u = w
     while u:
@@ -221,9 +209,7 @@ def commutator_witness(w: Word, eps: int, delta: int, ambient: Presentation) -> 
 def _x_term(w: Word, eps: int, delta: int, sign: int) -> WitnessTerm:
     """A term realizing sign · w·(bᵈaᵉ − aᵉbᵈ) from an X generator:
     (1 − w[aᵉ,bᵈ]w⁻¹) · (w bᵈ aᵉ) equals w·(bᵈaᵉ − aᵉbᵈ)."""
-    return WitnessTerm(
-        XGenRef(w, eps, delta), w + b_pow(delta) + a_pow(eps), sign
-    )
+    return WitnessTerm(XGenRef(w, eps, delta), w + swap_pair(eps, delta)[1], sign)
 
 
 def phi_to_x_witness(params: CtParams, ambient: Presentation) -> Witness:

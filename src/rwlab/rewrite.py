@@ -28,6 +28,7 @@ from .core import (
 from .squier import Edge, Path
 
 STEP_CAP = 10**6
+ENUMERATION_CAP = 10**6  # words that enumerate_normal_forms may test
 
 
 class RewriteError(RwlabError):
@@ -219,7 +220,16 @@ def is_irreducible(w: Word, p: Presentation) -> bool:
 
 
 def enumerate_normal_forms(p: Presentation, max_len: int) -> List[Word]:
-    """All irreducible words of length <= max_len, in ascending shortlex order."""
+    """All irreducible words of length <= max_len, in ascending shortlex order;
+    ``RwlabError``, before any word is tested, when there are more than
+    ``ENUMERATION_CAP`` words of length <= max_len."""
+    k, count = len(p.alphabet.letters), 0
+    for n in range(min(max_len, ENUMERATION_CAP) + 1):
+        count += k**n
+        if count > ENUMERATION_CAP:
+            raise RwlabError(
+                f"{k} letters give more than {ENUMERATION_CAP} words of length <= {max_len}"
+            )
     check_orientation(p)
     out = [w for w in words_over(p.alphabet.letters, max_len) if is_irreducible(w, p)]
     out.sort(key=lambda w: shortlex_key(w, p.ordering))

@@ -2,9 +2,11 @@
 
 The case-study monoid has exactly three H-classes, read off from the count
 of h in a word's normal form (0, 1 or 2): the group of units, the middle
-class, and the zero.  A generic Green-relation explorer is deliberately not
-attempted (orbits are infinite); the h-count shortcut is what the bundled
-normal-form shapes justify.
+class, and the zero.  In M4 and N4 the zero is the letter z, so a normal
+form containing z is in the zero class whatever its h-count.  A generic
+Green-relation explorer is deliberately not attempted (orbits are
+infinite); the h-count shortcut is what the bundled normal-form shapes
+justify.
 
 Distances are directed: d(x, y) is the least length of a generator word w
 with x·w = y, computed by breadth-first search over normal forms and
@@ -21,6 +23,8 @@ from typing import Dict, List, Optional
 from .core import EMPTY, Presentation, RwlabError, Word, shortlex_key, word_str
 from .rewrite import normalize
 
+BALL_VERTEX_CAP = 10**5
+
 
 class HClass:
     UNITS = "Units"
@@ -29,15 +33,13 @@ class HClass:
 
 
 def classify(w: Word, p: Presentation) -> str:
-    """H-class tag by the h-count of the normal form (0/1/2)."""
-    count = normalize(w, p).count("h")
-    if count == 0:
-        return HClass.UNITS
-    if count == 1:
-        return HClass.HH
-    if count == 2:
-        return HClass.ZERO
-    raise ValueError(f"normal form with {count} h letters is outside the case-study shapes")
+    """H-class tag by the h-count of the normal form (0/1/2); a normal form
+    containing the zero z is in the zero class."""
+    nf = normalize(w, p)
+    count = 2 if "z" in nf else nf.count("h")
+    if count > 2:
+        raise RwlabError(f"normal form with {count} h letters is outside the case-study shapes")
+    return (HClass.UNITS, HClass.HH, HClass.ZERO)[count]
 
 
 def sigma_equal(w1: Word, w2: Word, p: Presentation) -> bool:
@@ -77,7 +79,8 @@ class SuccessorCache:
 def cayley_ball(
     p: Presentation, center: Word, radius: int, cache: Optional[SuccessorCache] = None
 ) -> Ball:
-    """Least right-multiplication distances from ``center`` up to ``radius``."""
+    """Least right-multiplication distances from ``center`` up to ``radius``;
+    ``RwlabError`` once the ball has more than ``BALL_VERTEX_CAP`` vertices."""
     if radius < 0:
         raise RwlabError(f"radius must be non-negative (got {radius})")
     if cache is None:
@@ -94,6 +97,11 @@ def cayley_ball(
             if v not in distances:
                 distances[v] = d + 1
                 frontier.append(v)
+        if len(distances) > BALL_VERTEX_CAP:
+            raise RwlabError(
+                f"Cayley ball around {word_str(start)} exceeds {BALL_VERTEX_CAP} "
+                f"vertices before radius {radius}"
+            )
     return Ball(start, radius, distances)
 
 

@@ -6,9 +6,12 @@ from pathlib import Path
 import pytest
 
 import rwlab
+from rwlab import structure
 from rwlab.cli import main
-from rwlab.core import pretty_print
+from rwlab.core import EMPTY, pretty_print
 from rwlab.casestudy import preset
+from rwlab.invariant import CtParams, closed_form_ct
+from rwlab.ring import format_ring
 
 
 def run_cli(capsys, *argv):
@@ -305,3 +308,73 @@ def test_verify_isometry_radius_bounds_the_ball_around_h(capsys):
     names = [line.split("\t")[0] for line in out.splitlines()]
     assert "isometry ball radius 1 around ε" in names
     assert "isometry ball radius 1 around h" in names
+
+
+def test_classify_puts_z_in_the_zero_class(capsys):
+    for w in ("z", "h h"):
+        code, out, _ = run_cli(capsys, "classify", "--preset", "M4", "-w", w)
+        assert (code, out.strip()) == (0, "Zero")
+    code, out, _ = run_cli(capsys, "classify", "--preset", "N4", "-w", "h h", "--machine")
+    assert (code, out.strip()) == (0, "hclass=Hh")
+
+
+def test_classify_outside_the_case_study_shapes_exits_2(tmp_path):
+    pres = tmp_path / "ah.pres"
+    pres.write_text("letters a h\norder a h\n")
+    result = run_cli_process("classify", "-p", str(pres), "-w", "h h h")
+    assert result.returncode == 2
+    assert "normal form with 3 h letters" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+def test_nf_rejects_a_length_past_the_enumeration_cap():
+    # 6^40 words would never finish: the count is checked before enumerating
+    result = run_cli_process("nf", "--preset", "M4", "--max-len", "40")
+    assert result.returncode == 2
+    assert "more than 1000000 words of length <= 40" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
+def test_ball_stops_past_the_vertex_cap(monkeypatch, capsys):
+    monkeypatch.setattr(structure, "BALL_VERTEX_CAP", 1000)
+    code, out, err = run_cli(capsys, "ball", "--radius", "60")
+    assert code == 2
+    assert "exceeds 1000 vertices before radius 60" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "signs", [("+1", "+1", "+1", "+1"), ("-1", "+1", "-1", "-1"), ("+1", "-1", "+1", "-1")]
+)
+def test_phi_ct7_word_slots_default_to_the_empty_word(signs, capsys):
+    slots = ("eps1", "delta1", "eps2", "delta2")
+    flags = [f for slot, sign in zip(slots, signs) for f in (f"--{slot}", sign)]
+    code, out, _ = run_cli(capsys, "phi", "--circuit", "CT7", *flags)
+    e1, d1, e2, d2 = (int(s) for s in signs)
+    params = CtParams("CT7", w1=EMPTY, eps1=e1, delta1=d1, w2=EMPTY, eps2=e2, delta2=d2)
+    assert (code, out.strip()) == (0, format_ring(closed_form_ct(params, preset("P"))))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("phi", "--circuit", "CT2", "--x", "a", "--w", "a"), "does not take parameter w"),
+        (
+            ("witness", "--kind", "phi2x", "--circuit", "CT2", "--x", "a", "--w", "a"),
+            "does not take parameter w",
+        ),
+        (("phi", "--circuit", "CT4", "--w", "h", "--eps", "1", "--delta", "1"), "w must be a word"),
+        (
+            ("witness", "--kind", "commutator", "--w", "a a'", "--eps", "1", "--delta", "1"),
+            "requires a reduced word",
+        ),
+    ],
+    ids=["phi-extra-slot", "phi2x-extra-slot", "phi-bad-word", "commutator-unreduced"],
+)
+def test_circuit_slot_flags_reject_bad_parameters(argv, message, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert message in err
+    assert out == ""

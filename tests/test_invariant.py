@@ -10,14 +10,17 @@ from rwlab.casestudy import (
     verify_figure2,
     verify_identities,
 )
-from rwlab.core import EMPTY, RwlabError, word
+from rwlab.core import EMPTY, RwlabError, word, words_over
 from rwlab.invariant import (
+    A_LETTERS,
+    SLOTS,
     CtParams,
     CASE_STUDY_WEIGHTS,
     WeightSpec,
     a_pow,
     b_pow,
     closed_form_ct,
+    commutator,
     partial_derivation,
     phi_edge,
     phi_path,
@@ -108,6 +111,26 @@ def test_ct_params_validation():
         CtParams("CT2", x="a", w=EMPTY)  # extraneous slot
     with pytest.raises(RwlabError):
         CtParams("CT4", w=EMPTY, eps=2, delta=1)
+
+
+def test_ct_params_slots_and_describe():
+    assert SLOTS == ("x", "w", "w1", "w2", "eps", "delta", "eps1", "delta1", "eps2", "delta2")
+    params = CtParams("CT1", x="a'", w1=EMPTY, w2=word("a b"), eps=1, delta=-1)
+    assert params.describe() == "CT1(x=a',w1=ε,w2=a b,eps=+1,delta=-1)"
+    # mismatch details in verify_figure2 print the dataclass repr, not describe()
+    assert repr(params).startswith("CtParams(family='CT1', x=\"a'\", w=None, w1=()")
+
+
+def test_commutator_matches_the_hand_written_difference(ZG):
+    """commutator(1, w, ε, δ) against the spelled-out w·bᵈaᵉ − w·aᵉbᵈ."""
+    one = from_word(EMPTY, ZG)
+    for w in words_over(A_LETTERS, 3):
+        for eps, delta in itertools.product(SIGNS, repeat=2):
+            want = sub(
+                from_word(w + b_pow(delta) + a_pow(eps), ZG),
+                from_word(w + a_pow(eps) + b_pow(delta), ZG),
+            )
+            assert commutator(one, w, eps, delta) == want
 
 
 def expected_swap_image(w, eps, delta, ZG):

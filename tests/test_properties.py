@@ -1,5 +1,6 @@
 """Properties of normalization and rule applications on the complete
-presets, and Φ summed through ``ring.total`` against an edge-by-edge fold."""
+presets, the composition laws of paths, the ring laws, and Φ summed through
+``ring.total`` against an edge-by-edge fold."""
 
 import random
 
@@ -8,9 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rwlab.casestudy import build_ct_circuit, preset, random_ct_params
-from rwlab.invariant import A_LETTERS, CASE_STUDY_WEIGHTS, CtParams, WeightSpec, phi_path
+from rwlab.invariant import (
+    A_LETTERS,
+    CASE_STUDY_WEIGHTS,
+    CtParams,
+    WeightSpec,
+    commutator,
+    phi_path,
+)
 from rwlab.rewrite import find_redexes, normalize, reduction_path, rewrite_at
-from rwlab.ring import add, from_word, scale, zero
+from rwlab.ring import add, from_word, right_mul, scale, total, zero
+from rwlab.squier import compose, invert
 
 from tests_helpers_paths import random_mixed_path
 
@@ -66,6 +75,73 @@ def test_find_redexes_yields_applicable_edges(name, data):
         assert e.sign == 1
         assert e.source == w
         assert rewrite_at(w, e) == e.target
+
+
+def draw_path(data, p, start=None):
+    """A random mixed path over ``p``'s plain rules, from ``start`` if given."""
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    return random_mixed_path(p, rng, max_edges=6, start=start)
+
+
+@properties
+@given(data=st.data())
+def test_compose_is_associative(data):
+    q = preset("Q")
+    p1 = draw_path(data, q)
+    p2 = draw_path(data, q, start=p1.tau)
+    p3 = draw_path(data, q, start=p2.tau)
+    assert compose(compose(p1, p2), p3) == compose(p1, compose(p2, p3))
+
+
+@properties
+@given(data=st.data())
+def test_invert_is_an_involution_that_reverses_composition(data):
+    q = preset("Q")
+    p1 = draw_path(data, q)
+    p2 = draw_path(data, q, start=p1.tau)
+    assert invert(invert(p1)) == p1
+    assert invert(compose(p1, p2)) == compose(invert(p2), invert(p1))
+
+
+RING_AMBIENTS = ("P", "Qbar")
+
+
+def draw_ring_element(data, ambient, max_terms=4, max_word_len=4):
+    word_st = st.lists(st.sampled_from(ambient.alphabet.letters), max_size=max_word_len)
+    terms = data.draw(st.lists(st.tuples(word_st, st.integers(-3, 3)), max_size=max_terms))
+    return total((scale(c, from_word(tuple(w), ambient)) for w, c in terms), ambient)
+
+
+@pytest.mark.parametrize("name", RING_AMBIENTS)
+@properties
+@given(data=st.data())
+def test_ring_add_is_associative_and_commutative(name, data):
+    ambient = preset(name)
+    x, y, z = (draw_ring_element(data, ambient) for _ in range(3))
+    assert add(add(x, y), z) == add(x, add(y, z))
+    assert add(x, y) == add(y, x)
+
+
+@pytest.mark.parametrize("name", RING_AMBIENTS)
+@properties
+@given(data=st.data())
+def test_right_mul_distributes_and_composes(name, data):
+    ambient = preset(name)
+    x, y = draw_ring_element(data, ambient), draw_ring_element(data, ambient)
+    u, v = draw_word(data, ambient, 4), draw_word(data, ambient, 4)
+    assert right_mul(add(x, y), u) == add(right_mul(x, u), right_mul(y, u))
+    assert right_mul(right_mul(x, u), v) == right_mul(x, u + v)
+
+
+@pytest.mark.parametrize("name", RING_AMBIENTS)
+@properties
+@given(data=st.data())
+def test_commutator_absorbs_a_prefix_of_its_word(name, data):
+    ambient = preset(name)
+    x = draw_ring_element(data, ambient)
+    u, v = draw_word(data, ambient, 4), draw_word(data, ambient, 4)
+    eps, delta = data.draw(st.sampled_from((1, -1))), data.draw(st.sampled_from((1, -1)))
+    assert commutator(x, u + v, eps, delta) == commutator(right_mul(x, u), v, eps, delta)
 
 
 def phi_path_by_add(path, weights: WeightSpec, ambient):

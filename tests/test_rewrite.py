@@ -4,7 +4,16 @@ import pytest
 
 from rwlab import rewrite
 from rwlab.completion import equivalence_classes
-from rwlab.core import EMPTY, Alphabet, OrderingSpec, Presentation, Rule, word, words_over
+from rwlab.core import (
+    EMPTY,
+    Alphabet,
+    OrderingSpec,
+    Presentation,
+    Rule,
+    RwlabError,
+    word,
+    words_over,
+)
 from rwlab.casestudy import is_case_study_nf
 from rwlab.rewrite import (
     OrientationError,
@@ -145,6 +154,21 @@ def test_enumerate_normal_forms_counts(Qbar):
     # the length-2 forms with h: h a, h a', h b, h b', h h
     with_h = sorted(w for w in two if "h" in w and len(w) == 2)
     assert with_h == [("h", "a"), ("h", "a'"), ("h", "b"), ("h", "b'"), ("h", "h")]
+
+
+def test_enumeration_cap_is_checked_before_enumerating(Qbar, monkeypatch):
+    # five letters give 1 + 5 + 25 = 31 words of length <= 2 and 156 of length <= 3
+    monkeypatch.setattr(rewrite, "ENUMERATION_CAP", 31)
+    assert len(enumerate_normal_forms(Qbar, 2)) == 23
+    with pytest.raises(RwlabError, match="5 letters give more than 31 words of length <= 3"):
+        enumerate_normal_forms(Qbar, 3)
+    monkeypatch.undo()
+    # the counts are bounded sums, so a huge length is rejected at once
+    with pytest.raises(RwlabError, match="words of length <= 1000000000"):
+        enumerate_normal_forms(Qbar, 10**9)
+    x = Presentation(Alphabet(("x",)), (Rule("X", ("x", "x"), EMPTY),), (), OrderingSpec(("x",)))
+    with pytest.raises(RwlabError, match="1 letters give more than"):
+        enumerate_normal_forms(x, 10**9)
 
 
 def test_normal_forms_are_sorted_shortlex(Qbar):

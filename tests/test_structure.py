@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from rwlab import structure
 from rwlab.casestudy import verify_isometry
 from rwlab.core import EMPTY, Alphabet, OrderingSpec, Presentation, Rule, RwlabError, word
 from rwlab.rewrite import enumerate_normal_forms, normalize
@@ -39,6 +40,25 @@ def test_classify_respects_ideal_order(Qbar):
         for v in nfs:
             cu, cv, cuv = classify(u, Qbar), classify(v, Qbar), classify(u + v, Qbar)
             assert order[cuv] >= max(order[cu], order[cv])
+
+
+def test_classify_puts_z_in_the_zero_class(M4, N4):
+    for p in (M4, N4):
+        assert classify(word("z"), p) == HClass.ZERO
+        assert classify(word("a z b'"), p) == HClass.ZERO
+        assert classify(word("h z"), p) == HClass.ZERO
+    assert classify(word("h h"), M4) == HClass.ZERO  # h h -> z
+    assert classify(word("h h"), N4) == HClass.HH  # h is idempotent in N4
+    assert classify(word("a h b"), M4) == HClass.HH
+    assert classify(word("a b"), N4) == HClass.UNITS
+
+
+def test_classify_rejects_normal_forms_outside_the_case_study_shapes():
+    # no rules: h h h is its own normal form
+    p = Presentation(Alphabet(("a", "h")), (), (), OrderingSpec(("a", "h")))
+    assert classify(word("a h h"), p) == HClass.ZERO
+    with pytest.raises(RwlabError, match="normal form with 3 h letters"):
+        classify(word("h h h"), p)
 
 
 def test_sigma_examples(Qbar):
@@ -158,3 +178,11 @@ def test_cayley_ball_rejects_negative_radius():
     p = Presentation(Alphabet(("x",)), (Rule("X", ("x", "x"), EMPTY),), (), OrderingSpec(("x",)))
     with pytest.raises(RwlabError, match="non-negative"):
         cayley_ball(p, EMPTY, -1)
+
+
+def test_cayley_ball_stops_past_the_vertex_cap(Qbar, monkeypatch):
+    # the Qbar balls around ε of radius 2 and 3 have 23 and 67 vertices
+    monkeypatch.setattr(structure, "BALL_VERTEX_CAP", 23)
+    assert len(cayley_ball(Qbar, EMPTY, 2).distances) == 23
+    with pytest.raises(RwlabError, match="Cayley ball around ε exceeds 23 vertices"):
+        cayley_ball(Qbar, EMPTY, 3)
