@@ -64,13 +64,12 @@ def _add_common(sub, preset_default="Qbar", machine=False):
         choices=casestudy.PRESETS,
         help="built-in presentation (default %(default)s)",
     )
-    _add_output(sub, machine)
-
-
-def _add_output(sub, machine=False):
     if machine:
-        sub.add_argument("--machine", action="store_true", help="tab-separated key=value output")
-    sub.add_argument("--jobs", type=int, default=1, help="accepted for interface compatibility; execution is single-process")
+        _add_machine(sub)
+
+
+def _add_machine(sub):
+    sub.add_argument("--machine", action="store_true", help="tab-separated key=value output")
 
 
 def _sign(text: str) -> int:
@@ -141,12 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("v")
 
     s = sub.add_parser("phi", help="invariant of a critical circuit")
-    _add_output(s)
     s.add_argument("--circuit", required=True, choices=invariant.CT_FAMILIES)
     _add_slots(s)
 
     s = sub.add_parser("partial", help="the derivation of a free-group word")
-    _add_output(s)
     s.add_argument("-w", "--word", required=True)
 
     s = sub.add_parser("classify", help="H-class of a word")
@@ -176,17 +173,16 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("-w", "--word", default="", help="ball center")
 
     s = sub.add_parser("hn", help="b-exponent membership test")
-    _add_output(s, machine=True)
+    _add_machine(s)
     s.add_argument("-w", "--word", required=True)
 
     s = sub.add_parser("witness", help="ring-verified witness construction")
-    _add_output(s)
     s.add_argument("--kind", required=True, choices=("commutator", "phi2x"))
     s.add_argument("--circuit", choices=invariant.CT_FAMILIES)
     _add_slots(s)
 
     s = sub.add_parser("verify", help="run a verification suite")
-    _add_output(s, machine=True)
+    _add_machine(s)
     s.add_argument(
         "suite", choices=("prop31", "figure2", "identities", "obstruction", "isometry")
     )
@@ -301,6 +297,9 @@ def run(argv) -> int:
     if args.verb == "witness":
         ambient = casestudy.preset("P")
         if args.kind == "commutator":
+            for flag in ("circuit",) + invariant.SLOTS:
+                if flag not in ("w", "eps", "delta") and getattr(args, flag) is not None:
+                    parser.error(f"commutator witness takes no --{flag}")
             if args.w is None or args.eps is None or args.delta is None:
                 parser.error("commutator witness needs --w, --eps, --delta")
             w = obstruction.commutator_witness(args.w, args.eps, args.delta, ambient)

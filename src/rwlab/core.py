@@ -10,7 +10,7 @@ function, so shared values are safe to use concurrently.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
@@ -242,15 +242,12 @@ class Presentation:
     # -- caches shared by the rewriting machinery (not part of equality) --
 
     @cached_property
-    def rules_by_first(self) -> dict:
-        table: dict = {}
-        for r in self.rules:
-            table.setdefault(r.lhs[0] if r.lhs else None, []).append(r)
-        return table
-
-    @cached_property
     def _nf_cache(self) -> dict:
         return {}
+
+    @cached_property
+    def _nf_order(self) -> deque:
+        return deque()  # the keys of _nf_cache, oldest first
 
     @cached_property
     def _hash(self) -> int:

@@ -24,6 +24,7 @@ from .core import EMPTY, Presentation, RwlabError, Word, shortlex_key, word_str
 from .rewrite import normalize
 
 BALL_VERTEX_CAP = 10**5
+PAIR_CAP = 10**6  # ordered vertex pairs that isometry_check may compare
 
 
 class HClass:
@@ -149,7 +150,9 @@ def isometry_check(
 
     The vertex sets (normal forms in the radius ball around ``center``) must
     coincide; then every ordered pair's bounded distance must agree, with
-    "unreachable within radius" treated as a value.
+    "unreachable within radius" treated as a value.  ``RwlabError``, before
+    any per-vertex ball is built, when there are more than ``PAIR_CAP``
+    ordered pairs.
     """
     cache1, cache2 = SuccessorCache(p1), SuccessorCache(p2)
     ball1 = cayley_ball(p1, center, radius, cache1)
@@ -157,6 +160,12 @@ def isometry_check(
     report = IsometryReport(radius, center, vertex_sets_match=set(ball1.distances) == set(ball2.distances))
     if not report.vertex_sets_match:
         return report
+    pairs = len(ball1.distances) ** 2
+    if pairs > PAIR_CAP:
+        raise RwlabError(
+            f"radius {radius} around {word_str(center)} gives {pairs} ordered pairs, "
+            f"more than {PAIR_CAP}"
+        )
     vertices = sorted(ball1.distances, key=lambda w: shortlex_key(w, p1.ordering))
     for u in vertices:
         du1 = cayley_ball(p1, u, radius, cache1).distances

@@ -135,7 +135,7 @@ def test_witness_verb(capsys):
 
 
 def test_verify_verb_and_machine_mode(capsys):
-    code, out, _ = run_cli(capsys, "verify", "figure2", "--max-len", "1", "--jobs", "2")
+    code, out, _ = run_cli(capsys, "verify", "figure2", "--max-len", "1")
     assert code == 0
     assert out.strip().splitlines()[-1].startswith("summary: ")
     code, out, _ = run_cli(capsys, "verify", "figure2", "--max-len", "0", "--machine")
@@ -377,4 +377,55 @@ def test_circuit_slot_flags_reject_bad_parameters(argv, message, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert message in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reduce", "-w", "a"),
+        ("phi", "--circuit", "CT2", "--x", "a"),
+        ("witness", "--kind", "phi2x", "--circuit", "CT2", "--x", "a"),
+        ("verify", "figure2", "--max-len", "0"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_no_verb_takes_jobs(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--jobs", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --jobs 2" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--circuit", "CT2"),
+        ("--x", "a"),
+        ("--w1", "b"),
+        ("--w2", "b"),
+        ("--eps1", "1"),
+        ("--delta1", "1"),
+        ("--eps2", "-1"),
+        ("--delta2", "-1"),
+    ],
+)
+def test_commutator_witness_rejects_the_other_slot_flags(flag, value, capsys):
+    argv = ("witness", "--kind", "commutator", "--w", "a", "--eps", "1", "--delta", "1")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"commutator witness takes no {flag}" in captured.err
+    assert captured.out == ""
+    assert run_cli(capsys, *argv)[0] == 0
+
+
+def test_isometry_stops_past_the_pair_cap(monkeypatch, capsys):
+    monkeypatch.setattr(structure, "PAIR_CAP", 100)
+    code, out, err = run_cli(capsys, "isometry", "--radius", "2")
+    assert code == 2
+    assert "more than 100" in err
     assert out == ""

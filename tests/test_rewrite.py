@@ -186,3 +186,22 @@ def test_long_words_normalize_into_case_study_shapes(Qbar):
     for _ in range(2000):
         w = tuple(rng.choice(letters) for _ in range(rng.randint(7, 8)))
         assert is_case_study_nf(normalize(w, Qbar))
+
+
+def test_nf_cache_stays_at_its_cap(Qbar, monkeypatch):
+    rng = random.Random(11)
+    letters = ("a", "a'", "b", "b'")
+    words = [tuple(rng.choice(letters) for _ in range(48)) for _ in range(10**4)]
+    words[::10] = [("h",) + w[:15] for w in words[::10]]
+    fresh = lambda: Presentation(Qbar.alphabet, Qbar.rules, Qbar.schemas, Qbar.ordering)
+    uncapped = fresh()
+    expected = [normalize(w, uncapped) for w in words]
+    monkeypatch.setattr(rewrite, "NF_CACHE_CAP", 100)
+    p = fresh()
+    for w, nf in zip(words, expected):
+        assert normalize(w, p) == nf
+        assert len(p._nf_cache) <= 100
+    assert len(p._nf_cache) == 100
+    assert list(p._nf_cache) == list(p._nf_order)  # the oldest entries went first
+    assert words[-1] in p._nf_cache and words[0] not in p._nf_cache
+    assert len(uncapped._nf_cache) > 100

@@ -186,3 +186,21 @@ def test_cayley_ball_stops_past_the_vertex_cap(Qbar, monkeypatch):
     assert len(cayley_ball(Qbar, EMPTY, 2).distances) == 23
     with pytest.raises(RwlabError, match="Cayley ball around ε exceeds 23 vertices"):
         cayley_ball(Qbar, EMPTY, 3)
+
+
+def test_isometry_check_stops_past_the_pair_cap(M4, N4, monkeypatch):
+    balls = []
+
+    def counted_ball(*args):
+        balls.append(args)
+        return cayley_ball(*args)
+
+    monkeypatch.setattr(structure, "cayley_ball", counted_ball)
+    vertices = len(cayley_ball(M4, EMPTY, 2).distances)
+    balls.clear()
+    monkeypatch.setattr(structure, "PAIR_CAP", vertices**2 - 1)
+    with pytest.raises(RwlabError, match=f"gives {vertices**2} ordered pairs, more than"):
+        isometry_check(M4, N4, 2)
+    assert len(balls) == 2  # the two balls around the center, none per vertex
+    monkeypatch.setattr(structure, "PAIR_CAP", vertices**2)
+    assert isometry_check(M4, N4, 2).pair_count == vertices**2
