@@ -134,7 +134,7 @@ def _z_system(extra_rules: List[Rule], base: List[Rule]) -> Presentation:
 PRESETS = ("P", "Q", "Qbar", "M4", "N4")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=len(PRESETS))
 def preset(name: str) -> Presentation:
     """The named built-in presentation, one of ``PRESETS``."""
     if name == "P":
@@ -193,7 +193,10 @@ def schema_exponents(schema: RuleSchema) -> Tuple[int, int]:
     return LETTER_EXPONENTS[schema.lhs_suffix[0]][0], LETTER_EXPONENTS[schema.lhs_suffix[1]][1]
 
 
-@lru_cache(maxsize=None)
+C_PATH_CACHE_CAP = 2**15  # swap paths kept; the default figure2 sweep builds 18 149
+
+
+@lru_cache(maxsize=C_PATH_CACHE_CAP)
 def build_C_path(w: Word, eps: int, delta: int) -> Path:
     """The swap path from ``h w aᵉ bᵈ`` to ``h w bᵈ aᵉ`` over Q.
 

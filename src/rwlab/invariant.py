@@ -15,7 +15,7 @@ ever produce free-group contexts.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from .core import EMPTY, Presentation, RwlabError, Word, word_str
 from .ring import RingElement, from_word, right_mul, scale, sub, total, zero
@@ -31,17 +31,14 @@ LETTER_EXPONENTS = {"a": (1, 0), "a'": (-1, 0), "b": (0, 1), "b'": (0, -1)}
 class WeightSpec:
     """Finitely supported integer weights, keyed by rule name."""
 
-    entries: tuple  # tuple[tuple[str, int], ...]
+    entries: Dict[str, int]  # rule name -> nonzero weight
 
     @staticmethod
     def of(mapping: Mapping[str, int]) -> "WeightSpec":
-        return WeightSpec(tuple(sorted((k, v) for k, v in mapping.items() if v != 0)))
+        return WeightSpec({k: v for k, v in mapping.items() if v != 0})
 
     def get(self, name: str) -> int:
-        for k, v in self.entries:
-            if k == name:
-                return v
-        return 0
+        return self.entries.get(name, 0)
 
 
 # +1 per leftward commutation of a past h, -1 per commutation of a'; all

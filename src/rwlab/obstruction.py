@@ -77,7 +77,7 @@ def basepoint_apply(x: RingElement) -> CosetVector:
     """Apply ``x`` to the basepoint coset: each term lands on the coset
     indexed by its b-exponent, with the term's coefficient."""
     acc: dict = {}
-    for w, c in x.terms:
+    for w, c in x.terms.items():
         k = b_exponent(w)
         acc[k] = acc.get(k, 0) + c
     return CosetVector.of(acc)

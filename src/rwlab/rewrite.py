@@ -14,7 +14,7 @@ import functools
 import operator
 import re
 import weakref
-from typing import Iterator, List
+from typing import Iterator, List, Optional
 
 from .core import (
     EMPTY,
@@ -104,6 +104,7 @@ class _Matcher:
     """
 
     def __init__(self, p: Presentation):
+        self.unoriented = _orientation_error(p)  # None, or why reducing raises
         self.chars, self.schemas, self.patterns, self.pattern, self.runs = _schema_part(
             p.alphabet.letters, p.schemas
         )
@@ -238,29 +239,28 @@ def _schema_oriented(s: RuleSchema, ordering: OrderingSpec) -> bool:
     return False
 
 
-_orientation_ok = weakref.WeakKeyDictionary()  # presentation -> True once checked
-
-
-def check_orientation(p: Presentation) -> None:
-    """Raise unless every rule and schema orients lhs > rhs under shortlex.
-
-    The outcome is memoized per presentation; presentations are immutable.
-    """
-    if _orientation_ok.get(p):
-        return
+def _orientation_error(p: Presentation) -> Optional[str]:
+    """None when every rule and schema orients lhs > rhs under shortlex,
+    otherwise why termination is not guaranteed."""
     if p.ordering is None:
-        raise OrientationError("presentation has no ordering; termination not guaranteed")
+        return "presentation has no ordering; termination not guaranteed"
     for r in p.rules:
         if compare_shortlex(r.lhs, r.rhs, p.ordering) <= 0:
-            raise OrientationError(
-                f"rule {r.name} is not oriented; termination not guaranteed"
-            )
+            return f"rule {r.name} is not oriented; termination not guaranteed"
     for s in p.schemas:
         if not _schema_oriented(s, p.ordering):
-            raise OrientationError(
-                f"schema {s.name} is not oriented; termination not guaranteed"
-            )
-    _orientation_ok[p] = True
+            return f"schema {s.name} is not oriented; termination not guaranteed"
+    return None
+
+
+def check_orientation(p: Presentation) -> _Matcher:
+    """Raise unless every rule and schema orients lhs > rhs under shortlex;
+    otherwise return the matcher of ``p``, which memoizes the verdict
+    (presentations are immutable)."""
+    m = _matcher(p)
+    if m.unoriented is not None:
+        raise OrientationError(m.unoriented)
+    return m
 
 
 def _leftmost_steps(w: Word, p: Presentation) -> Iterator[tuple]:
@@ -273,8 +273,7 @@ def _leftmost_steps(w: Word, p: Presentation) -> Iterator[tuple]:
     check guarantees termination; ``STEP_CAP`` steps are a backstop, past
     which a further redex raises.
     """
-    check_orientation(p)
-    m = _matcher(p)
+    m = check_orientation(p)
     u, s = w, m.mirror(w)
     found = m.leftmost(s)
     for _ in range(STEP_CAP):
@@ -355,7 +354,7 @@ def enumerate_normal_forms(p: Presentation, max_len: int) -> List[Word]:
             raise RwlabError(
                 f"{k} letters give more than {ENUMERATION_CAP} words of length <= {max_len}"
             )
-    check_orientation(p)
-    out = [w for w in words_over(p.alphabet.letters, max_len) if is_irreducible(w, p)]
+    m = check_orientation(p)
+    out = [w for w in words_over(p.alphabet.letters, max_len) if m.leftmost(m.mirror(w)) is None]
     out.sort(key=lambda w: shortlex_key(w, p.ordering))
     return out

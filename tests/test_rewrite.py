@@ -118,6 +118,43 @@ def test_normalize_rejects_unoriented():
         normalize(word("a"), p)
 
 
+# (message, presentation, a word with one redex, where that redex starts)
+UNORIENTED = [
+    (
+        "rule R is not oriented; termination not guaranteed",
+        Presentation(
+            alphabet=Alphabet(("a", "b")),
+            rules=(Rule("R", ("a",), ("b", "b")),),
+            ordering=OrderingSpec(("a", "b")),
+        ),
+        word("b a b"),
+        1,
+    ),
+    (
+        "presentation has no ordering; termination not guaranteed",
+        Presentation(alphabet=Alphabet(("a", "b")), rules=(Rule("R", ("b", "b"), ("a",)),)),
+        word("a a b b"),
+        2,
+    ),
+]
+
+
+@pytest.mark.parametrize("message, p, w, i", UNORIENTED)
+def test_unoriented_presentations_reduce_nothing_but_show_redexes(message, p, w, i):
+    calls = (
+        lambda: normalize(w, p),
+        lambda: reduction_path(w, p),
+        lambda: enumerate_normal_forms(p, 2),
+        lambda: rewrite.check_orientation(p),
+    )
+    for call in calls * 2:  # the second round reads the memoized verdict
+        with pytest.raises(OrientationError) as exc:
+            call()
+        assert str(exc.value) == message
+    assert names_at(" ".join(w), p) == [(i, "R")]
+    assert not is_irreducible(w, p)
+
+
 def test_step_cap_stops_normalize_and_reduction_path(Qbar, monkeypatch):
     # a fresh copy has an empty normal-form cache, so every step is taken
     p = Presentation(Qbar.alphabet, Qbar.rules, Qbar.schemas, Qbar.ordering)
