@@ -13,8 +13,9 @@ M4    Q with a redundant generator z and h h = z, as a completed system
 N4    the companion system where h is idempotent and z is a genuine zero
 
 The verification drivers sweep the operations over bounded parameter
-ranges and return line-oriented reports; sweeps are deterministic,
-single-process, and safe to partition per parameter tuple.
+ranges and return line-oriented reports; sweeps are deterministic and
+single-process.  Each per-instance sweep goes through ``Report.check``, which
+counts the instances and names the first one that fails.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .core import (
     EMPTY,
@@ -40,14 +41,18 @@ from .core import (
     words_over,
 )
 from .completion import (
+    CriticalCircuit,
     bfs_equivalence_oracle,
+    critical_peaks,
     equivalence_classes,
-    is_confluent_bounded,
+    resolve_peak,
 )
 from .invariant import (
     A_LETTERS,
     CT_FAMILIES,
     LETTER_EXPONENTS,
+    REQUIRED_SLOTS,
+    WORD_SLOTS,
     CtParams,
     CASE_STUDY_WEIGHTS,
     WeightSpec,
@@ -61,11 +66,12 @@ from .invariant import (
     swap_pair,
 )
 from .obstruction import (
+    ONE_MINUS_A,
+    XGenRef,
     basepoint_apply,
     commutator_witness,
     phi_to_x_witness,
-    x_generator,
-    x_generator_a,
+    source_value,
 )
 from .rewrite import enumerate_normal_forms, normalize
 from .ring import RingElement, from_word, negate, scale, sub
@@ -339,6 +345,26 @@ class Report:
     def add(self, name: str, ok: bool, detail: str = "") -> None:
         self.checks.append((name, bool(ok), detail))
 
+    def check(self, name: str, instances: Iterable, holds: Callable, detail: Callable) -> None:
+        """Test ``holds`` on every instance and add one line for the sweep.
+
+        An instance fails when ``holds`` returns false or raises
+        ``RwlabError``.  The line reads ``detail(n, failed)``, followed by
+        the first failing instance when any fail.
+        """
+        n, failures = 0, []
+        for n, instance in enumerate(instances, 1):
+            try:
+                ok = holds(instance)
+            except RwlabError:
+                ok = False
+            if not ok:
+                failures.append(instance)
+        text = detail(n, len(failures))
+        if failures:
+            text += f"; first mismatch {failures[0]!r}"
+        self.add(name, not failures, text)
+
     @property
     def passed(self) -> bool:
         return all(ok for _, ok, _ in self.checks)
@@ -410,26 +436,24 @@ def ct_parameter_sweep(
             )
 
 
+def _random_word(rng: random.Random, letters, bound: int) -> Word:
+    return tuple(rng.choice(letters) for _ in range(rng.randint(0, bound)))
+
+
 def random_ct_params(rng: random.Random, max_word_len: int, ct7_word_len: int) -> CtParams:
+    """One draw per slot of a random family, in ``REQUIRED_SLOTS`` order;
+    CT7's words are bounded by ``ct7_word_len``."""
     family = rng.choice(("CT1", "CT3", "CT4", "CT5", "CT7"))
+    bound = ct7_word_len if family == "CT7" else max_word_len
 
-    def rand_word(bound):
-        return tuple(rng.choice(A_LETTERS) for _ in range(rng.randint(0, bound)))
+    def draw(slot: str):
+        if slot == "x":
+            return rng.choice(A_LETTERS)
+        if slot in WORD_SLOTS:
+            return _random_word(rng, A_LETTERS, bound)
+        return rng.choice(SIGNS)
 
-    e = lambda: rng.choice(SIGNS)
-    if family == "CT1":
-        return CtParams(
-            "CT1", x=rng.choice(A_LETTERS), w1=rand_word(max_word_len),
-            w2=rand_word(max_word_len), eps=e(), delta=e(),
-        )
-    if family == "CT7":
-        return CtParams(
-            "CT7", w1=rand_word(ct7_word_len), eps1=e(), delta1=e(),
-            w2=rand_word(ct7_word_len), eps2=e(), delta2=e(),
-        )
-    if family == "CT5":
-        return CtParams("CT5", x=rng.choice(A_LETTERS), w=rand_word(max_word_len), eps=e(), delta=e())
-    return CtParams(family, w=rand_word(max_word_len), eps=e(), delta=e())
+    return CtParams(family, **{slot: draw(slot) for slot in REQUIRED_SLOTS[family]})
 
 
 def verify_figure2(
@@ -444,29 +468,18 @@ def verify_figure2(
     if ct7_word_len is None:
         ct7_word_len = min(max_word_len, 3)
     ambient = preset("P")
-    report = Report()
-    counts: Dict[str, int] = {}
-    mismatches: Dict[str, list] = {}
-
-    def check(params: CtParams) -> None:
-        got = phi_path(build_ct_circuit(params), weights, ambient)
-        want = closed_form_ct(params, ambient)
-        counts[params.family] = counts.get(params.family, 0) + 1
-        if got != want:
-            mismatches.setdefault(params.family, []).append(params)
-
-    for params in ct_parameter_sweep(max_word_len, ct7_word_len):
-        check(params)
     rng = random.Random(seed)
-    for _ in range(samples):
-        check(random_ct_params(rng, max_word_len, ct7_word_len))
-
+    instances = list(ct_parameter_sweep(max_word_len, ct7_word_len))
+    instances += [random_ct_params(rng, max_word_len, ct7_word_len) for _ in range(samples)]
+    report = Report()
     for family in CT_FAMILIES:
-        bad = mismatches.get(family, [])
-        detail = f"{counts.get(family, 0)} instances"
-        if bad:
-            detail += f"; first mismatch {bad[0]}"
-        report.add(f"figure2 {family}", not bad, detail)
+        report.check(
+            f"figure2 {family}",
+            (params for params in instances if params.family == family),
+            lambda params: phi_path(build_ct_circuit(params), weights, ambient)
+            == closed_form_ct(params, ambient),
+            lambda n, failed: f"{n} instances",
+        )
     return report
 
 
@@ -493,62 +506,45 @@ def is_case_study_nf(w: Word) -> bool:
 def verify_prop31(max_len: int = 6, schema_var_bound: int = 3) -> Report:
     """Normal-form shapes, bounded confluence, and oracle agreement."""
     qbar, q = preset("Qbar"), preset("Q")
-    report = Report()
-
-    bad = 0
-    n_words = 0
     letters = qbar.alphabet.letters
-    for w in words_over(letters, max_len):
-        n_words += 1
-        if not is_case_study_nf(normalize(w, qbar)):
-            bad += 1
-    report.add(
+    agreement_len, oracle_bound = max(max_len - 2, 0), max_len + 2
+    classof = equivalence_classes(q, oracle_bound)  # first, as it checks its budget
+    report = Report()
+    report.check(
         "prop31 normal-form shapes",
-        bad == 0,
-        f"{n_words} words of length <= {max_len}, {bad} bad normal forms",
+        words_over(letters, max_len),
+        lambda w: is_case_study_nf(normalize(w, qbar)),
+        lambda n, failed: f"{n} words of length <= {max_len}, {failed} bad normal forms",
     )
-
-    confluence = is_confluent_bounded(qbar, schema_var_bound)
-    report.add(
+    report.check(
         "prop31 bounded confluence",
-        confluence.confluent,
-        f"{len(confluence.resolutions)} peaks at schema bound {schema_var_bound}, "
-        f"{len(confluence.unresolved)} unresolved",
+        critical_peaks(qbar, schema_var_bound),
+        lambda peak: isinstance(resolve_peak(peak, qbar), CriticalCircuit),
+        lambda n, failed: f"{n} peaks at schema bound {schema_var_bound}, {failed} unresolved",
     )
 
-    agreement_len = max(max_len - 2, 0)
-    oracle_bound = max_len + 2
-    classof = equivalence_classes(q, oracle_bound)
     class_to_nf: Dict[int, Word] = {}
     nf_to_class: Dict[Word, int] = {}
-    disagreements = 0
-    n_checked = 0
-    for w in words_over(letters, agreement_len):
-        n_checked += 1
-        cls, nf = classof(w), normalize(w, qbar)
-        if class_to_nf.setdefault(cls, nf) != nf or nf_to_class.setdefault(nf, cls) != cls:
-            disagreements += 1
-    report.add(
-        "prop31 oracle agreement",
-        disagreements == 0,
-        f"{n_checked} words of length <= {agreement_len} against the closure at "
-        f"bound {oracle_bound}; {disagreements} partition disagreements",
-    )
 
+    def agrees(w: Word) -> bool:
+        cls, nf = classof(w), normalize(w, qbar)
+        return class_to_nf.setdefault(cls, nf) == nf and nf_to_class.setdefault(nf, cls) == cls
+
+    report.check(
+        "prop31 oracle agreement",
+        words_over(letters, agreement_len),
+        agrees,
+        lambda n, failed: f"{n} words of length <= {agreement_len} against the closure at "
+        f"bound {oracle_bound}; {failed} partition disagreements",
+    )
     rng = random.Random(31)
-    sample_words = [
-        tuple(rng.choice(letters) for _ in range(rng.randint(0, agreement_len)))
-        for _ in range(40)
-    ]
-    spot_bad = 0
-    for u, v in zip(sample_words[::2], sample_words[1::2]):
-        direct = bfs_equivalence_oracle(u, v, q, oracle_bound)
-        if direct != (classof(u) == classof(v)):
-            spot_bad += 1
-    report.add(
+    sample_words = [_random_word(rng, letters, agreement_len) for _ in range(40)]
+    report.check(
         "prop31 oracle spot-check",
-        spot_bad == 0,
-        f"batched closure vs direct BFS on {len(sample_words) // 2} pairs",
+        zip(sample_words[::2], sample_words[1::2]),
+        lambda uv: bfs_equivalence_oracle(*uv, q, oracle_bound)
+        == (classof(uv[0]) == classof(uv[1])),
+        lambda n, failed: f"batched closure vs direct BFS on {n} pairs",
     )
     return report
 
@@ -558,75 +554,72 @@ def verify_identities(exhaust_len: int = 5, samples: int = 1000, seed: int = 7) 
     bound plus randomized tuples."""
     ambient = preset("P")
     one = from_word(EMPTY, ambient)
-    report = Report()
-
-    def expected_swap_image(w: Word, eps: int, delta: int) -> RingElement:
-        return negate(commutator(partial_derivation(w, ambient), EMPTY, eps, delta))
+    signs = list(itertools.product(SIGNS, repeat=2))
+    rng = random.Random(seed)
+    draws = [  # w1, w2, x, eps, delta, drawn in that order
+        (
+            _random_word(rng, A_LETTERS, exhaust_len),
+            _random_word(rng, A_LETTERS, exhaust_len),
+            rng.choice(A_LETTERS),
+            rng.choice(SIGNS),
+            rng.choice(SIGNS),
+        )
+        for _ in range(samples)
+    ]
 
     def phi_swap(w: Word, eps: int, delta: int) -> RingElement:
         return phi_path(build_C_path(w, eps, delta), CASE_STUDY_WEIGHTS, ambient)
 
-    bad = [0, 0, 0, 0]
-
-    for x in A_LETTERS:
+    def base_value(x: str) -> bool:
         e = Edge(EMPTY, preset("Q").rule_named(f"K_{x}"), 1, EMPTY)
-        if phi_edge(e, CASE_STUDY_WEIGHTS, ambient) != negate(partial_derivation((x,), ambient)):
-            bad[0] += 1
+        image = negate(partial_derivation((x,), ambient))
+        return phi_edge(e, CASE_STUDY_WEIGHTS, ambient) == image
 
-    n_ii = 0
-    for w in words_over(A_LETTERS, exhaust_len):
-        for eps, delta in itertools.product(SIGNS, repeat=2):
-            n_ii += 1
-            if phi_swap(w, eps, delta) != expected_swap_image(w, eps, delta):
-                bad[1] += 1
+    def swap_image(w: Word, eps: int, delta: int) -> bool:
+        image = negate(commutator(partial_derivation(w, ambient), EMPTY, eps, delta))
+        return phi_swap(w, eps, delta) == image
 
-    def check_iii(x: str, w: Word, eps: int, delta: int) -> bool:
+    def letter_prefix(x: str, w: Word, eps: int, delta: int) -> bool:
         shift = scale(-LETTER_EXPONENTS[x][0], commutator(one, w, eps, delta))
         return phi_swap((x,) + w, eps, delta) == sub(phi_swap(w, eps, delta), shift)
 
-    n_iii = 0
-    for x in A_LETTERS:
-        for w in words_over(A_LETTERS, exhaust_len - 1):
-            for eps, delta in itertools.product(SIGNS, repeat=2):
-                n_iii += 1
-                if not check_iii(x, w, eps, delta):
-                    bad[2] += 1
-
-    def check_iv(w1: Word, w2: Word, eps: int, delta: int) -> bool:
+    def word_prefix(w1: Word, w2: Word, eps: int, delta: int) -> bool:
         shift = commutator(partial_derivation(w1, ambient), w2, eps, delta)
         return phi_swap(w1 + w2, eps, delta) == sub(phi_swap(w2, eps, delta), shift)
 
-    n_iv = 0
-    for w1, w2 in word_splits(exhaust_len):
-        for eps, delta in itertools.product(SIGNS, repeat=2):
-            n_iv += 1
-            if not check_iv(w1, w2, eps, delta):
-                bad[3] += 1
+    def swap_instances(max_len: int) -> Iterator[tuple]:
+        return ((w,) + s for w in words_over(A_LETTERS, max_len) for s in signs)
 
-    rng = random.Random(seed)
-    n_rand = 0
-    for _ in range(samples):
-        w1 = tuple(rng.choice(A_LETTERS) for _ in range(rng.randint(0, exhaust_len)))
-        w2 = tuple(rng.choice(A_LETTERS) for _ in range(rng.randint(0, exhaust_len)))
-        x = rng.choice(A_LETTERS)
-        eps, delta = rng.choice(SIGNS), rng.choice(SIGNS)
-        n_rand += 1
-        if not check_iii(x, w2, eps, delta):
-            bad[2] += 1
-        if not check_iv(w1, w2, eps, delta):
-            bad[3] += 1
+    def mixed(n: int, failed: int) -> str:
+        return f"{n - samples} exhaustive + {samples} randomized instances"
 
-    report.add("identity (i) base values", bad[0] == 0, "4 letters")
-    report.add("identity (ii) swap image", bad[1] == 0, f"{n_ii} instances")
-    report.add(
-        "identity (iii) letter prefix",
-        bad[2] == 0,
-        f"{n_iii} exhaustive + {n_rand} randomized instances",
+    report = Report()
+    report.check(
+        "identity (i) base values", A_LETTERS, base_value, lambda n, failed: f"{n} letters"
     )
-    report.add(
+    report.check(
+        "identity (ii) swap image",
+        swap_instances(exhaust_len),
+        lambda t: swap_image(*t),
+        lambda n, failed: f"{n} instances",
+    )
+    report.check(
+        "identity (iii) letter prefix",
+        itertools.chain(
+            ((x,) + t for x in A_LETTERS for t in swap_instances(exhaust_len - 1)),
+            ((x, w2, eps, delta) for _, w2, x, eps, delta in draws),
+        ),
+        lambda t: letter_prefix(*t),
+        mixed,
+    )
+    report.check(
         "identity (iv) word prefix",
-        bad[3] == 0,
-        f"{n_iv} exhaustive + {n_rand} randomized instances",
+        itertools.chain(
+            (split + s for split in word_splits(exhaust_len) for s in signs),
+            ((w1, w2, eps, delta) for w1, w2, _, eps, delta in draws),
+        ),
+        lambda t: word_prefix(*t),
+        mixed,
     )
     return report
 
@@ -637,45 +630,43 @@ def verify_obstruction(
     kill_len: int = 6,
     coset_powers: int = 10,
 ) -> Report:
-    """Witness constructions and the basepoint computation."""
+    """Witness constructions and the basepoint computation.  A witness is
+    ring-verified as it is built, so an instance holds when it can be built."""
     ambient = preset("P")
+    signs = list(itertools.product(SIGNS, repeat=2))
+    one = from_word(EMPTY, ambient)
+
+    def ring_verified(n: int, failed: int) -> str:
+        return f"{n - failed} ring-verified"
+
     report = Report()
-
-    n = 0
-    for w in reduced_a_words(commutator_len):
-        for eps, delta in itertools.product(SIGNS, repeat=2):
-            commutator_witness(w, eps, delta, ambient)  # raises if unverified
-            n += 1
-    report.add("obstruction commutator witnesses", True, f"{n} ring-verified")
-
-    n = 0
-    for params in ct_parameter_sweep(witness_word_len, witness_word_len):
-        phi_to_x_witness(params, ambient)
-        n += 1
-    report.add("obstruction image-to-X witnesses", True, f"{n} ring-verified")
-
-    killed = basepoint_apply(x_generator_a(ambient)).is_zero()
-    n = 0
-    for w in reduced_a_words(kill_len):
-        for eps, delta in itertools.product(SIGNS, repeat=2):
-            n += 1
-            if not basepoint_apply(x_generator(w, eps, delta, ambient)).is_zero():
-                killed = False
-    report.add(
-        "obstruction basepoint kills generators", killed, f"(1-a) and {n} X generators"
+    report.check(
+        "obstruction commutator witnesses",
+        ((w,) + s for w in reduced_a_words(commutator_len) for s in signs),
+        lambda t: commutator_witness(*t, ambient) is not None,
+        ring_verified,
     )
-
-    vectors = set()
-    ok = True
-    for k in range(1, coset_powers + 1):
-        elem = sub(from_word(EMPTY, ambient), from_word(("b",) * k, ambient))
-        vec = basepoint_apply(elem)
-        if vec.is_zero():
-            ok = False
-        vectors.add(vec.entries)
+    report.check(
+        "obstruction image-to-X witnesses",
+        ct_parameter_sweep(witness_word_len, witness_word_len),
+        lambda params: phi_to_x_witness(params, ambient) is not None,
+        ring_verified,
+    )
+    report.check(
+        "obstruction basepoint kills generators",
+        itertools.chain(
+            [ONE_MINUS_A], (XGenRef(w, *s) for w in reduced_a_words(kill_len) for s in signs)
+        ),
+        lambda source: basepoint_apply(source_value(source, ambient)).is_zero(),
+        lambda n, failed: f"(1-a) and {n - 1} X generators",
+    )
+    vectors = {
+        basepoint_apply(sub(one, from_word(("b",) * k, ambient)))
+        for k in range(1, coset_powers + 1)
+    }
     report.add(
         "obstruction basepoint separates b-powers",
-        ok and len(vectors) == coset_powers,
+        len(vectors) == coset_powers and not any(v.is_zero() for v in vectors),
         f"{len(vectors)} distinct nonzero coset vectors",
     )
     return report

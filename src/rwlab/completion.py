@@ -9,10 +9,6 @@ desk scale; normalization during resolution matches schemas unboundedly.
 
 An unresolved peak is an analytic outcome, not an error: it is reported as
 data and feeds completion as a candidate rule.
-
-Peak resolution is pure per peak, so a peak list may be partitioned across
-workers and merged back in source order without changing the result; the
-completion loop itself is sequential by contract.
 """
 
 from __future__ import annotations
@@ -34,6 +30,7 @@ from .core import (
     words_over,
 )
 from .rewrite import (
+    check_enumeration_budget,
     check_orientation,
     compare_shortlex,
     find_redexes,
@@ -95,10 +92,6 @@ class CriticalPeak:
         if self.kind == "inclusion":
             return Edge(EMPTY, self.rule2, 1, EMPTY)
         return Edge(self.gamma2, self.rule2, 1, EMPTY)
-
-    def peak_path(self) -> Path:
-        """The path result1 -> source -> result2 through the two edges."""
-        return Path(self.result1, (self.edge1().inverse(), self.edge2()))
 
     def describe(self) -> str:
         return f"peak {word_str(self.source)} [{self.rule1.name},{self.rule2.name}]"
@@ -411,12 +404,15 @@ def equivalence_classes(p: Presentation, max_len: int):
     Equivalent to running the BFS oracle on every pair: within the bounded
     universe every backward step is some forward step read the other way, so
     the components of the one-step graph are exactly the oracle's relation.
-    Returns ``classof(word) -> representative index``.
+    Returns ``classof(word) -> representative index``; ``RwlabError``,
+    before anything is allocated, when the universe has more than
+    ``rewrite.ENUMERATION_CAP`` words.
     """
     if p.schemas:
         raise RwlabError("the oracle only handles plain-rule presentations")
     letters = list(p.alphabet.letters)
     k = len(letters)
+    check_enumeration_budget(k, max_len)
     idx = {letter: i for i, letter in enumerate(letters)}
     offsets = [0]
     for n in range(max_len + 1):

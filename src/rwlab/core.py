@@ -4,7 +4,7 @@ Words are plain tuples of letter tokens; the empty word is ``()``.  Letters
 are whitespace-separated tokens (``a'`` denotes the formal inverse of ``a``),
 never single characters, so inverse letters stay unambiguous.  All values in
 this module are immutable after construction and every operation is a pure
-function, so shared values are safe to use concurrently.
+function.
 """
 
 from __future__ import annotations

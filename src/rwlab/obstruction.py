@@ -128,7 +128,9 @@ class WitnessTerm:
     sign: int
 
 
-def _source_value(source: Source, ambient: Presentation) -> RingElement:
+def source_value(source: Source, ambient: Presentation) -> RingElement:
+    """The ring value of a witness source: a circuit family's closed form,
+    an X generator, or 1 − a."""
     if isinstance(source, CtParams):
         return closed_form_ct(source, ambient)
     if isinstance(source, XGenRef):
@@ -150,7 +152,7 @@ class Witness:
         ambient = self.target.ambient
         return total(
             (
-                scale(t.sign, right_mul(_source_value(t.source, ambient), t.multiplier))
+                scale(t.sign, right_mul(source_value(t.source, ambient), t.multiplier))
                 for t in self.terms
             ),
             ambient,

@@ -343,17 +343,23 @@ def is_irreducible(w: Word, p: Presentation) -> bool:
     return m.leftmost(m.mirror(w)) is None
 
 
-def enumerate_normal_forms(p: Presentation, max_len: int) -> List[Word]:
-    """All irreducible words of length <= max_len, in ascending shortlex order;
-    ``RwlabError``, before any word is tested, when there are more than
-    ``ENUMERATION_CAP`` words of length <= max_len."""
-    k, count = len(p.alphabet.letters), 0
+def check_enumeration_budget(k: int, max_len: int) -> None:
+    """``RwlabError`` when ``k`` letters give more than ``ENUMERATION_CAP``
+    words of length <= max_len."""
+    count = 0
     for n in range(min(max_len, ENUMERATION_CAP) + 1):
         count += k**n
         if count > ENUMERATION_CAP:
             raise RwlabError(
                 f"{k} letters give more than {ENUMERATION_CAP} words of length <= {max_len}"
             )
+
+
+def enumerate_normal_forms(p: Presentation, max_len: int) -> List[Word]:
+    """All irreducible words of length <= max_len, in ascending shortlex order;
+    ``RwlabError``, before any word is tested, when there are more than
+    ``ENUMERATION_CAP`` words of length <= max_len."""
+    check_enumeration_budget(len(p.alphabet.letters), max_len)
     m = check_orientation(p)
     out = [w for w in words_over(p.alphabet.letters, max_len) if m.leftmost(m.mirror(w)) is None]
     out.sort(key=lambda w: shortlex_key(w, p.ordering))

@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 from rwlab.casestudy import (
@@ -8,6 +9,7 @@ from rwlab.casestudy import (
     classify_peak,
     ct_parameter_sweep,
     is_case_study_nf,
+    random_ct_params,
     verify_figure2,
     verify_prop31,
 )
@@ -151,3 +153,36 @@ def test_section4_normal_forms_coincide(M4, N4):
     from rwlab.rewrite import enumerate_normal_forms
 
     assert enumerate_normal_forms(M4, 4) == enumerate_normal_forms(N4, 4)
+
+
+def _branching_ct_params(rng, max_word_len, ct7_word_len):
+    """The former per-family draws of random_ct_params, kept as a reference."""
+    letters = ("a", "a'", "b", "b'")
+    family = rng.choice(("CT1", "CT3", "CT4", "CT5", "CT7"))
+
+    def rand_word(bound):
+        return tuple(rng.choice(letters) for _ in range(rng.randint(0, bound)))
+
+    def e():
+        return rng.choice((1, -1))
+
+    if family == "CT1":
+        return CtParams(
+            "CT1", x=rng.choice(letters), w1=rand_word(max_word_len),
+            w2=rand_word(max_word_len), eps=e(), delta=e(),
+        )
+    if family == "CT7":
+        return CtParams(
+            "CT7", w1=rand_word(ct7_word_len), eps1=e(), delta1=e(),
+            w2=rand_word(ct7_word_len), eps2=e(), delta2=e(),
+        )
+    if family == "CT5":
+        return CtParams("CT5", x=rng.choice(letters), w=rand_word(max_word_len), eps=e(), delta=e())
+    return CtParams(family, w=rand_word(max_word_len), eps=e(), delta=e())
+
+
+def test_random_ct_params_draws_like_the_per_family_branches():
+    for seed in range(4):
+        ours, reference = random.Random(seed), random.Random(seed)
+        for _ in range(250):
+            assert random_ct_params(ours, 4, 2) == _branching_ct_params(reference, 4, 2)

@@ -6,12 +6,12 @@ from pathlib import Path
 import pytest
 
 import rwlab
-from rwlab import structure
+from rwlab import casestudy, obstruction, structure
 from rwlab.cli import main
 from rwlab.core import EMPTY, pretty_print
 from rwlab.casestudy import preset
 from rwlab.invariant import CtParams, closed_form_ct
-from rwlab.ring import format_ring
+from rwlab.ring import format_ring, negate
 
 
 def run_cli(capsys, *argv):
@@ -429,3 +429,85 @@ def test_isometry_stops_past_the_pair_cap(monkeypatch, capsys):
     assert code == 2
     assert "more than 100" in err
     assert out == ""
+
+
+# Exact stdout of small verify runs, so that a refactor of a sweep cannot
+# change a count, a name or the draw order of its random samples unnoticed.
+VERIFY_GOLDEN = {
+    ("figure2", "--max-len", "1"): [
+        "figure2 CT1\tpass\t348 instances",
+        "figure2 CT2\tpass\t4 instances",
+        "figure2 CT3\tpass\t238 instances",
+        "figure2 CT4\tpass\t206 instances",
+        "figure2 CT5\tpass\t280 instances",
+        "figure2 CT6\tpass\t4 instances",
+        "figure2 CT7\tpass\t336 instances",
+        "summary: 7/7",
+    ],
+    ("identities", "--max-len", "2"): [
+        "identity (i) base values\tpass\t4 letters",
+        "identity (ii) swap image\tpass\t84 instances",
+        "identity (iii) letter prefix\tpass\t80 exhaustive + 1000 randomized instances",
+        "identity (iv) word prefix\tpass\t228 exhaustive + 1000 randomized instances",
+        "summary: 4/4",
+    ],
+    ("prop31", "--max-len", "2"): [
+        "prop31 normal-form shapes\tpass\t31 words of length <= 2, 0 bad normal forms",
+        "prop31 bounded confluence\tpass\t3138 peaks at schema bound 3, 0 unresolved",
+        "prop31 oracle agreement\tpass\t1 words of length <= 0 against the closure at "
+        "bound 4; 0 partition disagreements",
+        "prop31 oracle spot-check\tpass\tbatched closure vs direct BFS on 20 pairs",
+        "summary: 4/4",
+    ],
+    ("obstruction",): [
+        "obstruction commutator witnesses\tpass\t1940 ring-verified",
+        "obstruction image-to-X witnesses\tpass\t12064 ring-verified",
+        "obstruction basepoint kills generators\tpass\t(1-a) and 5828 X generators",
+        "obstruction basepoint separates b-powers\tpass\t10 distinct nonzero coset vectors",
+        "summary: 4/4",
+    ],
+    ("isometry", "--radius", "1"): [
+        "isometry normal-form sets\tpass\t1519 vs 1519 normal forms of length <= 6",
+        "isometry ball radius 1 around ε\tpass\t49 ordered pairs",
+        "isometry ball radius 1 around h\tpass\t36 ordered pairs",
+        "summary: 3/3",
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", list(VERIFY_GOLDEN), ids=lambda argv: "-".join(argv))
+def test_verify_stdout_is_pinned(argv, capsys):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert (code, err) == (0, "")
+    assert out == "\n".join(VERIFY_GOLDEN[argv]) + "\n"
+
+
+def test_failing_sweep_names_its_first_failing_instance(monkeypatch, capsys):
+    # a CT4 closed form with the wrong sign breaks every commutator witness
+    # (each ends in a CT4 term) and every CT4 image-to-X witness
+    real = obstruction.closed_form_ct
+
+    def corrupted(params, ambient):
+        value = real(params, ambient)
+        return negate(value) if params.family == "CT4" else value
+
+    monkeypatch.setattr(obstruction, "closed_form_ct", corrupted)
+    code, out, err = run_cli(capsys, "verify", "obstruction")
+    assert (code, err) == (1, "")
+    first_ct4 = CtParams("CT4", w=EMPTY, eps=1, delta=1)
+    assert [line for line in out.splitlines() if "\tFAIL\t" in line] == [
+        "obstruction commutator witnesses\tFAIL\t0 ring-verified; first mismatch ((), 1, 1)",
+        "obstruction image-to-X witnesses\tFAIL\t11724 ring-verified; "
+        f"first mismatch {first_ct4!r}",
+    ]
+    assert out.splitlines()[-1] == "summary: 2/4"
+
+
+def test_verify_prop31_checks_the_closure_budget_before_normalizing(monkeypatch, capsys):
+    def normalize(*args):
+        raise AssertionError("a word was normalized before the budget check")
+
+    monkeypatch.setattr(casestudy, "normalize", normalize)
+    code, out, err = run_cli(capsys, "verify", "prop31", "--max-len", "7")
+    assert (code, out) == (2, "")
+    assert "5 letters give more than 1000000 words of length <= 9" in err

@@ -1,3 +1,6 @@
+import pytest
+
+from rwlab import completion, rewrite
 from rwlab.casestudy import c_bar_rule, classify_peak, m4_uncompleted
 from rwlab.completion import (
     CriticalCircuit,
@@ -10,7 +13,7 @@ from rwlab.completion import (
     resolve_peak,
     word_problem_equal,
 )
-from rwlab.core import EMPTY, Alphabet, OrderingSpec, Presentation, word, word_str
+from rwlab.core import EMPTY, Alphabet, OrderingSpec, Presentation, RwlabError, word, word_str
 from rwlab.rewrite import normalize
 
 
@@ -178,7 +181,7 @@ def test_oracle_partition_matches_direct_bfs(Q):
 
 
 def test_oracle_bound_insensitivity_on_small_words(Q, Qbar):
-    # answers for length <= 3 pairs stabilize across bounds 7, 8, 9; compare
+    # answers for length <= 3 pairs stabilize across bounds 7 and 8; compare
     # through normal forms, which the acceptance run pins at bound 8
     import itertools
 
@@ -195,6 +198,18 @@ def test_oracle_bound_insensitivity_on_small_words(Q, Qbar):
             cls, nf = classof(w), normalize(w, Qbar)
             assert class_to_nf.setdefault(cls, nf) == nf
             assert nf_to_class.setdefault(nf, cls) == cls
+
+
+def test_equivalence_classes_refuse_a_universe_past_the_cap(Q, monkeypatch):
+    # Q has 5 letters: 2 441 406 words of length <= 9, 488 281 of length <= 8
+    with pytest.raises(RwlabError, match="5 letters give more than 1000000 words of length <= 9"):
+        equivalence_classes(Q, 9)
+    # the budget is checked before the union-find allocates its universe
+    monkeypatch.setattr(rewrite, "ENUMERATION_CAP", 31)  # 1 + 5 + 25 words at bound 2
+    assert equivalence_classes(Q, 2)(word("a a'")) == equivalence_classes(Q, 2)(EMPTY)
+    monkeypatch.setattr(completion, "_UnionFind", None)
+    with pytest.raises(RwlabError, match="more than 31 words of length <= 3"):
+        equivalence_classes(Q, 3)
 
 
 def test_completed_output_passes_confluence():

@@ -14,6 +14,7 @@ from rwlab.squier import (
     invert,
     lift_path,
 )
+from tests_helpers_paths import random_mixed_path
 
 
 @pytest.fixture(scope="module")
@@ -57,36 +58,10 @@ def test_invert_basics(q):
     assert invert(Path(e.source, (e,))).edges[0] == Edge(EMPTY, q.rule_named("K_a"), -1, word("b"))
 
 
-def _random_path(q, rng, n_edges=5):
-    # random zig-zag at a fixed middle word using forward and backward steps
-    from rwlab.rewrite import find_redexes
-
-    letters = q.alphabet.letters
-    while True:
-        w = tuple(rng.choice(letters) for _ in range(rng.randint(2, 6)))
-        edges = []
-        cur = w
-        for _ in range(n_edges):
-            candidates = find_redexes(cur, q)
-            # backward steps: any rhs occurrence can be expanded back to a lhs
-            for rule in q.rules:
-                L = len(rule.rhs)
-                for i in range(len(cur) - L + 1):
-                    if cur[i : i + L] == rule.rhs and len(cur) - L + len(rule.lhs) <= 9:
-                        candidates.append(Edge(cur[:i], rule, -1, cur[i + L :]))
-            if not candidates:
-                break
-            e = rng.choice(candidates)
-            edges.append(e)
-            cur = e.target
-        if edges:
-            return Path(w, tuple(edges))
-
-
 def test_invert_is_an_involution(q):
     rng = random.Random(11)
     for _ in range(30):
-        p = _random_path(q, rng)
+        p = random_mixed_path(q, rng)
         assert invert(invert(p)) == p
         assert invert(p).iota == p.tau and invert(p).tau == p.iota
 
@@ -104,7 +79,7 @@ def test_act_composes(q):
     rng = random.Random(13)
     letters = q.alphabet.letters
     for _ in range(20):
-        p = _random_path(q, rng, n_edges=3)
+        p = random_mixed_path(q, rng, max_edges=3)
         x = tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))
         x2 = tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))
         y = tuple(rng.choice(letters) for _ in range(rng.randint(0, 2)))
@@ -115,7 +90,7 @@ def test_act_composes(q):
 def test_act_distributes_over_compose_and_invert(q):
     rng = random.Random(17)
     for _ in range(20):
-        p = _random_path(q, rng, n_edges=4)
+        p = random_mixed_path(q, rng, max_edges=4)
         cut = len(p.edges) // 2
         p1 = Path(p.iota, p.edges[:cut])
         p2 = Path(p1.tau, p.edges[cut:])
