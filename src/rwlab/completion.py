@@ -247,8 +247,8 @@ class CompletionReport:
 
 def knuth_bendix(
     p: Presentation,
-    max_new_rules: int = 100,
-    max_lhs_len: int = 12,
+    max_new_rules: int,
+    max_lhs_len: int,
     schema_var_bound: int = 2,
 ) -> Tuple[Presentation, CompletionReport]:
     """Bounded Knuth-Bendix completion under the presentation's shortlex order.
@@ -339,16 +339,24 @@ def word_problem_equal(u: Word, v: Word, p_complete: Presentation) -> bool:
     return normalize(u, p_complete) == normalize(v, p_complete)
 
 
-def _one_step_neighbors(w: Word, rules: List[Rule], max_len: int) -> List[Word]:
+def _replacement_table(pairs) -> List[Tuple[int, Dict[Word, List[Word]]]]:
+    """src -> dsts in pair order, grouped by src length: one lookup per length."""
+    by_len: Dict[int, Dict[Word, List[Word]]] = {}
+    for src, dst in pairs:
+        by_len.setdefault(len(src), {}).setdefault(src, []).append(dst)
+    return sorted(by_len.items())
+
+
+def _one_step_neighbors(w: Word, table, max_len: int) -> List[Word]:
+    """Every word one replacement away from ``w`` whose length is at most
+    ``max_len``; an empty src inserts its dst at every position."""
     out = []
     n = len(w)
-    for r in rules:
-        for src, dst in ((r.lhs, r.rhs), (r.rhs, r.lhs)):
-            if n - len(src) + len(dst) > max_len:
-                continue
-            for i in range(n - len(src) + 1):
-                if w[i : i + len(src)] == src:
-                    out.append(w[:i] + dst + w[i + len(src) :])
+    for length, dsts_of in table:
+        for i in range(n - length + 1):
+            for dst in dsts_of.get(w[i : i + length], ()):
+                if n - length + len(dst) <= max_len:
+                    out.append(w[:i] + dst + w[i + length :])
     return out
 
 
@@ -365,12 +373,13 @@ def bfs_equivalence_oracle(u: Word, v: Word, p: Presentation, max_len: int) -> b
         raise RwlabError("the oracle only handles plain-rule presentations")
     if u == v:
         return True
-    rules = list(p.rules)
+    forward = [(r.lhs, r.rhs) for r in p.rules]
+    table = _replacement_table(forward + [(dst, src) for src, dst in forward])
     seen = {u}
     frontier = deque([u])
     while frontier:
         w = frontier.popleft()
-        for nxt in _one_step_neighbors(w, rules, max_len):
+        for nxt in _one_step_neighbors(w, table, max_len):
             if nxt == v:
                 return True
             if nxt not in seen:
@@ -417,15 +426,12 @@ def equivalence_classes(p: Presentation, max_len: int):
     offsets = [0]
     for n in range(max_len + 1):
         offsets.append(offsets[-1] + k**n)
-    total = offsets[max_len + 1]
-    uf = _UnionFind(total)
+    uf = _UnionFind(offsets[-1])
 
-    rules = [
-        (tuple(idx[x] for x in r.lhs), tuple(idx[x] for x in r.rhs)) for r in p.rules
-    ]
-    by_first: Dict[int, list] = {}
-    for lhs, rhs in rules:
-        by_first.setdefault(lhs[0], []).append((lhs, rhs))
+    def digits(w: Word) -> tuple:
+        return tuple(idx[x] for x in w)
+
+    table = _replacement_table((digits(r.lhs), digits(r.rhs)) for r in p.rules)
 
     def rank(w) -> int:
         val = 0
@@ -433,19 +439,11 @@ def equivalence_classes(p: Presentation, max_len: int):
             val = val * k + d
         return offsets[len(w)] + val
 
-    for n in range(max_len + 1):
-        base = offsets[n]
-        val = 0
-        for w in itertools.product(range(k), repeat=n):
-            me = base + val
-            val += 1
-            for i in range(n):
-                for lhs, rhs in by_first.get(w[i], ()):
-                    L = len(lhs)
-                    if i + L <= n and w[i : i + L] == lhs:
-                        uf.union(me, rank(w[:i] + rhs + w[i + L :]))
+    for me, w in enumerate(words_over(range(k), max_len)):  # in rank order
+        for nxt in _one_step_neighbors(w, table, max_len):
+            uf.union(me, rank(nxt))
 
     def classof(w: Word) -> int:
-        return uf.find(rank(tuple(idx[x] for x in w)))
+        return uf.find(rank(digits(w)))
 
     return classof

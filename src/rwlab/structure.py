@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .core import EMPTY, Presentation, RwlabError, Word, shortlex_key, word_str
 from .rewrite import normalize
@@ -62,30 +62,12 @@ class Ball:
         return [f"{d}\t{word_str(w)}" for w, d in items]
 
 
-class SuccessorCache:
-    """Memoized right-multiplication successors, shared across BFS calls."""
-
-    def __init__(self, p: Presentation):
-        self.p = p
-        self._table: Dict[Word, tuple] = {}
-
-    def successors(self, u: Word) -> tuple:
-        hit = self._table.get(u)
-        if hit is None:
-            hit = tuple(normalize(u + (g,), self.p) for g in self.p.alphabet.letters)
-            self._table[u] = hit
-        return hit
-
-
-def cayley_ball(
-    p: Presentation, center: Word, radius: int, cache: Optional[SuccessorCache] = None
-) -> Ball:
+def cayley_ball(p: Presentation, center: Word, radius: int) -> Ball:
     """Least right-multiplication distances from ``center`` up to ``radius``;
-    ``RwlabError`` once the ball has more than ``BALL_VERTEX_CAP`` vertices."""
+    ``RwlabError`` once the ball has more than ``BALL_VERTEX_CAP`` vertices.
+    The successors ``normalize(u·g)`` are memoized by the normal-form cache."""
     if radius < 0:
         raise RwlabError(f"radius must be non-negative (got {radius})")
-    if cache is None:
-        cache = SuccessorCache(p)
     start = normalize(center, p)
     distances = {start: 0}
     frontier = deque([start])
@@ -94,7 +76,8 @@ def cayley_ball(
         d = distances[u]
         if d == radius:
             continue
-        for v in cache.successors(u):
+        for g in p.alphabet.letters:
+            v = normalize(u + (g,), p)
             if v not in distances:
                 distances[v] = d + 1
                 frontier.append(v)
@@ -154,9 +137,7 @@ def isometry_check(
     any per-vertex ball is built, when there are more than ``PAIR_CAP``
     ordered pairs.
     """
-    cache1, cache2 = SuccessorCache(p1), SuccessorCache(p2)
-    ball1 = cayley_ball(p1, center, radius, cache1)
-    ball2 = cayley_ball(p2, center, radius, cache2)
+    ball1, ball2 = cayley_ball(p1, center, radius), cayley_ball(p2, center, radius)
     report = IsometryReport(radius, center, vertex_sets_match=set(ball1.distances) == set(ball2.distances))
     if not report.vertex_sets_match:
         return report
@@ -168,8 +149,7 @@ def isometry_check(
         )
     vertices = sorted(ball1.distances, key=lambda w: shortlex_key(w, p1.ordering))
     for u in vertices:
-        du1 = cayley_ball(p1, u, radius, cache1).distances
-        du2 = cayley_ball(p2, u, radius, cache2).distances
+        du1, du2 = cayley_ball(p1, u, radius).distances, cayley_ball(p2, u, radius).distances
         for v in vertices:
             report.pair_count += 1
             d1, d2 = du1.get(v), du2.get(v)

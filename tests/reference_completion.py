@@ -1,0 +1,112 @@
+"""The former equivalence oracles of ``rwlab.completion``, kept as the reference.
+
+``_one_step_neighbors``, ``bfs_equivalence_oracle`` and ``equivalence_classes``
+are the former library functions, unchanged: the BFS scans every rule in both
+directions at every position, and the classes match left-hand sides through
+a table keyed by their first letter.  The classes crash on a rule with an
+empty lhs (``lhs[0]``) and on a step that leaves the length-bounded universe;
+the differential tests keep to presentations on which they do not.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections import deque
+from typing import Dict, List
+
+from rwlab.completion import _UnionFind
+from rwlab.core import Presentation, Rule, RwlabError, Word
+from rwlab.rewrite import check_enumeration_budget
+
+
+def _one_step_neighbors(w: Word, rules: List[Rule], max_len: int) -> List[Word]:
+    out = []
+    n = len(w)
+    for r in rules:
+        for src, dst in ((r.lhs, r.rhs), (r.rhs, r.lhs)):
+            if n - len(src) + len(dst) > max_len:
+                continue
+            for i in range(n - len(src) + 1):
+                if w[i : i + len(src)] == src:
+                    out.append(w[:i] + dst + w[i + len(src) :])
+    return out
+
+
+def bfs_equivalence_oracle(u: Word, v: Word, p: Presentation, max_len: int) -> bool:
+    """Decide u ↔* v inside the length-bounded universe by breadth-first
+    closure under rule applications in both directions.
+
+    Independent of normalization: no ordering, no strategy, no schemas
+    beyond the presentation's plain rules.
+    """
+    if len(u) > max_len or len(v) > max_len:
+        raise RwlabError("oracle inputs must respect the length bound")
+    if p.schemas:
+        raise RwlabError("the oracle only handles plain-rule presentations")
+    if u == v:
+        return True
+    rules = list(p.rules)
+    seen = {u}
+    frontier = deque([u])
+    while frontier:
+        w = frontier.popleft()
+        for nxt in _one_step_neighbors(w, rules, max_len):
+            if nxt == v:
+                return True
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return False
+
+
+def equivalence_classes(p: Presentation, max_len: int):
+    """Partition the whole length-bounded universe by ↔*.
+
+    Equivalent to running the BFS oracle on every pair: within the bounded
+    universe every backward step is some forward step read the other way, so
+    the components of the one-step graph are exactly the oracle's relation.
+    Returns ``classof(word) -> representative index``; ``RwlabError``,
+    before anything is allocated, when the universe has more than
+    ``rewrite.ENUMERATION_CAP`` words.
+    """
+    if p.schemas:
+        raise RwlabError("the oracle only handles plain-rule presentations")
+    letters = list(p.alphabet.letters)
+    k = len(letters)
+    check_enumeration_budget(k, max_len)
+    idx = {letter: i for i, letter in enumerate(letters)}
+    offsets = [0]
+    for n in range(max_len + 1):
+        offsets.append(offsets[-1] + k**n)
+    total = offsets[max_len + 1]
+    uf = _UnionFind(total)
+
+    rules = [
+        (tuple(idx[x] for x in r.lhs), tuple(idx[x] for x in r.rhs)) for r in p.rules
+    ]
+    by_first: Dict[int, list] = {}
+    for lhs, rhs in rules:
+        by_first.setdefault(lhs[0], []).append((lhs, rhs))
+
+    def rank(w) -> int:
+        val = 0
+        for d in w:
+            val = val * k + d
+        return offsets[len(w)] + val
+
+    for n in range(max_len + 1):
+        base = offsets[n]
+        val = 0
+        for w in itertools.product(range(k), repeat=n):
+            me = base + val
+            val += 1
+            for i in range(n):
+                for lhs, rhs in by_first.get(w[i], ()):
+                    L = len(lhs)
+                    if i + L <= n and w[i : i + L] == lhs:
+                        uf.union(me, rank(w[:i] + rhs + w[i + L :]))
+
+    def classof(w: Word) -> int:
+        return uf.find(rank(tuple(idx[x] for x in w)))
+
+    return classof

@@ -2,6 +2,9 @@ import itertools
 import random
 from collections import Counter
 
+import pytest
+
+from rwlab import casestudy
 from rwlab.casestudy import (
     build_C_path,
     build_ct_circuit,
@@ -11,10 +14,11 @@ from rwlab.casestudy import (
     is_case_study_nf,
     random_ct_params,
     verify_figure2,
+    verify_identities,
     verify_prop31,
 )
 from rwlab.completion import critical_peaks
-from rwlab.core import EMPTY, word
+from rwlab.core import EMPTY, RwlabError, word
 from rwlab.invariant import CtParams
 from rwlab.rewrite import normalize
 
@@ -186,3 +190,27 @@ def test_random_ct_params_draws_like_the_per_family_branches():
         ours, reference = random.Random(seed), random.Random(seed)
         for _ in range(250):
             assert random_ct_params(ours, 4, 2) == _branching_ct_params(reference, 4, 2)
+
+
+class _Built(Exception):
+    """Raised in place of the first path a driver builds."""
+
+
+@pytest.mark.parametrize(
+    "driver, bound", [(verify_figure2, 2), (verify_identities, 3)]
+)
+def test_sweep_budget_counts_exactly_the_deterministic_instances(driver, bound, monkeypatch):
+    counts = [int(detail.split()[0]) for _, _, detail in driver(bound, samples=0).checks]
+    instances = sum(counts)
+
+    def build(*args):
+        raise _Built
+
+    monkeypatch.setattr(casestudy, "build_ct_circuit", build)
+    monkeypatch.setattr(casestudy, "build_C_path", build)
+    monkeypatch.setattr(casestudy, "ENUMERATION_CAP", instances - 1)
+    with pytest.raises(RwlabError, match=f"more than {instances - 1} instances"):
+        driver(bound, samples=0)
+    monkeypatch.setattr(casestudy, "ENUMERATION_CAP", instances)
+    with pytest.raises(_Built):  # the budget passed
+        driver(bound, samples=0)

@@ -511,3 +511,21 @@ def test_verify_prop31_checks_the_closure_budget_before_normalizing(monkeypatch,
     code, out, err = run_cli(capsys, "verify", "prop31", "--max-len", "7")
     assert (code, out) == (2, "")
     assert "5 letters give more than 1000000 words of length <= 9" in err
+
+
+@pytest.mark.parametrize(
+    "suite, bound, instances",
+    [("figure2", "7", 3208992), ("identities", "8", 3728268)],
+)
+def test_verify_sweeps_check_their_budget_before_building_a_path(
+    suite, bound, instances, monkeypatch, capsys
+):
+    def build(*args):
+        raise AssertionError("a path was built before the budget check")
+
+    monkeypatch.setattr(casestudy, "build_ct_circuit", build)
+    monkeypatch.setattr(casestudy, "build_C_path", build)
+    assert instances > casestudy.ENUMERATION_CAP  # counted with the sweeps themselves
+    code, out, err = run_cli(capsys, "verify", suite, "--max-len", bound)
+    assert (code, out) == (2, "")
+    assert err == f"rwlab: {suite} sweep at bound {bound}: more than 1000000 instances\n"

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from rwlab import completion, rewrite
@@ -13,7 +15,17 @@ from rwlab.completion import (
     resolve_peak,
     word_problem_equal,
 )
-from rwlab.core import EMPTY, Alphabet, OrderingSpec, Presentation, RwlabError, word, word_str
+from rwlab.core import (
+    EMPTY,
+    Alphabet,
+    OrderingSpec,
+    Presentation,
+    Rule,
+    RwlabError,
+    word,
+    word_str,
+    words_over,
+)
 from rwlab.rewrite import normalize
 
 
@@ -225,3 +237,13 @@ def test_completed_output_passes_confluence():
     completed, report = knuth_bendix(p, 20, 6)
     assert report.completed
     assert is_confluent_bounded(completed).confluent
+
+
+@pytest.mark.parametrize("rule", [("ε", "a"), ("a", "b b")])
+def test_equivalence_classes_agree_with_the_bfs_off_the_plain_shape(rule):
+    # an empty lhs, and a step from the bound-3 universe to a 4-letter word
+    p = Presentation(Alphabet(("a", "b")), (Rule("r", word(rule[0]), word(rule[1])),))
+    classof = equivalence_classes(p, 3)
+    words = list(words_over(p.alphabet.letters, 3))
+    for u, v in itertools.product(words, repeat=2):
+        assert (classof(u) == classof(v)) == bfs_equivalence_oracle(u, v, p, 3), (u, v)

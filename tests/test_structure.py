@@ -121,11 +121,8 @@ def test_d_A_examples(Qbar):
 
 
 def test_d_A_triangle_inequality(Qbar):
-    from rwlab.structure import SuccessorCache
-
-    cache = SuccessorCache(Qbar)
-    verts = sorted(cayley_ball(Qbar, EMPTY, 2, cache).distances)
-    balls = {x: cayley_ball(Qbar, x, 4, cache).distances for x in verts}
+    verts = sorted(cayley_ball(Qbar, EMPTY, 2).distances)
+    balls = {x: cayley_ball(Qbar, x, 4).distances for x in verts}
     for x, y, z in itertools.product(verts, repeat=3):
         dxy, dyz, dxz = balls[x].get(y), balls[y].get(z), balls[x].get(z)
         if dxy is None or dyz is None or dxy + dyz > 4:
