@@ -30,6 +30,7 @@ from .core import (
     words_over,
 )
 from .rewrite import (
+    ENUMERATION_CAP,
     check_enumeration_budget,
     check_orientation,
     compare_shortlex,
@@ -143,34 +144,78 @@ def _rule_universe(p: Presentation, schema_var_bound: int) -> List[Rule]:
     return rules
 
 
-def _peaks_for_pair(r1: Rule, r2: Rule) -> List[CriticalPeak]:
-    peaks = []
-    l1, l2 = r1.lhs, r2.lhs
-    # inclusions of l1 inside l2 (for identical lhs, keep one orientation)
-    if len(l1) <= len(l2) and r1 is not r2 and not (l1 == l2 and r1.name > r2.name):
-        for s in range(len(l2) - len(l1) + 1):
-            if l2[s : s + len(l1)] == l1:
-                peaks.append(
-                    CriticalPeak("inclusion", r1, r2, l2[:s], l2[s + len(l1) :], l2)
-                )
-    # proper left-overlaps: a suffix of l1 is a prefix of l2
-    for ell in range(1, min(len(l1), len(l2))):
-        if l1[len(l1) - ell :] == l2[:ell]:
-            peaks.append(
-                CriticalPeak(
-                    "overlap", r1, r2, l2[ell:], l1[: len(l1) - ell], l1 + l2[ell:]
-                )
-            )
-    return peaks
+def _check_instance_budget(p: Presentation, schema_var_bound: int) -> None:
+    """``RwlabError`` when the schemas have more than ``ENUMERATION_CAP``
+    instances with |variable| <= bound, counted without generating them."""
+    sizes = (
+        len(s.variable_range) ** n
+        for s in p.schemas
+        for n in range(min(schema_var_bound, ENUMERATION_CAP) + 1)
+    )
+    if any(total > ENUMERATION_CAP for total in itertools.accumulate(sizes)):
+        raise RwlabError(
+            f"more than {ENUMERATION_CAP} schema instances at bound {schema_var_bound}"
+        )
+
+
+def _check_peak_budget(found: list, schema_var_bound: int) -> None:
+    if len(found) > ENUMERATION_CAP:
+        raise RwlabError(f"more than {ENUMERATION_CAP} critical peaks at bound {schema_var_bound}")
 
 
 def critical_peaks(p: Presentation, schema_var_bound: int = 0) -> List[CriticalPeak]:
     """All inclusion and overlap peaks among plain rules and bounded schema
-    instances, each geometric configuration once, sorted by source."""
+    instances, each geometric configuration once.  With an ordering they are
+    sorted by source; without one they are in rule-pair order (rule1, then
+    rule2, in universe order; inclusions by position, then overlaps by
+    length), not sorted by source.
+
+    Peaks come from two indexes of the left-hand sides, not from testing
+    every rule pair: an inclusion is a factor of ``lhs2`` that is some
+    ``lhs1`` (the empty factor once per position), an overlap a proper
+    suffix of ``lhs1`` that is a proper prefix of some ``lhs2``.
+    ``RwlabError`` before any schema is instantiated when the schemas have
+    more than ``ENUMERATION_CAP`` instances at the bound, and once more than
+    ``ENUMERATION_CAP`` peaks are found.
+    """
+    _check_instance_budget(p, schema_var_bound)
     rules = _rule_universe(p, schema_var_bound)
+    by_lhs: Dict[Word, List[int]] = {}
+    by_prefix: Dict[Word, List[int]] = {}  # proper prefixes only
+    for i, r in enumerate(rules):
+        by_lhs.setdefault(r.lhs, []).append(i)
+        for ell in range(1, len(r.lhs)):
+            by_prefix.setdefault(r.lhs[:ell], []).append(i)
+
+    found = []  # (i1, i2, 0, s) for inclusions, (i1, i2, 1, ell) for overlaps
+    for i2, r2 in enumerate(rules):
+        l2 = r2.lhs
+        for s in range(len(l2) + 1):
+            for e in range(s, len(l2) + 1):
+                for i1 in by_lhs.get(l2[s:e], ()):
+                    r1 = rules[i1]
+                    # for identical lhs, keep one orientation
+                    if r1 is not r2 and not (r1.lhs == l2 and r1.name > r2.name):
+                        found.append((i1, i2, 0, s))
+        _check_peak_budget(found, schema_var_bound)
+    for i1, r1 in enumerate(rules):
+        l1 = r1.lhs
+        for ell in range(1, len(l1)):
+            for i2 in by_prefix.get(l1[len(l1) - ell :], ()):
+                found.append((i1, i2, 1, ell))
+        _check_peak_budget(found, schema_var_bound)
+    found.sort()  # rule-pair order
+
     peaks: List[CriticalPeak] = []
-    for r1, r2 in itertools.product(rules, repeat=2):
-        peaks.extend(_peaks_for_pair(r1, r2))
+    for i1, i2, overlap, k in found:
+        r1, r2 = rules[i1], rules[i2]
+        l1, l2 = r1.lhs, r2.lhs
+        if overlap:
+            peaks.append(
+                CriticalPeak("overlap", r1, r2, l2[k:], l1[: len(l1) - k], l1 + l2[k:])
+            )
+        else:
+            peaks.append(CriticalPeak("inclusion", r1, r2, l2[:k], l2[k + len(l1) :], l2))
     ordering = p.ordering
     if ordering is not None:
         peaks.sort(

@@ -1,7 +1,11 @@
-"""The former equivalence oracles of ``rwlab.completion``, kept as the reference.
+"""Former code of ``rwlab.completion``, kept as the reference.
+
+``_peaks_for_pair`` and ``critical_peaks`` are the former peak enumeration,
+unchanged: it calls ``_peaks_for_pair`` on every ordered pair of the rule
+universe and, with an ordering, sorts the peaks stably by source.
 
 ``_one_step_neighbors``, ``bfs_equivalence_oracle`` and ``equivalence_classes``
-are the former library functions, unchanged: the BFS scans every rule in both
+are the former equivalence oracles, unchanged: the BFS scans every rule in both
 directions at every position, and the classes match left-hand sides through
 a table keyed by their first letter.  The classes crash on a rule with an
 empty lhs (``lhs[0]``) and on a step that leaves the length-bounded universe;
@@ -14,9 +18,51 @@ import itertools
 from collections import deque
 from typing import Dict, List
 
-from rwlab.completion import _UnionFind
-from rwlab.core import Presentation, Rule, RwlabError, Word
+from rwlab.completion import CriticalPeak, _rule_universe, _UnionFind
+from rwlab.core import Presentation, Rule, RwlabError, Word, shortlex_key
 from rwlab.rewrite import check_enumeration_budget
+
+
+def _peaks_for_pair(r1: Rule, r2: Rule) -> List[CriticalPeak]:
+    peaks = []
+    l1, l2 = r1.lhs, r2.lhs
+    # inclusions of l1 inside l2 (for identical lhs, keep one orientation)
+    if len(l1) <= len(l2) and r1 is not r2 and not (l1 == l2 and r1.name > r2.name):
+        for s in range(len(l2) - len(l1) + 1):
+            if l2[s : s + len(l1)] == l1:
+                peaks.append(
+                    CriticalPeak("inclusion", r1, r2, l2[:s], l2[s + len(l1) :], l2)
+                )
+    # proper left-overlaps: a suffix of l1 is a prefix of l2
+    for ell in range(1, min(len(l1), len(l2))):
+        if l1[len(l1) - ell :] == l2[:ell]:
+            peaks.append(
+                CriticalPeak(
+                    "overlap", r1, r2, l2[ell:], l1[: len(l1) - ell], l1 + l2[ell:]
+                )
+            )
+    return peaks
+
+
+def critical_peaks(p: Presentation, schema_var_bound: int = 0) -> List[CriticalPeak]:
+    """All inclusion and overlap peaks among plain rules and bounded schema
+    instances, each geometric configuration once, sorted by source."""
+    rules = _rule_universe(p, schema_var_bound)
+    peaks: List[CriticalPeak] = []
+    for r1, r2 in itertools.product(rules, repeat=2):
+        peaks.extend(_peaks_for_pair(r1, r2))
+    ordering = p.ordering
+    if ordering is not None:
+        peaks.sort(
+            key=lambda k: (
+                shortlex_key(k.source, ordering),
+                k.kind,
+                k.rule1.name,
+                k.rule2.name,
+                len(k.gamma1),
+            )
+        )
+    return peaks
 
 
 def _one_step_neighbors(w: Word, rules: List[Rule], max_len: int) -> List[Word]:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import rwlab
-from rwlab import casestudy, obstruction, structure
+from rwlab import casestudy, completion, obstruction, structure
 from rwlab.cli import main
 from rwlab.core import EMPTY, pretty_print
 from rwlab.casestudy import preset
@@ -529,3 +530,36 @@ def test_verify_sweeps_check_their_budget_before_building_a_path(
     code, out, err = run_cli(capsys, "verify", suite, "--max-len", bound)
     assert (code, out) == (2, "")
     assert err == f"rwlab: {suite} sweep at bound {bound}: more than 1000000 instances\n"
+
+
+@pytest.mark.parametrize(
+    "argv, lines, sha256",
+    [
+        (
+            ("peaks", "--preset", "Qbar", "--schema-bound", "3"),
+            3138,
+            "fb4dfaee04905b85e41448ea91dbddba4eca5331942b1fa859841a851f584aa8",
+        ),
+        (
+            ("confluence", "--preset", "Qbar", "--schema-bound", "2"),
+            771,
+            "682726119a0404aa8a13e91c049d83590c9daddab76eb1c2a6b179e27fb082c2",
+        ),
+    ],
+)
+def test_peak_listings_are_pinned_byte_for_byte(argv, lines, sha256, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("verb", ["peaks", "confluence", "complete"])
+def test_peak_verbs_check_the_instance_budget_before_instantiating(verb, monkeypatch, capsys):
+    def instantiate(*args):
+        raise AssertionError("a schema was instantiated before the budget check")
+
+    monkeypatch.setattr(completion, "instantiate_schema", instantiate)
+    code, out, err = run_cli(capsys, verb, "--preset", "Qbar", "--schema-bound", "12")
+    assert (code, out) == (2, "")
+    assert err == "rwlab: more than 1000000 schema instances at bound 12\n"

