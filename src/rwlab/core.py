@@ -256,17 +256,25 @@ class Presentation:
     def __hash__(self):
         return self._hash
 
+    @cached_property
+    def _rules_by_name(self) -> dict:
+        return {r.name: r for r in reversed(self.rules)}  # the first declared wins
+
+    @cached_property
+    def _schemas_by_name(self) -> dict:
+        return {s.name: s for s in reversed(self.schemas)}
+
     def rule_named(self, name: str) -> Rule:
-        for r in self.rules:
-            if r.name == name:
-                return r
-        raise KeyError(name)
+        r = self._rules_by_name.get(name)
+        if r is None:
+            raise KeyError(name)
+        return r
 
     def schema_named(self, name: str) -> RuleSchema:
-        for s in self.schemas:
-            if s.name == name:
-                return s
-        raise KeyError(name)
+        s = self._schemas_by_name.get(name)
+        if s is None:
+            raise KeyError(name)
+        return s
 
 
 def words_over(letters: Iterable, max_len: int) -> Iterator[Word]:

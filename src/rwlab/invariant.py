@@ -18,7 +18,8 @@ from dataclasses import dataclass, fields
 from typing import Dict, Mapping, Optional, Tuple
 
 from .core import EMPTY, Presentation, RwlabError, Word, word_str
-from .ring import RingElement, from_word, right_mul, scale, sub, total, zero
+from .rewrite import check_orientation, normalize
+from .ring import AmbientMismatch, RingElement, from_word, right_mul, scale, sub, total, zero
 from .squier import Edge, Path
 
 A_LETTERS = ("a", "a'", "b", "b'")
@@ -75,7 +76,32 @@ def phi_edge(e: Edge, weights: WeightSpec, ambient: Presentation) -> RingElement
 
 
 def phi_path(p: Path, weights: WeightSpec, ambient: Presentation) -> RingElement:
-    return total((phi_edge(e, weights, ambient) for e in p.edges), ambient)
+    """The sum of ``phi_edge`` over the edges of ``p``, in one pass.
+
+    ``sign · weight`` is summed per raw right context first, and each
+    distinct context with a nonzero net coefficient is normalized once.
+    Every distinct weighted context, cancelled or not, is checked in order of
+    first appearance (its letters, then the ambient's orientation), so the
+    error raised is the one the first faulty weighted edge would raise.
+    """
+    net: Dict[Word, int] = {}
+    weight = weights.entries.get
+    for e in p.edges:
+        wt = weight(e.rule.name, 0)
+        if wt:
+            net[e.right] = net.get(e.right, 0) + e.sign * wt
+    letters = frozenset(ambient.alphabet.letters)
+    acc: Dict[Word, int] = {}
+    for k, (right, c) in enumerate(net.items()):
+        if not letters.issuperset(right):
+            letter = next(x for x in right if x not in letters)
+            raise AmbientMismatch(f"letter {letter} is not in the ambient alphabet")
+        if k == 0:
+            check_orientation(ambient)  # the same verdict for every context
+        if c:
+            nf = normalize(right, ambient)
+            acc[nf] = acc.get(nf, 0) + c
+    return RingElement({w: c for w, c in acc.items() if c}, ambient)
 
 
 # ---------------------------------------------------------------------------

@@ -23,16 +23,45 @@ class PathError(RwlabError):
     pass
 
 
-@dataclass(frozen=True)
 class Edge:
-    left: Word
-    rule: Rule
-    sign: int  # +1 or -1
-    right: Word
+    """An immutable edge ``(left, rule, sign, right)``, equal to another edge
+    with the same four fields and to nothing else."""
 
-    def __post_init__(self):
-        if self.sign not in (+1, -1):
-            raise PathError(f"edge sign must be +1 or -1, got {self.sign}")
+    __slots__ = ("left", "rule", "sign", "right")
+
+    def __init__(self, left: Word, rule: Rule, sign: int, right: Word):
+        if sign not in (+1, -1):
+            raise PathError(f"edge sign must be +1 or -1, got {sign}")
+        _set_left(self, left)
+        _set_rule(self, rule)
+        _set_sign(self, sign)  # +1 or -1
+        _set_right(self, right)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _fields(self) -> tuple:
+        return (self.left, self.rule, self.sign, self.right)
+
+    def __eq__(self, other):
+        if other.__class__ is not Edge:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return Edge, self._fields()
+
+    def __repr__(self):
+        return (
+            f"Edge(left={self.left!r}, rule={self.rule!r}, "
+            f"sign={self.sign!r}, right={self.right!r})"
+        )
 
     @property
     def source(self) -> Word:
@@ -51,6 +80,10 @@ class Edge:
         return f"({word_str(self.left)}, {self.rule.name}, {self.sign:+d}, {word_str(self.right)})"
 
 
+# The slot setters bypass ``Edge.__setattr__``; only ``__init__`` uses them.
+_set_left, _set_rule, _set_sign, _set_right = (Edge.__dict__[f].__set__ for f in Edge.__slots__)
+
+
 @dataclass(frozen=True)
 class Path:
     """A composable sequence of edges starting at ``start``."""
@@ -66,6 +99,14 @@ class Path:
                     f"edge {i} starts at {word_str(e.source)}, expected {word_str(at)}"
                 )
             at = e.target
+
+    @classmethod
+    def _trusted(cls, start: Word, edges: tuple) -> "Path":
+        """A path whose edges are known to compose from ``start``: the
+        constructor without the walk of ``__post_init__``."""
+        p = object.__new__(cls)
+        p.__dict__.update(start=start, edges=edges)
+        return p
 
     @property
     def iota(self) -> Word:
@@ -94,20 +135,21 @@ class Path:
 
 
 def compose(p: Path, q: Path) -> Path:
+    """``p`` then ``q``; both are valid paths, so only the junction is checked."""
     if p.tau != q.iota:
         raise PathError(
             f"cannot compose: {word_str(p.tau)} != {word_str(q.iota)}"
         )
-    return Path(p.start, p.edges + q.edges)
+    return Path._trusted(p.start, p.edges + q.edges)
 
 
 def invert(p: Path) -> Path:
-    return Path(p.tau, tuple(e.inverse() for e in reversed(p.edges)))
+    return Path._trusted(p.tau, tuple(e.inverse() for e in reversed(p.edges)))
 
 
 def act(x: Word, p: Path, y: Word) -> Path:
     """Two-sided action: extend every edge's contexts by x on the left, y on the right."""
-    return Path(
+    return Path._trusted(
         x + p.start + y,
         tuple(Edge(x + e.left, e.rule, e.sign, e.right + y) for e in p.edges),
     )
@@ -152,7 +194,9 @@ def lift_path(p: Path, realize: Realization) -> Path:
     ``realize(rule)`` returns a path from ``rule.lhs`` to ``rule.rhs`` (or
     None to keep the edge as is).  Contexts and signs are transported, so
     endpoints are preserved and lifting commutes with composition and
-    inversion.
+    inversion.  A realization with the rule's endpoints, transported, runs
+    from the edge's source to its target, so the result is built without a
+    second walk.
     """
     edges = []
     for e in p.edges:
@@ -167,4 +211,4 @@ def lift_path(p: Path, realize: Realization) -> Path:
             )
         steps = base.edges if e.sign == 1 else reversed(base.edges)
         edges.extend(Edge(e.left + b.left, b.rule, b.sign * e.sign, b.right + e.right) for b in steps)
-    return Path(p.start, tuple(edges))
+    return Path._trusted(p.start, tuple(edges))

@@ -1,0 +1,136 @@
+"""Paths and edges against the former ``squier`` code, kept in
+``reference_squier``: the outputs of ``compose``, ``invert``, ``act`` and
+``lift_path``, which are built without the validating walk, pass that walk;
+the slotted ``Edge`` behaves as the former frozen dataclass."""
+
+import copy
+import pickle
+import random
+
+import pytest
+
+import reference_squier as ref
+from rwlab.casestudy import build_ct_circuit, ct_parameter_sweep
+from rwlab.core import EMPTY, word
+from rwlab.squier import Edge, Path, PathError, act, compose, invert, lift_path
+from tests_helpers_paths import random_mixed_path
+
+
+def assert_valid(p: Path) -> None:
+    ref.check_path(p)
+    assert Path(p.start, p.edges) == p
+
+
+def looping_realization(p, rules):
+    """Each rule of ``rules`` realized by its edge, then a detour that
+    inserts a a' in front of its rhs and takes it out again: a three-edge
+    path from its lhs to its rhs that is not its own reversed inverse."""
+    insert = p.rule_named("I_a")
+
+    def realize(rule):
+        if rule not in rules:
+            return None
+        e = Edge(EMPTY, rule, 1, EMPTY)
+        f = Edge(EMPTY, insert, -1, rule.rhs)
+        return Path(rule.lhs, (e, f, f.inverse()))
+
+    return realize
+
+
+@pytest.mark.parametrize("name", ("Q", "M4"))
+def test_operations_on_random_mixed_paths_stay_valid(request, name):
+    p_ = request.getfixturevalue(name)
+    letters = p_.alphabet.letters
+    rng = random.Random(23)
+    for _ in range(200):
+        p = random_mixed_path(p_, rng, max_edges=6)
+        cut = rng.randint(0, len(p.edges))
+        p1 = Path(p.iota, p.edges[:cut])
+        p2 = Path(p1.tau, p.edges[cut:])
+        x, y = (tuple(rng.choice(letters) for _ in range(rng.randint(0, 3))) for _ in range(2))
+        rules = {r for r in p_.rules if rng.random() < 0.5}
+        outputs = (
+            compose(p1, p2),
+            compose(p, invert(p)),
+            invert(p),
+            act(x, p, y),
+            act(x, invert(p), y),
+            lift_path(p, looping_realization(p_, rules)),
+            lift_path(invert(act(x, p, y)), looping_realization(p_, rules)),
+        )
+        for out in outputs:
+            assert_valid(out)
+        assert compose(p1, p2) == p
+
+
+def test_every_figure2_family_stays_valid():
+    rng = random.Random(29)
+    pads = (EMPTY, word("a"), word("b' h"))
+    for params in ct_parameter_sweep(2, 2):
+        circuit = build_ct_circuit(params)  # the output of lift_path
+        back = invert(circuit)
+        x, y = rng.choice(pads), rng.choice(pads)
+        for out in (circuit, back, act(x, circuit, y), compose(circuit, back)):
+            assert_valid(out)
+
+
+def test_public_constructor_still_walks_every_edge(Q):
+    e = Edge(EMPTY, Q.rule_named("K_a"), 1, word("b"))
+    with pytest.raises(PathError, match="edge 1 starts at"):
+        Path(e.source, (e, e))
+    with pytest.raises(PathError, match="cannot compose"):
+        compose(Path(e.source, (e,)), Path(e.source, (e,)))
+
+
+# ---------------------------------------------------------------------------
+# The slotted Edge against the former frozen dataclass
+# ---------------------------------------------------------------------------
+
+
+def test_edge_is_immutable(Q):
+    e = Edge(word("b"), Q.rule_named("K_a"), 1, EMPTY)
+    # the former dataclass raised FrozenInstanceError, a subclass
+    for target in (e, ref.Edge(e.left, e.rule, e.sign, e.right)):
+        with pytest.raises(AttributeError):
+            target.sign = -1
+        with pytest.raises(AttributeError):
+            target.extra = 0
+        with pytest.raises(AttributeError):
+            del target.left
+    assert e.sign == 1
+
+
+def test_edge_equality_and_hash_follow_the_four_fields(Q):
+    k_a, k_b = Q.rule_named("K_a"), Q.rule_named("K_b")
+    fields = (word("b"), k_a, 1, word("a"))
+    e = Edge(*fields)
+    assert e == Edge(*fields) and hash(e) == hash(Edge(*fields))
+    assert hash(e) == hash(ref.Edge(*fields))
+    for other in (
+        (EMPTY, k_a, 1, word("a")),
+        (word("b"), k_b, 1, word("a")),
+        (word("b"), k_a, -1, word("a")),
+        (word("b"), k_a, 1, EMPTY),
+    ):
+        assert e != Edge(*other)
+    assert len({e, Edge(*fields), e.inverse().inverse()}) == 1
+    # an edge is not its field tuple, in either order, and not the former class
+    assert e != fields and fields != e
+    assert e != ref.Edge(*fields)
+
+
+def test_edge_repr_and_sign_error_are_unchanged(Q):
+    fields = (word("b"), Q.rule_named("C_pm"), -1, word("a h"))
+    assert repr(Edge(*fields)) == repr(ref.Edge(*fields))
+    for sign in (0, 2, -2):
+        with pytest.raises(PathError) as got:
+            Edge(EMPTY, Q.rule_named("K_a"), sign, EMPTY)
+        with pytest.raises(PathError) as want:
+            ref.Edge(EMPTY, Q.rule_named("K_a"), sign, EMPTY)
+        assert str(got.value) == str(want.value) == f"edge sign must be +1 or -1, got {sign}"
+
+
+def test_edge_copies_and_pickles(Q):
+    e = Edge(word("b"), Q.rule_named("K_a"), -1, word("a"))
+    for twin in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+        assert twin == e and twin.source == e.source
