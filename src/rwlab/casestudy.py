@@ -73,7 +73,7 @@ from .obstruction import (
     phi_to_x_witness,
     source_value,
 )
-from .rewrite import ENUMERATION_CAP, enumerate_normal_forms, normalize
+from .rewrite import check_budget, enumerate_normal_forms, normalize
 from .ring import RingElement, from_word, negate, scale, sub
 from .squier import Edge, Path, lift_path
 from .structure import isometry_check
@@ -436,12 +436,6 @@ def ct_parameter_sweep(
             )
 
 
-def _check_sweep_budget(suite: str, bound: int, *parts: Iterable[int]) -> None:
-    """``RwlabError`` once a sweep's part sizes, summed lazily, pass ``ENUMERATION_CAP``."""
-    if any(total > ENUMERATION_CAP for total in itertools.accumulate(itertools.chain(*parts))):
-        raise RwlabError(f"{suite} sweep at bound {bound}: more than {ENUMERATION_CAP} instances")
-
-
 def _random_word(rng: random.Random, letters, bound: int) -> Word:
     return tuple(rng.choice(letters) for _ in range(rng.randint(0, bound)))
 
@@ -474,11 +468,13 @@ def verify_figure2(
     if ct7_word_len is None:
         ct7_word_len = min(max_word_len, 3)
     k = len(A_LETTERS)
-    _check_sweep_budget(  # the parts of ct_parameter_sweep, by word length
-        "figure2", max_word_len,
-        [2 * k],  # CT2, CT6
-        (4 * (2 + k + k * (n + 1)) * k**n for n in range(max_word_len + 1)),  # CT3-5, CT1
-        (16 * (n + 1) * k**n for n in range(ct7_word_len + 1)),  # CT7
+    check_budget(  # the parts of ct_parameter_sweep, by word length
+        itertools.chain(
+            [2 * k],  # CT2, CT6
+            (4 * (2 + k + k * (n + 1)) * k**n for n in range(max_word_len + 1)),  # CT3-5, CT1
+            (16 * (n + 1) * k**n for n in range(ct7_word_len + 1)),  # CT7
+        ),
+        lambda cap: f"figure2 sweep at bound {max_word_len}: more than {cap} instances",
     )
     ambient = preset("P")
     rng = random.Random(seed)
@@ -566,11 +562,13 @@ def verify_identities(exhaust_len: int = 5, samples: int = 1000, seed: int = 7) 
     """The four derivation identities for the swap paths, exhaustively at the
     bound plus randomized tuples."""
     k = len(A_LETTERS)
-    _check_sweep_budget(  # the exhaustive parts of checks (i) to (iv), by word length
-        "identities", exhaust_len,
-        [k],
-        (4 * (n + 2) * k**n for n in range(exhaust_len + 1)),  # (ii), (iv)
-        (4 * k * k**n for n in range(exhaust_len)),  # (iii)
+    check_budget(  # the exhaustive parts of checks (i) to (iv), by word length
+        itertools.chain(
+            [k],
+            (4 * (n + 2) * k**n for n in range(exhaust_len + 1)),  # (ii), (iv)
+            (4 * k * k**n for n in range(exhaust_len)),  # (iii)
+        ),
+        lambda cap: f"identities sweep at bound {exhaust_len}: more than {cap} instances",
     )
     ambient = preset("P")
     one = from_word(EMPTY, ambient)

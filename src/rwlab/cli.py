@@ -197,6 +197,8 @@ def run(argv) -> int:
     args = parser.parse_args(argv)
 
     if args.verb == "reduce":
+        if args.trace and args.machine:
+            parser.error("reduce --trace takes no --machine")
         p = _load_presentation(args)
         w = _word_over(args.word, p)
         if args.trace:

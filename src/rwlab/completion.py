@@ -18,6 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from . import rewrite
 from .core import (
     EMPTY,
     Presentation,
@@ -30,7 +31,7 @@ from .core import (
     words_over,
 )
 from .rewrite import (
-    ENUMERATION_CAP,
+    check_budget,
     check_enumeration_budget,
     check_orientation,
     compare_shortlex,
@@ -144,23 +145,10 @@ def _rule_universe(p: Presentation, schema_var_bound: int) -> List[Rule]:
     return rules
 
 
-def _check_instance_budget(p: Presentation, schema_var_bound: int) -> None:
-    """``RwlabError`` when the schemas have more than ``ENUMERATION_CAP``
-    instances with |variable| <= bound, counted without generating them."""
-    sizes = (
-        len(s.variable_range) ** n
-        for s in p.schemas
-        for n in range(min(schema_var_bound, ENUMERATION_CAP) + 1)
-    )
-    if any(total > ENUMERATION_CAP for total in itertools.accumulate(sizes)):
-        raise RwlabError(
-            f"more than {ENUMERATION_CAP} schema instances at bound {schema_var_bound}"
-        )
-
-
 def _check_peak_budget(found: list, schema_var_bound: int) -> None:
-    if len(found) > ENUMERATION_CAP:
-        raise RwlabError(f"more than {ENUMERATION_CAP} critical peaks at bound {schema_var_bound}")
+    cap = rewrite.ENUMERATION_CAP
+    if len(found) > cap:
+        raise RwlabError(f"more than {cap} critical peaks at bound {schema_var_bound}")
 
 
 def critical_peaks(p: Presentation, schema_var_bound: int = 0) -> List[CriticalPeak]:
@@ -175,10 +163,17 @@ def critical_peaks(p: Presentation, schema_var_bound: int = 0) -> List[CriticalP
     ``lhs1`` (the empty factor once per position), an overlap a proper
     suffix of ``lhs1`` that is a proper prefix of some ``lhs2``.
     ``RwlabError`` before any schema is instantiated when the schemas have
-    more than ``ENUMERATION_CAP`` instances at the bound, and once more than
-    ``ENUMERATION_CAP`` peaks are found.
+    more than ``rewrite.ENUMERATION_CAP`` instances at the bound, and once
+    more than ``rewrite.ENUMERATION_CAP`` peaks are found.
     """
-    _check_instance_budget(p, schema_var_bound)
+    check_budget(  # the instances of each schema, by |variable|, none generated
+        (
+            len(s.variable_range) ** n
+            for s in p.schemas
+            for n in range(schema_var_bound + 1 if s.variable_range else 1)
+        ),
+        lambda cap: f"more than {cap} schema instances at bound {schema_var_bound}",
+    )
     rules = _rule_universe(p, schema_var_bound)
     by_lhs: Dict[Word, List[int]] = {}
     by_prefix: Dict[Word, List[int]] = {}  # proper prefixes only
@@ -469,7 +464,7 @@ def equivalence_classes(p: Presentation, max_len: int):
     check_enumeration_budget(k, max_len)
     idx = {letter: i for i, letter in enumerate(letters)}
     offsets = [0]
-    for n in range(max_len + 1):
+    for n in range(max_len + 1 if k else 1):  # no letters: the empty word alone
         offsets.append(offsets[-1] + k**n)
     uf = _UnionFind(offsets[-1])
 

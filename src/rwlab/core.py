@@ -265,22 +265,16 @@ class Presentation:
         return {s.name: s for s in reversed(self.schemas)}
 
     def rule_named(self, name: str) -> Rule:
-        r = self._rules_by_name.get(name)
-        if r is None:
-            raise KeyError(name)
-        return r
+        return self._rules_by_name[name]
 
     def schema_named(self, name: str) -> RuleSchema:
-        s = self._schemas_by_name.get(name)
-        if s is None:
-            raise KeyError(name)
-        return s
+        return self._schemas_by_name[name]
 
 
 def words_over(letters: Iterable, max_len: int) -> Iterator[Word]:
     """All words over ``letters`` of length 0..max_len, shortest first."""
     letters = tuple(letters)
-    for n in range(max_len + 1):
+    for n in range(max_len + 1 if letters else 1):  # no letters: the empty word alone
         for combo in itertools.product(letters, repeat=n):
             yield combo
 

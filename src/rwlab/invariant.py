@@ -19,7 +19,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from .core import EMPTY, Presentation, RwlabError, Word, word_str
 from .rewrite import check_orientation, normalize
-from .ring import AmbientMismatch, RingElement, from_word, right_mul, scale, sub, total, zero
+from .ring import RingElement, check_letters, from_word, right_mul, scale, sub, total, zero
 from .squier import Edge, Path
 
 A_LETTERS = ("a", "a'", "b", "b'")
@@ -90,12 +90,9 @@ def phi_path(p: Path, weights: WeightSpec, ambient: Presentation) -> RingElement
         wt = weight(e.rule.name, 0)
         if wt:
             net[e.right] = net.get(e.right, 0) + e.sign * wt
-    letters = frozenset(ambient.alphabet.letters)
     acc: Dict[Word, int] = {}
     for k, (right, c) in enumerate(net.items()):
-        if not letters.issuperset(right):
-            letter = next(x for x in right if x not in letters)
-            raise AmbientMismatch(f"letter {letter} is not in the ambient alphabet")
+        check_letters(right, ambient)
         if k == 0:
             check_orientation(ambient)  # the same verdict for every context
         if c:

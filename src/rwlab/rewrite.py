@@ -11,10 +11,11 @@ step cap is a backstop.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import re
 import weakref
-from typing import Iterator, List, Optional
+from typing import Callable, Iterable, Iterator, List, Optional
 
 from .core import (
     EMPTY,
@@ -33,7 +34,7 @@ from .squier import Edge, Path
 
 STEP_CAP = 10**6
 NF_CACHE_CAP = 2**17  # normal-form cache entries per presentation
-ENUMERATION_CAP = 10**6  # words that enumerate_normal_forms may test
+ENUMERATION_CAP = 10**6  # words, schema instances, peaks, sweep instances or pairs a call may take
 
 
 class RewriteError(RwlabError):
@@ -343,16 +344,20 @@ def is_irreducible(w: Word, p: Presentation) -> bool:
     return m.leftmost(m.mirror(w)) is None
 
 
+def check_budget(sizes: Iterable[int], message: Callable[[int], str]) -> None:
+    """``RwlabError(message(cap))`` once the running total of ``sizes``, summed
+    lazily, passes ``ENUMERATION_CAP``; the message is formatted only then."""
+    if any(total > ENUMERATION_CAP for total in itertools.accumulate(sizes)):
+        raise RwlabError(message(ENUMERATION_CAP))
+
+
 def check_enumeration_budget(k: int, max_len: int) -> None:
     """``RwlabError`` when ``k`` letters give more than ``ENUMERATION_CAP``
     words of length <= max_len."""
-    count = 0
-    for n in range(min(max_len, ENUMERATION_CAP) + 1):
-        count += k**n
-        if count > ENUMERATION_CAP:
-            raise RwlabError(
-                f"{k} letters give more than {ENUMERATION_CAP} words of length <= {max_len}"
-            )
+    check_budget(
+        (k**n for n in range(max_len + 1 if k else 1)),  # no letters: the empty word alone
+        lambda cap: f"{k} letters give more than {cap} words of length <= {max_len}",
+    )
 
 
 def enumerate_normal_forms(p: Presentation, max_len: int) -> List[Word]:

@@ -21,10 +21,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from .core import EMPTY, Presentation, RwlabError, Word, shortlex_key, word_str
-from .rewrite import normalize
+from .rewrite import check_budget, normalize
 
 BALL_VERTEX_CAP = 10**5
-PAIR_CAP = 10**6  # ordered vertex pairs that isometry_check may compare
 
 
 class HClass:
@@ -134,19 +133,21 @@ def isometry_check(
     The vertex sets (normal forms in the radius ball around ``center``) must
     coincide; then every ordered pair's bounded distance must agree, with
     "unreachable within radius" treated as a value.  ``RwlabError``, before
-    any per-vertex ball is built, when there are more than ``PAIR_CAP``
-    ordered pairs.
+    any per-vertex ball is built, when there are more than
+    ``rewrite.ENUMERATION_CAP`` ordered pairs.
     """
     ball1, ball2 = cayley_ball(p1, center, radius), cayley_ball(p2, center, radius)
     report = IsometryReport(radius, center, vertex_sets_match=set(ball1.distances) == set(ball2.distances))
     if not report.vertex_sets_match:
         return report
     pairs = len(ball1.distances) ** 2
-    if pairs > PAIR_CAP:
-        raise RwlabError(
+    check_budget(
+        [pairs],
+        lambda cap: (
             f"radius {radius} around {word_str(center)} gives {pairs} ordered pairs, "
-            f"more than {PAIR_CAP}"
-        )
+            f"more than {cap}"
+        ),
+    )
     vertices = sorted(ball1.distances, key=lambda w: shortlex_key(w, p1.ordering))
     for u in vertices:
         du1, du2 = cayley_ball(p1, u, radius).distances, cayley_ball(p2, u, radius).distances

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from rwlab import casestudy
+from rwlab import casestudy, rewrite
 from rwlab.casestudy import (
     build_C_path,
     build_ct_circuit,
@@ -208,9 +208,9 @@ def test_sweep_budget_counts_exactly_the_deterministic_instances(driver, bound, 
 
     monkeypatch.setattr(casestudy, "build_ct_circuit", build)
     monkeypatch.setattr(casestudy, "build_C_path", build)
-    monkeypatch.setattr(casestudy, "ENUMERATION_CAP", instances - 1)
+    monkeypatch.setattr(rewrite, "ENUMERATION_CAP", instances - 1)
     with pytest.raises(RwlabError, match=f"more than {instances - 1} instances"):
         driver(bound, samples=0)
-    monkeypatch.setattr(casestudy, "ENUMERATION_CAP", instances)
+    monkeypatch.setattr(rewrite, "ENUMERATION_CAP", instances)
     with pytest.raises(_Built):  # the budget passed
         driver(bound, samples=0)

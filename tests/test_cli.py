@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import rwlab
-from rwlab import casestudy, completion, obstruction, structure
+from rwlab import casestudy, completion, obstruction, rewrite, structure
 from rwlab.cli import main
 from rwlab.core import EMPTY, pretty_print
 from rwlab.casestudy import preset
@@ -424,8 +424,17 @@ def test_commutator_witness_rejects_the_other_slot_flags(flag, value, capsys):
     assert run_cli(capsys, *argv)[0] == 0
 
 
+def test_reduce_rejects_trace_with_machine(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "-w", "b a h", "--trace", "--machine"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "reduce --trace takes no --machine" in captured.err
+    assert captured.out == ""
+
+
 def test_isometry_stops_past_the_pair_cap(monkeypatch, capsys):
-    monkeypatch.setattr(structure, "PAIR_CAP", 100)
+    monkeypatch.setattr(rewrite, "ENUMERATION_CAP", 100)
     code, out, err = run_cli(capsys, "isometry", "--radius", "2")
     assert code == 2
     assert "more than 100" in err
@@ -526,7 +535,7 @@ def test_verify_sweeps_check_their_budget_before_building_a_path(
 
     monkeypatch.setattr(casestudy, "build_ct_circuit", build)
     monkeypatch.setattr(casestudy, "build_C_path", build)
-    assert instances > casestudy.ENUMERATION_CAP  # counted with the sweeps themselves
+    assert instances > rewrite.ENUMERATION_CAP  # counted with the sweeps themselves
     code, out, err = run_cli(capsys, "verify", suite, "--max-len", bound)
     assert (code, out) == (2, "")
     assert err == f"rwlab: {suite} sweep at bound {bound}: more than 1000000 instances\n"

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_completion as ref
-from rwlab import completion
+from rwlab import completion, rewrite
 from rwlab.casestudy import PRESETS, m4_uncompleted, preset
 from rwlab.completion import critical_peaks
 from rwlab.core import Alphabet, OrderingSpec, Presentation, Rule, RwlabError
@@ -80,10 +80,10 @@ def test_instance_budget_counts_exactly_the_bounded_instances(monkeypatch):
         raise _Instantiated
 
     monkeypatch.setattr(completion, "instantiate_schema", instantiate)
-    monkeypatch.setattr(completion, "ENUMERATION_CAP", instances - 1)
+    monkeypatch.setattr(rewrite, "ENUMERATION_CAP", instances - 1)
     with pytest.raises(RwlabError, match=f"more than {instances - 1} schema instances at bound 2"):
         critical_peaks(p, bound)
-    monkeypatch.setattr(completion, "ENUMERATION_CAP", instances)
+    monkeypatch.setattr(rewrite, "ENUMERATION_CAP", instances)
     with pytest.raises(_Instantiated):  # the budget passed
         critical_peaks(p, bound)
 
@@ -91,8 +91,8 @@ def test_instance_budget_counts_exactly_the_bounded_instances(monkeypatch):
 def test_peak_budget_counts_exactly_the_peaks(monkeypatch):
     p, bound = preset("Qbar"), 2
     peaks = len(critical_peaks(p, bound))
-    monkeypatch.setattr(completion, "ENUMERATION_CAP", peaks - 1)
+    monkeypatch.setattr(rewrite, "ENUMERATION_CAP", peaks - 1)
     with pytest.raises(RwlabError, match=f"more than {peaks - 1} critical peaks at bound 2"):
         critical_peaks(p, bound)
-    monkeypatch.setattr(completion, "ENUMERATION_CAP", peaks)
+    monkeypatch.setattr(rewrite, "ENUMERATION_CAP", peaks)
     assert len(critical_peaks(p, bound)) == peaks

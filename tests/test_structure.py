@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from rwlab import structure
+from rwlab import rewrite, structure
 from rwlab.casestudy import verify_isometry
 from rwlab.core import EMPTY, Alphabet, OrderingSpec, Presentation, Rule, RwlabError, word
 from rwlab.rewrite import enumerate_normal_forms, normalize
@@ -195,9 +195,9 @@ def test_isometry_check_stops_past_the_pair_cap(M4, N4, monkeypatch):
     monkeypatch.setattr(structure, "cayley_ball", counted_ball)
     vertices = len(cayley_ball(M4, EMPTY, 2).distances)
     balls.clear()
-    monkeypatch.setattr(structure, "PAIR_CAP", vertices**2 - 1)
+    monkeypatch.setattr(rewrite, "ENUMERATION_CAP", vertices**2 - 1)
     with pytest.raises(RwlabError, match=f"gives {vertices**2} ordered pairs, more than"):
         isometry_check(M4, N4, 2)
     assert len(balls) == 2  # the two balls around the center, none per vertex
-    monkeypatch.setattr(structure, "PAIR_CAP", vertices**2)
+    monkeypatch.setattr(rewrite, "ENUMERATION_CAP", vertices**2)
     assert isometry_check(M4, N4, 2).pair_count == vertices**2
