@@ -28,7 +28,7 @@ from .invariant import CtParams, CASE_STUDY_WEIGHTS
 
 
 def _load_presentation(args) -> Presentation:
-    if getattr(args, "pres_file", None):
+    if args.pres_file:
         try:
             return parse_presentation(FsPath(args.pres_file).read_text())
         except OSError as exc:
@@ -196,10 +196,12 @@ def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.verb == "reduce":
-        if args.trace and args.machine:
-            parser.error("reduce --trace takes no --machine")
+    if args.verb == "reduce" and args.trace and args.machine:
+        parser.error("reduce --trace takes no --machine")
+    if hasattr(args, "preset"):  # every verb that takes --preset or -p
         p = _load_presentation(args)
+
+    if args.verb == "reduce":
         w = _word_over(args.word, p)
         if args.trace:
             path = rewrite.reduction_path(w, p)
@@ -211,19 +213,16 @@ def run(argv) -> int:
         return _emit_scalar(args, "nf", word_str(rewrite.normalize(w, p)))
 
     if args.verb == "nf":
-        p = _load_presentation(args)
         for w in rewrite.enumerate_normal_forms(p, args.max_len):
             print(word_str(w))
         return 0
 
     if args.verb == "peaks":
-        p = _load_presentation(args)
         for peak in completion.critical_peaks(p, args.schema_bound):
             print(peak.describe())
         return 0
 
     if args.verb == "confluence":
-        p = _load_presentation(args)
         report = completion.is_confluent_bounded(p, args.schema_bound)
         for line in report.lines():
             print(line)
@@ -231,7 +230,6 @@ def run(argv) -> int:
         return 0 if report.confluent else 1
 
     if args.verb == "complete":
-        p = _load_presentation(args)
         completed, report = completion.knuth_bendix(
             p, args.max_rules, args.max_lhs_len, args.schema_bound
         )
@@ -242,7 +240,6 @@ def run(argv) -> int:
         return 0
 
     if args.verb == "equal":
-        p = _load_presentation(args)
         same = completion.word_problem_equal(_word_over(args.u, p), _word_over(args.v, p), p)
         return _emit_scalar(args, "equal", "true" if same else "false")
 
@@ -261,23 +258,19 @@ def run(argv) -> int:
         return 0
 
     if args.verb == "classify":
-        p = _load_presentation(args)
         return _emit_scalar(args, "hclass", structure.classify(_word_over(args.word, p), p))
 
     if args.verb == "sigma":
-        p = _load_presentation(args)
         same = structure.sigma_equal(_word_over(args.w1, p), _word_over(args.w2, p), p)
         return _emit_scalar(args, "sigma", "true" if same else "false")
 
     if args.verb == "ball":
-        p = _load_presentation(args)
         ball = structure.cayley_ball(p, _word_over(args.word, p), args.radius)
         for line in ball.dump_lines(p.ordering):
             print(line)
         return 0
 
     if args.verb == "dist":
-        p = _load_presentation(args)
         d = structure.d_A(p, _word_over(args.x, p), _word_over(args.y, p), args.radius)
         if args.machine:
             return _emit_scalar(args, "dist", d if d is not None else "unreachable")
@@ -285,9 +278,8 @@ def run(argv) -> int:
         return 0
 
     if args.verb == "isometry":
-        p1 = _load_presentation(args)
         p2 = casestudy.preset(args.preset2)
-        result = structure.isometry_check(p1, p2, args.radius, _word_over(args.word, p1, p2))
+        result = structure.isometry_check(p, p2, args.radius, _word_over(args.word, p, p2))
         for line in result.lines():
             print(line)
         return 0 if result.passed else 1

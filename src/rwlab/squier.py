@@ -23,18 +23,23 @@ class PathError(RwlabError):
     pass
 
 
+@dataclass(init=False, unsafe_hash=True)
 class Edge:
     """An immutable edge ``(left, rule, sign, right)``, equal to another edge
     with the same four fields and to nothing else."""
 
     __slots__ = ("left", "rule", "sign", "right")
+    left: Word
+    rule: Rule
+    sign: int  # +1 or -1
+    right: Word
 
     def __init__(self, left: Word, rule: Rule, sign: int, right: Word):
         if sign not in (+1, -1):
             raise PathError(f"edge sign must be +1 or -1, got {sign}")
         _set_left(self, left)
         _set_rule(self, rule)
-        _set_sign(self, sign)  # +1 or -1
+        _set_sign(self, sign)
         _set_right(self, right)
 
     def __setattr__(self, name, value):
@@ -43,25 +48,8 @@ class Edge:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def _fields(self) -> tuple:
-        return (self.left, self.rule, self.sign, self.right)
-
-    def __eq__(self, other):
-        if other.__class__ is not Edge:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
     def __reduce__(self):
-        return Edge, self._fields()
-
-    def __repr__(self):
-        return (
-            f"Edge(left={self.left!r}, rule={self.rule!r}, "
-            f"sign={self.sign!r}, right={self.right!r})"
-        )
+        return Edge, (self.left, self.rule, self.sign, self.right)
 
     @property
     def source(self) -> Word:

@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from .core import EMPTY, Presentation, RwlabError, Word, shortlex_key, word_str
+from .core import EMPTY, Presentation, RwlabError, ValidationError, Word, shortlex_key, word_str
 from .rewrite import check_budget, normalize
 
 BALL_VERTEX_CAP = 10**5
@@ -44,7 +44,9 @@ def classify(w: Word, p: Presentation) -> str:
 
 def sigma_equal(w1: Word, w2: Word, p: Presentation) -> bool:
     """The stabilizer congruence on free-group words: h·w1 and h·w2 share a
-    normal form."""
+    normal form.  ``ValidationError`` when ``p`` has no letter h."""
+    if "h" not in p.alphabet:
+        raise ValidationError("undeclared letter h")
     return normalize(("h",) + w1, p) == normalize(("h",) + w2, p)
 
 

@@ -1,0 +1,101 @@
+"""A kill matrix: named faults, each paired with the cheapest check that must
+catch it.
+
+Each fault is injected by monkeypatch into every ``rwlab`` module that binds
+the patched name, since several modules import their helpers by name.  The
+paired check runs at a small bound, first on the intact code, where it must
+pass, then with the fault in place, where it must fail.  A fault that
+survives its check fails the suite.
+"""
+
+import sys
+
+import pytest
+
+import rwlab
+from rwlab import casestudy, invariant, squier
+from rwlab.casestudy import verify_figure2, verify_identities
+from rwlab.ring import from_word, scale, sub, total
+from rwlab.squier import Edge, Path
+
+
+def _patch_everywhere(monkeypatch, module, name, fault):
+    """Replace ``module.name`` by ``fault`` in every rwlab module bound to it."""
+    original = getattr(module, name)
+    modules = [m for key, m in sys.modules.items() if key == "rwlab" or key.startswith("rwlab.")]
+    for m in modules:
+        if getattr(m, name, None) is original:
+            monkeypatch.setattr(m, name, fault)
+
+
+def phi_drops_the_last_edge(monkeypatch):
+    phi_path = invariant.phi_path
+
+    def fault(p, weights, ambient):
+        return phi_path(Path._trusted(p.start, p.edges[:-1]), weights, ambient)
+
+    _patch_everywhere(monkeypatch, invariant, "phi_path", fault)
+
+
+def commutator_on_the_wrong_side(monkeypatch):
+    def left_mul(x, w):  # w · x where the right action x · w belongs
+        return total((scale(c, from_word(w + u, x.ambient)) for u, c in x.terms.items()), x.ambient)
+
+    def fault(x, w, eps, delta):
+        ab, ba = invariant.swap_pair(eps, delta)
+        return sub(left_mul(x, w + ba), left_mul(x, w + ab))
+
+    _patch_everywhere(monkeypatch, invariant, "commutator", fault)
+
+
+def c_bar_rule_flips_delta(monkeypatch):
+    c_bar_rule = casestudy.c_bar_rule
+    _patch_everywhere(
+        monkeypatch, casestudy, "c_bar_rule", lambda w, eps, delta: c_bar_rule(w, eps, -delta)
+    )
+
+
+def lift_path_drops_the_sign_product(monkeypatch):
+    def fault(p, realize):
+        edges = []
+        for e in p.edges:
+            base = realize(e.rule)
+            if base is None:
+                edges.append(e)
+                continue
+            steps = base.edges if e.sign == 1 else reversed(base.edges)
+            edges.extend(Edge(e.left + b.left, b.rule, b.sign, b.right + e.right) for b in steps)
+        return Path._trusted(p.start, tuple(edges))
+
+    _patch_everywhere(monkeypatch, squier, "lift_path", fault)
+
+
+def figure2(bound):
+    return lambda: verify_figure2(bound, bound, samples=0).passed
+
+
+def identities(bound):
+    return lambda: verify_identities(bound, samples=0).passed
+
+
+# the smallest bound of the cheaper check that catches each fault
+KILL_MATRIX = {
+    "phi drops the last edge": (phi_drops_the_last_edge, identities(1)),
+    "commutator multiplies on the wrong side": (commutator_on_the_wrong_side, figure2(0)),
+    "c_bar_rule flips delta": (c_bar_rule_flips_delta, figure2(0)),
+    "lift_path drops the sign product": (lift_path_drops_the_sign_product, figure2(0)),
+}
+
+
+@pytest.mark.parametrize("fault", KILL_MATRIX)
+def test_the_paired_check_catches_the_fault(fault, monkeypatch):
+    inject, check = KILL_MATRIX[fault]
+    assert check(), "the check must pass on the intact code"
+    inject(monkeypatch)
+    assert not check(), f"fault survived: {fault}"
+
+
+def test_patch_everywhere_reaches_the_by_name_imports(monkeypatch):
+    fault = object()
+    _patch_everywhere(monkeypatch, invariant, "phi_path", fault)
+    assert invariant.phi_path is fault and casestudy.phi_path is fault and rwlab.phi_path is fault
