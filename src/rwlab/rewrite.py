@@ -14,11 +14,11 @@ import functools
 import itertools
 import operator
 import re
+import sys
 import weakref
 from typing import Callable, Iterable, Iterator, List, Optional
 
 from .core import (
-    EMPTY,
     OrderingSpec,
     Presentation,
     Rule,
@@ -68,6 +68,15 @@ def _mirror(chars: _Mirror, w: Word) -> str:
 
 
 _declared = operator.itemgetter(0)  # the declaration index of a table entry
+_target = operator.itemgetter(0)  # the string a step leads to
+_UNKNOWN = 0  # a frontier that knows nothing: ``_resume`` lifts it to the variable start
+_FAR = sys.maxsize  # a position past the end of every string
+_RESUME_MIN = 16  # a shorter variable is found again faster by the full search
+
+
+def _range_class(rng: str) -> str:
+    """A character class of the characters outside ``rng``."""
+    return f"[^{re.escape(rng)}]" if rng else "(?s:.)"
 
 
 @functools.lru_cache(maxsize=64)
@@ -76,21 +85,26 @@ def _schema_part(letters: tuple, schemas: tuple) -> tuple:
     the same for every presentation that completion rebuilds from it."""
     chars = _Mirror((x, chr(0x41 + k)) for k, x in enumerate(letters))
     mirror = functools.partial(_mirror, chars)
-    entries = []  # (declaration index, schema, rhs prefix, string, suffix, string)
+    # (declaration index, schema, rhs prefix string, rhs suffix string, keeps its prefix)
+    entries = []
+    alts = []  # (lhs prefix string, |lhs prefix|, lhs suffix string, |lhs suffix|, outside the range)
     patterns = []
-    runs = set()  # (|lhs prefix|, |lhs suffix|, range characters)
+    ranges = {}  # range characters -> (index, a match up to the last character outside them)
+    runs = set()  # (|lhs prefix|, |lhs suffix|, range index)
     for k, s in enumerate(schemas):
         rng = "".join(sorted(set(mirror(s.variable_range))))
         var = f"([{re.escape(rng)}]*?)" if rng else "()"
-        patterns.append(
-            re.compile(re.escape(mirror(s.lhs_prefix)) + var + re.escape(mirror(s.lhs_suffix)))
-        )
-        entries.append(
-            (k, s, s.rhs_prefix, mirror(s.rhs_prefix), s.rhs_suffix, mirror(s.rhs_suffix))
-        )
-        runs.add((len(s.lhs_prefix), len(s.lhs_suffix), rng))
+        pre, suf = mirror(s.lhs_prefix), mirror(s.lhs_suffix)
+        patterns.append(re.compile(re.escape(pre) + var + re.escape(suf)))
+        keep = s.lhs_prefix == s.rhs_prefix
+        entries.append((k, s, mirror(s.rhs_prefix), mirror(s.rhs_suffix), keep))
+        alts.append((pre, len(pre), suf, len(suf), re.compile(_range_class(rng))))
+        r = ranges.setdefault(rng, (len(ranges), re.compile(f"(?s:.)*{_range_class(rng)}")))[0]
+        runs.add((len(pre), len(suf), r))
     pattern = re.compile("|".join(pat.pattern for pat in patterns)) if patterns else None
-    return chars, tuple(entries), tuple(patterns), pattern, tuple(runs)
+    lastout = tuple(last for _, last in ranges.values())
+    back = {c: x for x, c in chars.items()}  # the mirror read back
+    return chars, back, tuple(entries), tuple(alts), tuple(patterns), pattern, tuple(runs), lastout
 
 
 class _Matcher:
@@ -106,20 +120,31 @@ class _Matcher:
 
     def __init__(self, p: Presentation):
         self.unoriented = _orientation_error(p)  # None, or why reducing raises
-        self.chars, self.schemas, self.patterns, self.pattern, self.runs = _schema_part(
-            p.alphabet.letters, p.schemas
-        )
-        # lhs string -> [(declaration index, rule, rhs, rhs string, (), "")]
+        (
+            self.chars,
+            self.letters,
+            self.schemas,
+            self.alts,
+            self.patterns,
+            self.pattern,
+            self.runs,
+            self.lastout,
+        ) = _schema_part(p.alphabet.letters, p.schemas)
+        # lhs string -> [(declaration index, rule, rhs string, "", None)]
         self.plain: dict = {}
         for k, r in enumerate(p.rules):
             if r.lhs:
-                entry = (k, r, r.rhs, self.mirror(r.rhs), EMPTY, "")
+                entry = (k, r, self.mirror(r.rhs), "", None)
                 self.plain.setdefault(self.mirror(r.lhs), []).append(entry)
         self.lengths = sorted({len(lhs) for lhs in self.plain})
         self.maxlhs = max(self.lengths, default=0)
 
     def mirror(self, w: Word) -> str:
         return _mirror(self.chars, w)
+
+    def word(self, s: str) -> Word:
+        """The word a mirror without undeclared letters stands for."""
+        return tuple(map(self.letters.__getitem__, s))
 
     def leftmost(self, s: str, plain_from: int = 0, schema_from: int = 0):
         """The leftmost redex of ``s`` as ``(i, j, a, b, entry)``: the lhs
@@ -132,9 +157,18 @@ class _Matcher:
         m = self.pattern.search(s, schema_from) if self.pattern is not None else None
         if m is not None and m.start() == n:
             m = None  # an empty lhs at the end of the word is no redex
-        stop = n if m is None else m.start() + 1
-        plain, lengths = self.plain, self.lengths
-        for i in range(plain_from, stop):
+        found = self._plain(s, plain_from, n if m is None else m.start() + 1)
+        if found is not None or m is None:
+            return found
+        k = m.lastindex - 1
+        a, b = m.span(k + 1)
+        return m.start(), m.end(), a, b, self.schemas[k]
+
+    def _plain(self, s: str, lo: int, hi: int):
+        """The first plain redex starting in ``[lo, hi)``, as ``leftmost``
+        gives it."""
+        n, plain, lengths = len(s), self.plain, self.lengths
+        for i in range(lo, hi):
             best = j = None
             for length in lengths:
                 if i + length > n:
@@ -144,21 +178,80 @@ class _Matcher:
                     best, j = hit[0], i + length
             if best is not None:
                 return i, j, j, j, best
-        if m is None:
-            return None
-        k = m.lastindex - 1
-        a, b = m.span(k + 1)
-        return m.start(), m.end(), a, b, self.schemas[k]
+        return None
 
-    def restart(self, s: str, i: int):
-        """Where the search may resume after a rewrite at ``i``, as
-        ``(plain_from, schema_from)``: a new redex must reach position ``i``,
-        and a new schema redex's variable must run over range letters back
-        from ``i - |lhs_suffix|``."""
-        schema_from = i
-        for lp, ls, rng in self.runs:
-            schema_from = min(schema_from, len(s[: max(0, i - ls)].rstrip(rng)) - lp)
-        return max(0, i - self.maxlhs + 1), max(0, schema_from)
+    def _front(self, k: int, b: int) -> tuple:
+        """The frontiers ``(F, V, N, Q)`` of the schema alternatives at the
+        start of a redex of schema ``k`` with variable end ``b`` that the
+        full search found.
+
+        For an alternative with variable start ``v0``: no suffix occurrence
+        ``t`` in ``[v0, F)`` has ``s[v0:t]`` all range characters, ``s[v0:V]``
+        has them, and the suffix occurs nowhere at or after ``N``.  ``Q``
+        holds the cuts of rewrites that skipped alternatives: the lowest
+        ``c`` of ``_resume`` not yet applied to alternative ``k`` is the
+        least of ``Q[:k + 1]`` (``_FAR`` when there is none).  The
+        alternatives before ``k`` have no valid occurrence at all (``F`` is
+        ``_FAR``), ``k`` has none before ``b``, and nothing is known of the
+        later ones.
+        """
+        n = len(self.alts)
+        rest = n - k - 1
+        F = [_FAR] * k + [b] + [_UNKNOWN] * rest
+        V = [_UNKNOWN] * k + [b] + [_UNKNOWN] * rest
+        return F, V, [_FAR] * n, [_FAR] * n
+
+    def _resume(self, s: str, p: int, c: int, j: int, d: int, front: tuple):
+        """The first declared schema matching at ``p`` after a rewrite that
+        left ``s[:c]`` as it was and moved the tail from ``j`` on to ``d``,
+        with its shortest variable, or None; the frontiers (see ``_front``)
+        are brought up to date.
+
+        An occurrence that ends by ``c`` and a range character before ``c``
+        are as they were, so frontiers cut to ``c - |lhs_suffix| + 1`` and
+        ``c`` still hold: only suffix occurrences that overlap the rewrite
+        can be new.  A suffix absent from ``N <= j`` on is absent from ``d``
+        on.  The first occurrence at or after the frontier is the shortest
+        variable if the variable's characters up to it are all in the range;
+        otherwise the range ends before it, and so before every later
+        occurrence.  The alternatives are tried in declaration order, and
+        those after the one that matches keep the cut for later.
+        """
+        F, V, N, Q = front
+        low = _FAR  # the lowest cut skipped by the alternatives so far
+        for k, (pre, lp, suf, ls, outside) in enumerate(self.alts):
+            start, f, v, g = p + lp, F[k], V[k], N[k]
+            if Q[k] < low:
+                low = Q[k]
+            if low < _FAR:  # rewrites passed k by: cut to the lowest, forget N
+                Q[k] = g = _FAR
+                cut = low if low < c else c
+            else:
+                cut = c
+                g = d if g <= j else g + d - j  # _FAR stays past every end
+            if f > cut - ls:
+                f = cut - ls + 1
+            if v > cut:
+                v = cut
+            if f < start:
+                f = start
+            if v < start:
+                v = start
+            if s.startswith(pre, p):
+                t = s.find(suf, f, g + ls - 1)
+                if t >= 0:
+                    out = outside.search(s, v, t)
+                    if out is None:
+                        F[k], V[k], N[k] = t, v if v > t else t, g
+                        if k + 1 < len(Q):
+                            Q[k + 1] = min(Q[k + 1], low, c)
+                        return p, t + ls, start, t, self.schemas[k]
+                    v = out.start()
+                else:
+                    g = f
+                f = _FAR
+            F[k], V[k], N[k] = f, v, g
+        return None
 
     def redexes(self, w: Word) -> Iterator[Edge]:
         """Every redex of ``w``; see ``find_redexes``."""
@@ -185,14 +278,18 @@ class _Matcher:
                         yield Edge(w[:i], inst, 1, w[m.end() :])
 
 
-_matchers = weakref.WeakKeyDictionary()  # presentation -> its _Matcher
+_matchers: dict = {}  # id(presentation) -> (a weak reference to it, its _Matcher)
 
 
 def _matcher(p: Presentation) -> _Matcher:
-    m = _matchers.get(p)
-    if m is None:
-        m = _matchers[p] = _Matcher(p)
-    return m
+    """The matcher of ``p``, kept while ``p`` lives; an identity lookup, so
+    a hit costs no hash or comparison of the presentation."""
+    key = id(p)
+    entry = _matchers.get(key)
+    if entry is None or entry[0]() is not p:
+        forget = lambda _, key=key: _matchers.pop(key, None)
+        entry = _matchers[key] = (weakref.ref(p, forget), _Matcher(p))
+    return entry[1]
 
 
 def find_redexes(w: Word, p: Presentation) -> List[Edge]:
@@ -264,52 +361,122 @@ def check_orientation(p: Presentation) -> _Matcher:
     return m
 
 
-def _leftmost_steps(w: Word, p: Presentation) -> Iterator[tuple]:
-    """The leftmost-redex steps reducing ``w`` to an irreducible word, as
-    ``(target, i, j, rule or schema, variable)``: each step replaces
-    ``[i:j]`` of the previous target (of ``w`` first).
+def _leftmost_steps(w: Word, s: str, m: _Matcher) -> Iterator[tuple]:
+    """The leftmost-redex steps reducing ``s``, the mirror of ``w``, under
+    the oriented matcher ``m``, each as ``(t, i, j, a, b, x)``: the rule or
+    schema ``x`` rewrote ``[i:j]`` of the previous string (``s`` first),
+    with the variable at ``[a:b]``, into ``t``.  The orientation check
+    guarantees termination; ``STEP_CAP`` steps are a backstop, past which a
+    further redex raises.
 
-    The word and its mirror are spliced in lockstep, and after a rewrite at
-    ``i`` the search resumes where a new redex could start.  The orientation
-    check guarantees termination; ``STEP_CAP`` steps are a backstop, past
-    which a further redex raises.
+    After a rewrite at ``i`` that leaves the string unchanged before
+    ``c`` (``c = i``, or the variable's end for a schema that keeps its
+    prefix), a redex that is new must reach ``c``; every other redex
+    already existed, so it starts at ``i`` or later.  So no plain redex starts
+    before ``c - max|lhs| + 1``, and no schema redex before the start of
+    its range run up to ``c - |lhs_suffix| + 1``, less ``|lhs_prefix|``.
+    Each range keeps a span ``[r, e)`` of range characters, with
+    ``r = 0`` or a character outside the range at ``r - 1``, across steps:
+    a rewrite at ``c >= r`` only cuts ``e`` to ``c``, so the run starts
+    come from short scans, not from a copy of the prefix.
+
+    After a schema rewrite at ``p`` with no schema redex possible before
+    ``p``, the leftmost redex is a plain one in ``[c - max|lhs| + 1, p]``
+    (a plain redex at ``p`` wins over a schema), or else a schema redex at
+    ``p`` (see ``_resume``), or else lies after ``p``.  Every other step,
+    a schema redex that does not start at ``p`` again, and a variable
+    shorter than ``_RESUME_MIN`` fall back to the full search of
+    ``leftmost``; ``_front`` starts the frontiers from the schema redex it
+    finds.  So each step is the leftmost-start, first-declared,
+    shortest-variable redex that a search from 0 would find.
     """
-    m = check_orientation(p)
-    u, s = w, m.mirror(w)
     found = m.leftmost(s)
+    if found is None:
+        return
+    leftmost, maxlhs, runs, lastout = m.leftmost, m.maxlhs, m.runs, m.lastout
+    spans = [[0, 0] for _ in lastout]  # per range: [r, e)
+    front = None  # the frontiers of a schema redex's start, once resumed from
     for _ in range(STEP_CAP):
+        i, j, a, b, (k, x, rpre, rsuf, keep) = found
+        d = j - len(s)  # where the tail s[j:] starts after the rewrite, less the new length
+        s = s[:i] + rpre + s[a:b] + rsuf + s[j:]
+        d += len(s)
+        yield s, i, j, a, b, x
+        c = b if keep else i
+        for span in spans:
+            if c < span[0]:
+                span[0] = span[1] = 0
+            elif c < span[1]:
+                span[1] = c
+        schema_from = i
+        for lp, ls, r in runs:
+            span, to = spans[r], c - ls + 1
+            if to > span[1]:
+                out = lastout[r].match(s, span[1], to)
+                if out is not None:
+                    span[0] = out.end()
+                span[1] = to
+            elif to < span[0]:
+                out = lastout[r].match(s, 0, to) if to > 0 else None
+                span[0], span[1] = 0 if out is None else out.end(), max(0, to)
+            if span[0] - lp < schema_from:
+                schema_from = max(0, span[0] - lp)
+        found = None
+        if keep is not None and schema_from == i and b - a >= _RESUME_MIN:
+            lo = c - maxlhs + 1
+            if lo <= i:
+                found = m._plain(s, max(0, lo), i + 1)
+            if found is None:
+                if front is None:  # the full search found this redex
+                    front = m._front(k, b)
+                found = m._resume(s, i, c, j, d, front)
+                if found is None:
+                    found, front = leftmost(s, i + 1, i + 1), None
+        else:
+            found, front = leftmost(s, max(0, min(i, c - maxlhs + 1)), schema_from), None
         if found is None:
             return
-        i, j, a, b, (_, x, pre, pre_s, suf, suf_s) = found
-        v = u[a:b]
-        u = u[:i] + pre + v + suf + u[j:]
-        s = s[:i] + pre_s + s[a:b] + suf_s + s[j:]
-        yield u, i, j, x, v
-        found = m.leftmost(s, *m.restart(s, i))
-    if found is not None:
-        raise RewriteError(f"step cap exceeded while reducing {word_str(w)}")
+    raise RewriteError(f"step cap exceeded while reducing {word_str(w)}")
+
+
+def _spliced(w: Word, steps: Iterable[tuple]) -> Iterator[Word]:
+    """The word after each step, spliced from ``w``."""
+    for _, i, j, a, b, x in steps:
+        rhs = x.rhs if isinstance(x, Rule) else x.rhs_prefix + w[a:b] + x.rhs_suffix
+        w = w[:i] + rhs + w[j:]
+        yield w
 
 
 def normalize(w: Word, p: Presentation) -> Word:
     """Reduce ``w`` to an irreducible word by the leftmost-redex strategy.
 
-    Every word met on the way is cached with the result, and the reduction
-    stops at the first word already cached.  Past ``NF_CACHE_CAP`` entries
-    the oldest are evicted.
+    ``w`` is cached with the result, and so is every word met on the way,
+    keyed by its mirror string; the reduction stops at the first word
+    already cached.  A word with an undeclared letter mirrors to a string
+    that another word shares, so its words are keyed by their tuples.  Past
+    ``NF_CACHE_CAP`` entries the oldest are evicted.
     """
     cache = p._nf_cache
     nf = cache.get(w)
     if nf is not None:
         return nf
-    passed = [w]
-    nf = w
-    for step in _leftmost_steps(w, p):
-        nf = step[0]
-        hit = cache.get(nf)
-        if hit is not None:
-            nf = hit
+    m = check_orientation(p)
+    s = _mirror(m.chars, w)
+    if "\0" in s:
+        passed, words = [w], _spliced(w, _leftmost_steps(w, s, m))
+    elif s in cache:  # an earlier reduction passed w
+        passed, words, nf = [w], (), cache[s]
+    else:
+        passed, words = [w, s], map(_target, _leftmost_steps(w, s, m))
+    for u in words:
+        nf = cache.get(u)
+        if nf is not None:
             break
-        passed.append(nf)
+        passed.append(u)
+    if nf is None:  # no word on the way was cached: the last one is the normal form
+        nf = passed[-1]
+        if isinstance(nf, str):
+            nf = w if nf is s else m.word(nf)
     for u in passed:
         cache[u] = nf
     order = p._nf_order
@@ -321,12 +488,13 @@ def normalize(w: Word, p: Presentation) -> Word:
 
 def reduction_path(w: Word, p: Presentation) -> Path:
     """The positive path witnessing ``w ->* normalize(w)`` under the strategy."""
+    m = check_orientation(p)
     edges, source = [], w
-    for target, i, j, x, v in _leftmost_steps(w, p):
-        rule = x if isinstance(x, Rule) else instantiate_schema(x, v)
+    for _, i, j, a, b, x in _leftmost_steps(w, m.mirror(w), m):
+        rule = x if isinstance(x, Rule) else instantiate_schema(x, source[a:b])
         edges.append(Edge(source[:i], rule, 1, source[j:]))
-        source = target
-    return Path(w, tuple(edges))
+        source = source[:i] + rule.rhs + source[j:]
+    return Path._trusted(w, tuple(edges))
 
 
 def format_trace(path: Path) -> str:

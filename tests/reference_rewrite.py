@@ -5,11 +5,17 @@ library functions, unchanged except that ``Presentation.rules_by_first``
 became the memoized ``rules_by_first(p)``.  ``leftmost_steps`` is the former
 ``_leftmost_steps`` loop, which rescans from position 0 after every rewrite
 and probes every schema letter by letter at every position.
+
+``compiled_leftmost_steps`` and ``compiled_normalize`` are the compiled loop
+that replaced it, before the normalizer ran on one mirror string.
 """
 
 from __future__ import annotations
 
 import functools
+import re
+import weakref
+from collections import deque
 from typing import Iterator, List, Optional
 
 from rwlab import rewrite
@@ -96,3 +102,136 @@ def normalize(w: Word, p: Presentation) -> Word:
 
 def is_irreducible(w: Word, p: Presentation) -> bool:
     return _first_redex(w, p) is None
+
+
+# ---------------------------------------------------------------------------
+# The compiled loop before the normalizer ran on one mirror string: one
+# matcher per presentation searching the mirror with ``pattern.search`` from
+# a restart bound, the word spliced as a tuple in lockstep with its mirror,
+# and a normal-form cache keyed by tuples.
+# ---------------------------------------------------------------------------
+
+
+class _Mirror(dict):
+    def __missing__(self, letter):
+        return "\0"
+
+
+def _mirror(chars: _Mirror, w: Word) -> str:
+    return "".join(map(chars.__getitem__, w))
+
+
+class _CompiledMatcher:
+    def __init__(self, p: Presentation):
+        self.chars = _Mirror((x, chr(0x41 + k)) for k, x in enumerate(p.alphabet.letters))
+        mirror = self.mirror
+        entries, patterns, runs = [], [], set()
+        for k, s in enumerate(p.schemas):
+            rng = "".join(sorted(set(mirror(s.variable_range))))
+            var = f"([{re.escape(rng)}]*?)" if rng else "()"
+            patterns.append(
+                re.compile(re.escape(mirror(s.lhs_prefix)) + var + re.escape(mirror(s.lhs_suffix)))
+            )
+            entries.append(
+                (k, s, s.rhs_prefix, mirror(s.rhs_prefix), s.rhs_suffix, mirror(s.rhs_suffix))
+            )
+            runs.add((len(s.lhs_prefix), len(s.lhs_suffix), rng))
+        self.schemas, self.runs = tuple(entries), tuple(runs)
+        self.pattern = re.compile("|".join(pat.pattern for pat in patterns)) if patterns else None
+        self.plain: dict = {}
+        for k, r in enumerate(p.rules):
+            if r.lhs:
+                entry = (k, r, r.rhs, mirror(r.rhs), (), "")
+                self.plain.setdefault(mirror(r.lhs), []).append(entry)
+        self.lengths = sorted({len(lhs) for lhs in self.plain})
+        self.maxlhs = max(self.lengths, default=0)
+        self.cache: dict = {}
+        self.order: deque = deque()
+
+    def mirror(self, w: Word) -> str:
+        return _mirror(self.chars, w)
+
+    def leftmost(self, s: str, plain_from: int = 0, schema_from: int = 0):
+        n = len(s)
+        m = self.pattern.search(s, schema_from) if self.pattern is not None else None
+        if m is not None and m.start() == n:
+            m = None
+        stop = n if m is None else m.start() + 1
+        plain, lengths = self.plain, self.lengths
+        for i in range(plain_from, stop):
+            best = j = None
+            for length in lengths:
+                if i + length > n:
+                    break
+                hit = plain.get(s[i : i + length])
+                if hit is not None and (best is None or hit[0][0] < best[0]):
+                    best, j = hit[0], i + length
+            if best is not None:
+                return i, j, j, j, best
+        if m is None:
+            return None
+        k = m.lastindex - 1
+        a, b = m.span(k + 1)
+        return m.start(), m.end(), a, b, self.schemas[k]
+
+    def restart(self, s: str, i: int):
+        schema_from = i
+        for lp, ls, rng in self.runs:
+            schema_from = min(schema_from, len(s[: max(0, i - ls)].rstrip(rng)) - lp)
+        return max(0, i - self.maxlhs + 1), max(0, schema_from)
+
+
+_compiled = weakref.WeakKeyDictionary()  # presentation -> its _CompiledMatcher
+
+
+def _compiled_matcher(p: Presentation) -> _CompiledMatcher:
+    m = _compiled.get(p)
+    if m is None:
+        m = _compiled[p] = _CompiledMatcher(p)
+    return m
+
+
+def compiled_leftmost_steps(w: Word, p: Presentation) -> Iterator[tuple]:
+    """``(target, i, j, rule or schema, variable)`` per step, the tuple and
+    its mirror spliced in lockstep."""
+    check_orientation(p)
+    m = _compiled_matcher(p)
+    u, s = w, m.mirror(w)
+    found = m.leftmost(s)
+    for _ in range(rewrite.STEP_CAP):
+        if found is None:
+            return
+        i, j, a, b, (_, x, pre, pre_s, suf, suf_s) = found
+        v = u[a:b]
+        u = u[:i] + pre + v + suf + u[j:]
+        s = s[:i] + pre_s + s[a:b] + suf_s + s[j:]
+        yield u, i, j, x, v
+        found = m.leftmost(s, *m.restart(s, i))
+    if found is not None:
+        raise RewriteError(f"step cap exceeded while reducing {word_str(w)}")
+
+
+def compiled_normalize(w: Word, p: Presentation) -> Word:
+    """The tuple-keyed normalize: every word passed is cached as a tuple, the
+    reduction stops at the first cached word, and past ``NF_CACHE_CAP``
+    entries the oldest go first.  The cache is the reference matcher's own."""
+    m = _compiled_matcher(p)
+    cache = m.cache
+    nf = cache.get(w)
+    if nf is not None:
+        return nf
+    passed = [w]
+    nf = w
+    for step in compiled_leftmost_steps(w, p):
+        nf = step[0]
+        hit = cache.get(nf)
+        if hit is not None:
+            nf = hit
+            break
+        passed.append(nf)
+    for u in passed:
+        cache[u] = nf
+    m.order.extend(passed)
+    while len(m.order) > rewrite.NF_CACHE_CAP:
+        del cache[m.order.popleft()]
+    return nf
