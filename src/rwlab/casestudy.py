@@ -75,7 +75,7 @@ from .obstruction import (
 )
 from .rewrite import check_budget, enumerate_normal_forms, normalize
 from .ring import RingElement, from_word, negate, scale, sub
-from .squier import Edge, Path, lift_path
+from .squier import Edge, Path
 from .structure import isometry_check
 
 _EXP = {1: "p", -1: "m"}
@@ -195,54 +195,47 @@ def c_bar_rule(w: Word, eps: int, delta: int) -> Rule:
     return instantiate_schema(preset("Qbar").schema_named(f"Cb_{_EXP[eps]}{_EXP[delta]}"), w)
 
 
-def schema_exponents(schema: RuleSchema) -> Tuple[int, int]:
-    return LETTER_EXPONENTS[schema.lhs_suffix[0]][0], LETTER_EXPONENTS[schema.lhs_suffix[1]][1]
-
-
-C_PATH_CACHE_CAP = 2**15  # swap paths kept; the default figure2 sweep builds 18 149
-
-
-@lru_cache(maxsize=C_PATH_CACHE_CAP)
-def build_C_path(w: Word, eps: int, delta: int) -> Path:
-    """The swap path from ``h w aᵉ bᵈ`` to ``h w bᵈ aᵉ`` over Q.
+def _swap_edges(
+    w: Word, eps: int, delta: int, left: Word = EMPTY, right: Word = EMPTY
+) -> List[Edge]:
+    """The edges of the swap path from ``h w aᵉ bᵈ`` to ``h w bᵈ aᵉ`` over
+    Q, in the outer contexts ``left`` and ``right``.
 
     Each letter of w is carried out in front of h by a reverse commutation
     step, the bare pair swap happens in the middle, and the letters are
-    carried back; 2|w| + 1 edges in total.
+    carried back; 2|w| + 1 edges in total, each starting where the one
+    before it ends.
     """
     q = preset("Q")
     tail_l, tail_r = swap_pair(eps, delta)
     front, back = [], []
     for i, x in enumerate(w):
         k_rule = q.rule_named(f"K_{x}")
-        front.append(Edge(w[:i], k_rule, -1, w[i + 1 :] + tail_l))
-        back.append(Edge(w[:i], k_rule, 1, w[i + 1 :] + tail_r))
-    middle = Edge(w, q.rule_named(f"C_{_EXP[eps]}{_EXP[delta]}"), 1, EMPTY)
-    edges = tuple(front) + (middle,) + tuple(reversed(back))
-    return Path(("h",) + w + tail_l, edges)
+        front.append(Edge(left + w[:i], k_rule, -1, w[i + 1 :] + tail_l + right))
+        back.append(Edge(left + w[:i], k_rule, 1, w[i + 1 :] + tail_r + right))
+    front.append(Edge(left + w, q.rule_named(f"C_{_EXP[eps]}{_EXP[delta]}"), 1, right))
+    return front + back[::-1]
 
 
-def _realize_c_bar(rule: Rule) -> Optional[Path]:
-    if rule.origin is not None and rule.origin.schema.name.startswith("Cb_"):
-        eps, delta = schema_exponents(rule.origin.schema)
-        return build_C_path(rule.origin.variable, eps, delta)
-    return None
+def build_C_path(w: Word, eps: int, delta: int) -> Path:
+    """The swap path from ``h w aᵉ bᵈ`` to ``h w bᵈ aᵉ`` over Q: the swap
+    rule ``c_bar_rule(w, eps, delta)`` realized by 2|w| + 1 edges of Q."""
+    return Path._trusted(("h",) + w + swap_pair(eps, delta)[0], tuple(_swap_edges(w, eps, delta)))
 
 
 def build_ct_circuit(params: CtParams) -> Path:
-    """The closed path of the named family, with swap edges realized as
-    swap paths over Q.
+    """The closed path of the named family over Q, each swap written as its
+    swap path.
 
     The circuit starts at the peak source, descends the right-hand side of
-    the diagram, and climbs back up the left-hand side.
+    the diagram, and climbs back up the left-hand side.  Its edges chain by
+    construction, so the path is built without the validating walk.
     """
     q = preset("Q")
+    swap = _swap_edges
 
-    def swap(w: Word, eps: int, delta: int, right: Word = EMPTY) -> Edge:
-        return Edge(EMPTY, c_bar_rule(w, eps, delta), 1, right)
-
-    def step(name: str, left: Word, right: Word = EMPTY) -> Edge:
-        return Edge(left, q.rule_named(name), 1, right)
+    def step(name: str, left: Word, right: Word = EMPTY) -> List[Edge]:
+        return [Edge(left, q.rule_named(name), 1, right)]
 
     f, x = params.family, params.x
     w, w1, w2, eps, delta = params.w, params.w1, params.w2, params.eps, params.delta
@@ -250,50 +243,50 @@ def build_ct_circuit(params: CtParams) -> Path:
         tail_l, tail_r = swap_pair(eps, delta)
         i_x = f"I_{x}"
         xx = (x, _A_ALPHABET.involution[x])
-        right = [swap(w1 + xx + w2, eps, delta), step(i_x, ("h",) + w1, w2 + tail_r)]
-        left = [step(i_x, ("h",) + w1, w2 + tail_l), swap(w1 + w2, eps, delta)]
+        right = swap(w1 + xx + w2, eps, delta) + step(i_x, ("h",) + w1, w2 + tail_r)
+        left = step(i_x, ("h",) + w1, w2 + tail_l) + swap(w1 + w2, eps, delta)
     elif f in ("CT2", "CT6"):
         xinv = _A_ALPHABET.involution[x]
         if f == "CT2":
-            right = [step(f"I_{xinv}", (x,))]
-            left = [step(f"I_{x}", EMPTY, (x,))]
+            right = step(f"I_{xinv}", (x,))
+            left = step(f"I_{x}", EMPTY, (x,))
         else:
-            right = [
-                step(f"K_{xinv}", (x,)),
-                step(f"K_{x}", EMPTY, (xinv,)),
-                step(f"I_{x}", ("h",)),
-            ]
-            left = [step(f"I_{x}", EMPTY, ("h",))]
+            right = (
+                step(f"K_{xinv}", (x,))
+                + step(f"K_{x}", EMPTY, (xinv,))
+                + step(f"I_{x}", ("h",))
+            )
+            left = step(f"I_{x}", EMPTY, ("h",))
     elif f == "CT3":
         i_b = "I_b" if delta == 1 else "I_b'"
-        right = [
-            swap(w, eps, delta, b_pow(-delta)),
-            swap(w + b_pow(delta), eps, -delta),
-            step(i_b, ("h",) + w, a_pow(eps)),
-        ]
-        left = [step(i_b, ("h",) + w + a_pow(eps))]
+        right = (
+            swap(w, eps, delta, right=b_pow(-delta))
+            + swap(w + b_pow(delta), eps, -delta)
+            + step(i_b, ("h",) + w, a_pow(eps))
+        )
+        left = step(i_b, ("h",) + w + a_pow(eps))
     elif f == "CT4":
         i_a = "I_a" if eps == -1 else "I_a'"
-        right = [
-            swap(w + a_pow(-eps), eps, delta),
-            swap(w, -eps, delta, a_pow(eps)),
-            step(i_a, ("h",) + w + b_pow(delta)),
-        ]
-        left = [step(i_a, ("h",) + w, b_pow(delta))]
+        right = (
+            swap(w + a_pow(-eps), eps, delta)
+            + swap(w, -eps, delta, right=a_pow(eps))
+            + step(i_a, ("h",) + w + b_pow(delta))
+        )
+        left = step(i_a, ("h",) + w, b_pow(delta))
     elif f == "CT5":
         tail_l, tail_r = swap_pair(eps, delta)
-        right = [step(f"K_{x}", EMPTY, w + tail_l), swap((x,) + w, eps, delta)]
-        left = [Edge((x,), c_bar_rule(w, eps, delta), 1, EMPTY), step(f"K_{x}", EMPTY, w + tail_r)]
+        right = step(f"K_{x}", EMPTY, w + tail_l) + swap((x,) + w, eps, delta)
+        left = swap(w, eps, delta, left=(x,)) + step(f"K_{x}", EMPTY, w + tail_r)
     elif f == "CT7":
         e1, d1, e2, d2 = params.eps1, params.delta1, params.eps2, params.delta2
         t1l, t1r = swap_pair(e1, d1)
         t2l, t2r = swap_pair(e2, d2)
-        right = [swap(w1 + t1l + w2, e2, d2), swap(w1, e1, d1, w2 + t2r)]
-        left = [swap(w1, e1, d1, w2 + t2l), swap(w1 + t1r + w2, e2, d2)]
+        right = swap(w1 + t1l + w2, e2, d2) + swap(w1, e1, d1, right=w2 + t2r)
+        left = swap(w1, e1, d1, right=w2 + t2l) + swap(w1 + t1r + w2, e2, d2)
     else:
         raise RwlabError(f"unknown circuit family {f}")
-    up_left = tuple(e.inverse() for e in reversed(left))
-    return lift_path(Path(right[0].source, tuple(right) + up_left), _realize_c_bar)
+    edges = right + [e.inverse() for e in reversed(left)]
+    return Path._trusted(edges[0].source, tuple(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +540,15 @@ def verify_identities(exhaust_len: int = 5, samples: int = 1000) -> Report:
         for _ in range(samples)
     ]
 
+    phis: Dict[tuple, RingElement] = {}  # Φ of each swap path met in this sweep
+
     def phi_swap(w: Word, eps: int, delta: int) -> RingElement:
-        return phi_path(build_C_path(w, eps, delta), CASE_STUDY_WEIGHTS, ambient)
+        value = phis.get((w, eps, delta))
+        if value is None:
+            value = phis[w, eps, delta] = phi_path(
+                build_C_path(w, eps, delta), CASE_STUDY_WEIGHTS, ambient
+            )
+        return value
 
     def base_value(x: str) -> bool:
         e = Edge(EMPTY, preset("Q").rule_named(f"K_{x}"), 1, EMPTY)

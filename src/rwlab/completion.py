@@ -18,7 +18,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from . import rewrite
 from .core import (
     EMPTY,
     Presentation,
@@ -145,12 +144,6 @@ def _rule_universe(p: Presentation, schema_var_bound: int) -> List[Rule]:
     return rules
 
 
-def _check_peak_budget(found: list, schema_var_bound: int) -> None:
-    cap = rewrite.ENUMERATION_CAP
-    if len(found) > cap:
-        raise RwlabError(f"more than {cap} critical peaks at bound {schema_var_bound}")
-
-
 def critical_peaks(p: Presentation, schema_var_bound: int = 0) -> List[CriticalPeak]:
     """All inclusion and overlap peaks among plain rules and bounded schema
     instances, each geometric configuration once.  With an ordering they are
@@ -183,6 +176,7 @@ def critical_peaks(p: Presentation, schema_var_bound: int = 0) -> List[CriticalP
             by_prefix.setdefault(r.lhs[:ell], []).append(i)
 
     found = []  # (i1, i2, 0, s) for inclusions, (i1, i2, 1, ell) for overlaps
+    too_many_peaks = lambda cap: f"more than {cap} critical peaks at bound {schema_var_bound}"
     for i2, r2 in enumerate(rules):
         l2 = r2.lhs
         for s in range(len(l2) + 1):
@@ -192,13 +186,13 @@ def critical_peaks(p: Presentation, schema_var_bound: int = 0) -> List[CriticalP
                     # for identical lhs, keep one orientation
                     if r1 is not r2 and not (r1.lhs == l2 and r1.name > r2.name):
                         found.append((i1, i2, 0, s))
-        _check_peak_budget(found, schema_var_bound)
+        check_budget([len(found)], too_many_peaks)
     for i1, r1 in enumerate(rules):
         l1 = r1.lhs
         for ell in range(1, len(l1)):
             for i2 in by_prefix.get(l1[len(l1) - ell :], ()):
                 found.append((i1, i2, 1, ell))
-        _check_peak_budget(found, schema_var_bound)
+        check_budget([len(found)], too_many_peaks)
     found.sort()  # rule-pair order
 
     peaks: List[CriticalPeak] = []

@@ -239,7 +239,8 @@ class Presentation:
             if set(self.ordering.precedence) != set(self.alphabet.letters):
                 raise ValidationError("ordering precedence must list every letter exactly once")
 
-    # -- caches shared by the rewriting machinery (not part of equality) --
+    # -- caches shared by the rewriting machinery (not part of equality);
+    # rewrite._matcher keeps the compiled matcher beside them, as "_matcher" --
 
     @cached_property
     def _nf_cache(self) -> dict:

@@ -15,7 +15,6 @@ import itertools
 import operator
 import re
 import sys
-import weakref
 from typing import Callable, Iterable, Iterator, List, Optional
 
 from .core import (
@@ -278,18 +277,14 @@ class _Matcher:
                         yield Edge(w[:i], inst, 1, w[m.end() :])
 
 
-_matchers: dict = {}  # id(presentation) -> (a weak reference to it, its _Matcher)
-
-
 def _matcher(p: Presentation) -> _Matcher:
-    """The matcher of ``p``, kept while ``p`` lives; an identity lookup, so
-    a hit costs no hash or comparison of the presentation."""
-    key = id(p)
-    entry = _matchers.get(key)
-    if entry is None or entry[0]() is not p:
-        forget = lambda _, key=key: _matchers.pop(key, None)
-        entry = _matchers[key] = (weakref.ref(p, forget), _Matcher(p))
-    return entry[1]
+    """The matcher of ``p``, kept in ``p.__dict__`` beside its normal-form
+    cache, so it lives and dies with ``p``; a hit costs no hash or
+    comparison of the presentation."""
+    m = p.__dict__.get("_matcher")
+    if m is None:
+        m = p.__dict__["_matcher"] = _Matcher(p)
+    return m
 
 
 def find_redexes(w: Word, p: Presentation) -> List[Edge]:

@@ -13,8 +13,9 @@ import sys
 import pytest
 
 import rwlab
-from rwlab import casestudy, invariant, squier
+from rwlab import casestudy, invariant
 from rwlab.casestudy import verify_figure2, verify_identities
+from rwlab.core import EMPTY
 from rwlab.ring import from_word, scale, sub, total
 from rwlab.squier import Edge, Path
 
@@ -48,26 +49,22 @@ def commutator_on_the_wrong_side(monkeypatch):
     _patch_everywhere(monkeypatch, invariant, "commutator", fault)
 
 
-def c_bar_rule_flips_delta(monkeypatch):
-    c_bar_rule = casestudy.c_bar_rule
-    _patch_everywhere(
-        monkeypatch, casestudy, "c_bar_rule", lambda w, eps, delta: c_bar_rule(w, eps, -delta)
-    )
+def swap_path_flips_delta(monkeypatch):
+    swap_edges = casestudy._swap_edges
+
+    def fault(w, eps, delta, left=EMPTY, right=EMPTY):
+        return swap_edges(w, eps, -delta, left, right)
+
+    _patch_everywhere(monkeypatch, casestudy, "_swap_edges", fault)
 
 
-def lift_path_drops_the_sign_product(monkeypatch):
-    def fault(p, realize):
-        edges = []
-        for e in p.edges:
-            base = realize(e.rule)
-            if base is None:
-                edges.append(e)
-                continue
-            steps = base.edges if e.sign == 1 else reversed(base.edges)
-            edges.extend(Edge(e.left + b.left, b.rule, b.sign, b.right + e.right) for b in steps)
-        return Path._trusted(p.start, tuple(edges))
+def swap_path_loses_its_reverse_signs(monkeypatch):
+    swap_edges = casestudy._swap_edges
 
-    _patch_everywhere(monkeypatch, squier, "lift_path", fault)
+    def fault(*args, **kwargs):
+        return [Edge(e.left, e.rule, 1, e.right) for e in swap_edges(*args, **kwargs)]
+
+    _patch_everywhere(monkeypatch, casestudy, "_swap_edges", fault)
 
 
 def figure2(bound):
@@ -82,8 +79,8 @@ def identities(bound):
 KILL_MATRIX = {
     "phi drops the last edge": (phi_drops_the_last_edge, identities(1)),
     "commutator multiplies on the wrong side": (commutator_on_the_wrong_side, figure2(0)),
-    "c_bar_rule flips delta": (c_bar_rule_flips_delta, figure2(0)),
-    "lift_path drops the sign product": (lift_path_drops_the_sign_product, figure2(0)),
+    "the swap path flips delta": (swap_path_flips_delta, figure2(0)),
+    "the swap path loses its reverse steps' sign": (swap_path_loses_its_reverse_signs, figure2(0)),
 }
 
 

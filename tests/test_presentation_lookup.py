@@ -1,8 +1,12 @@
 """``Presentation.rule_named`` and ``schema_named`` by dict lookup against
-the former linear scans."""
+the former linear scans, and the rewriting matcher kept on its presentation."""
+
+import gc
+import weakref
 
 import pytest
 
+from rwlab import rewrite
 from rwlab.casestudy import PRESETS, preset
 from rwlab.core import Presentation, Rule
 
@@ -49,3 +53,15 @@ def test_lookup_tables_stay_out_of_equality(Qbar):
     used.rule_named("K_a"), used.schema_named(used.schemas[0].name)
     assert "_rules_by_name" in vars(used) and "_rules_by_name" not in vars(fresh)
     assert fresh == used and hash(fresh) == hash(used)
+
+
+def test_each_presentation_keeps_its_own_matcher(Qbar):
+    p = Presentation(Qbar.alphabet, Qbar.rules, Qbar.schemas, Qbar.ordering)
+    twin = Presentation(Qbar.alphabet, Qbar.rules, Qbar.schemas, Qbar.ordering)
+    assert p == twin and rewrite._matcher(p) is not rewrite._matcher(twin)
+    assert rewrite._matcher(p) is rewrite._matcher(p) is vars(p)["_matcher"]
+    assert rewrite.normalize(("h", "a", "b"), p) == ("h", "b", "a")
+    gone = weakref.ref(p)
+    del p
+    gc.collect()
+    assert gone() is None

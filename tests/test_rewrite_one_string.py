@@ -234,3 +234,55 @@ def test_reduction_path_skips_the_validating_walk(monkeypatch):
             paths.append(rewrite.reduction_path(w, presentation(name)))
     for (name, w), path in zip(words, paths):
         assert path == Path(w, path.edges) == ref.reduction_path(w, presentation(name))
+
+
+def test_a_rewrite_before_a_run_resets_the_run():
+    # r0 makes h h h a, then S0 rewrites h a at 2 and at 1; the rewrite at
+    # 1 lands before the start of the range run the step at 2 left, so that
+    # run's span must be reset: a span kept past it hides the last match,
+    # at 0, and stops at h a d d
+    p = parse_presentation(
+        """
+        letters h a b c d
+        order h a b c d
+        rule r0 : b -> ε
+        schema S0 ( v : a d b ) : h a v -> a d v
+        """
+    )
+    w = word("h h b h a")
+    assert rewrite.normalize(w, fresh(p)) == word("a d d d") == ref.compiled_normalize(w, fresh(p))
+    assert_same_as_compiled(w, p)
+
+
+def random_empty_suffix_presentation(rng):
+    """Two to four schemas with an empty suffix, whose prefix is h or h and
+    a letter and is rewritten to as many letters without h; and up to two
+    plain deletions of one letter."""
+    schemas = []
+    for k in range(rng.randint(2, 4)):
+        rng_letters = tuple(sorted(rng.sample(LETTERS, rng.randint(1, 4))))
+        pre = ("h",) + tuple(rng.choice(LETTERS) for _ in range(rng.randint(0, 1)))
+        rpre = tuple(rng.choice(LETTERS) for _ in pre)
+        schemas.append(RuleSchema(f"S{k}", "v", rng_letters, pre, (), rpre, ()))
+    rules = [Rule(f"r{k}", (x,), ()) for k, x in enumerate(rng.sample(LETTERS, rng.randint(0, 2)))]
+    letters = ("h",) + LETTERS
+    return Presentation(Alphabet(letters), tuple(rules), tuple(schemas), OrderingSpec(letters))
+
+
+def h_runs(rng):
+    """One to four blocks, each a run of one to four h and up to four letters."""
+    w = ()
+    for _ in range(rng.randint(1, 4)):
+        w += ("h",) * rng.randint(1, 4) + tuple(rng.choice(LETTERS) for _ in range(rng.randint(0, 4)))
+    return w
+
+
+def test_random_empty_suffix_schemas_take_the_compiled_steps():
+    # with no suffix, where a schema's run of range letters starts decides
+    # its redex, and a rewrite before that start must reset the run; runs
+    # of h make prefixes that a rewrite turns into new redexes to their left
+    rng = random.Random(15)
+    for _ in range(300):
+        p = random_empty_suffix_presentation(rng)
+        for _ in range(4):
+            assert_same_as_compiled(h_runs(rng), p)

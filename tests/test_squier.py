@@ -4,6 +4,7 @@ import pytest
 
 from rwlab.casestudy import build_C_path, c_bar_rule, preset
 from rwlab.core import EMPTY, word
+from rwlab.invariant import LETTER_EXPONENTS
 from rwlab.squier import (
     Edge,
     Path,
@@ -133,10 +134,9 @@ def test_interchange_square_rejects_different_words(q):
 
 
 def _swap_realization(rule):
-    from rwlab.casestudy import schema_exponents
-
     if rule.origin is not None and rule.origin.schema.name.startswith("Cb_"):
-        eps, delta = schema_exponents(rule.origin.schema)
+        x, y = rule.origin.schema.lhs_suffix
+        eps, delta = LETTER_EXPONENTS[x][0], LETTER_EXPONENTS[y][1]
         return build_C_path(rule.origin.variable, eps, delta)
     return None
 
