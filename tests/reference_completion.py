@@ -10,6 +10,13 @@ directions at every position, and the classes match left-hand sides through
 a table keyed by their first letter.  The classes crash on a rule with an
 empty lhs (``lhs[0]``) and on a step that leaves the length-bounded universe;
 the differential tests keep to presentations on which they do not.
+
+``equivalence_classes_by_neighbours`` is the later closure, unchanged: it
+walks every word of the universe in rank order, builds each one-step
+neighbour through the replacement table the BFS still uses, and ranks it
+again.  It handles an empty lhs and a step out of the universe, so it is the
+reference for every plain presentation.  Both closures use ``_UnionFind``,
+the former union-find, unchanged: one pair per union, full path compression.
 """
 
 from __future__ import annotations
@@ -18,8 +25,9 @@ import itertools
 from collections import deque
 from typing import Dict, List
 
-from rwlab.completion import CriticalPeak, _rule_universe, _UnionFind
-from rwlab.core import Presentation, Rule, RwlabError, Word, shortlex_key
+from rwlab.completion import CriticalPeak, _replacement_table, _rule_universe
+from rwlab.completion import _one_step_neighbors as _table_neighbors
+from rwlab.core import Presentation, Rule, RwlabError, Word, shortlex_key, words_over
 from rwlab.rewrite import check_enumeration_budget
 
 
@@ -105,6 +113,25 @@ def bfs_equivalence_oracle(u: Word, v: Word, p: Presentation, max_len: int) -> b
     return False
 
 
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, i: int) -> int:
+        parent = self.parent
+        root = i
+        while parent[root] != root:
+            root = parent[root]
+        while parent[i] != root:
+            parent[i], i = root, parent[i]
+        return root
+
+    def union(self, i: int, j: int) -> None:
+        ri, rj = self.find(i), self.find(j)
+        if ri != rj:
+            self.parent[rj] = ri
+
+
 def equivalence_classes(p: Presentation, max_len: int):
     """Partition the whole length-bounded universe by ↔*.
 
@@ -154,5 +181,47 @@ def equivalence_classes(p: Presentation, max_len: int):
 
     def classof(w: Word) -> int:
         return uf.find(rank(tuple(idx[x] for x in w)))
+
+    return classof
+
+
+def equivalence_classes_by_neighbours(p: Presentation, max_len: int):
+    """Partition the whole length-bounded universe by ↔*.
+
+    Equivalent to running the BFS oracle on every pair: within the bounded
+    universe every backward step is some forward step read the other way, so
+    the components of the one-step graph are exactly the oracle's relation.
+    Returns ``classof(word) -> representative index``; ``RwlabError``,
+    before anything is allocated, when the universe has more than
+    ``rewrite.ENUMERATION_CAP`` words.
+    """
+    if p.schemas:
+        raise RwlabError("the oracle only handles plain-rule presentations")
+    letters = list(p.alphabet.letters)
+    k = len(letters)
+    check_enumeration_budget(k, max_len)
+    idx = {letter: i for i, letter in enumerate(letters)}
+    offsets = [0]
+    for n in range(max_len + 1 if k else 1):  # no letters: the empty word alone
+        offsets.append(offsets[-1] + k**n)
+    uf = _UnionFind(offsets[-1])
+
+    def digits(w: Word) -> tuple:
+        return tuple(idx[x] for x in w)
+
+    table = _replacement_table((digits(r.lhs), digits(r.rhs)) for r in p.rules)
+
+    def rank(w) -> int:
+        val = 0
+        for d in w:
+            val = val * k + d
+        return offsets[len(w)] + val
+
+    for me, w in enumerate(words_over(range(k), max_len)):  # in rank order
+        for nxt in _table_neighbors(w, table, max_len):
+            uf.union(me, rank(nxt))
+
+    def classof(w: Word) -> int:
+        return uf.find(rank(digits(w)))
 
     return classof

@@ -469,6 +469,14 @@ VERIFY_GOLDEN = {
         "prop31 oracle spot-check\tpass\tbatched closure vs direct BFS on 20 pairs",
         "summary: 4/4",
     ],
+    ("prop31", "--max-len", "4"): [
+        "prop31 normal-form shapes\tpass\t781 words of length <= 4, 0 bad normal forms",
+        "prop31 bounded confluence\tpass\t3138 peaks at schema bound 3, 0 unresolved",
+        "prop31 oracle agreement\tpass\t31 words of length <= 2 against the closure at "
+        "bound 6; 0 partition disagreements",
+        "prop31 oracle spot-check\tpass\tbatched closure vs direct BFS on 20 pairs",
+        "summary: 4/4",
+    ],
     ("obstruction",): [
         "obstruction commutator witnesses\tpass\t1940 ring-verified",
         "obstruction image-to-X witnesses\tpass\t12064 ring-verified",

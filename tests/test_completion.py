@@ -247,3 +247,16 @@ def test_equivalence_classes_agree_with_the_bfs_off_the_plain_shape(rule):
     words = list(words_over(p.alphabet.letters, 3))
     for u, v in itertools.product(words, repeat=2):
         assert (classof(u) == classof(v)) == bfs_equivalence_oracle(u, v, p, 3), (u, v)
+
+
+def test_the_closure_builds_no_words(Q, monkeypatch):
+    # the closure ranks both ends of each step by arithmetic: it neither
+    # enumerates the universe nor builds a neighbour word
+    def build(*args):
+        raise AssertionError("the closure built a word")
+
+    monkeypatch.setattr(completion, "_one_step_neighbors", build)
+    monkeypatch.setattr(completion, "words_over", build)
+    classof = equivalence_classes(Q, 6)
+    assert classof(word("h a b")) == classof(word("h b a")) == classof(word("a h b"))
+    assert classof(word("a a'")) == classof(EMPTY) != classof(word("h"))

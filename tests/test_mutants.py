@@ -8,13 +8,14 @@ pass, then with the fault in place, where it must fail.  A fault that
 survives its check fails the suite.
 """
 
+import dataclasses
 import sys
 
 import pytest
 
 import rwlab
-from rwlab import casestudy, invariant
-from rwlab.casestudy import verify_figure2, verify_identities
+from rwlab import casestudy, completion, invariant
+from rwlab.casestudy import verify_figure2, verify_identities, verify_prop31
 from rwlab.core import EMPTY
 from rwlab.ring import from_word, scale, sub, total
 from rwlab.squier import Edge, Path
@@ -67,6 +68,20 @@ def swap_path_loses_its_reverse_signs(monkeypatch):
     _patch_everywhere(monkeypatch, casestudy, "_swap_edges", fault)
 
 
+def closure_forgets_I_a(monkeypatch):
+    # K_a, C_pp and Z_a follow from the other rules through words at most two
+    # letters longer, so forgetting one changes no class among words of up to
+    # the closure's bound less two letters, and prop31 compares words of up to
+    # its bound less four; I_a does not follow from the others
+    equivalence_classes = completion.equivalence_classes
+
+    def fault(p, max_len):
+        rules = tuple(r for r in p.rules if r.name != "I_a")
+        return equivalence_classes(dataclasses.replace(p, rules=rules), max_len)
+
+    _patch_everywhere(monkeypatch, completion, "equivalence_classes", fault)
+
+
 def figure2(bound):
     return lambda: verify_figure2(bound, bound, samples=0).passed
 
@@ -75,12 +90,17 @@ def identities(bound):
     return lambda: verify_identities(bound, samples=0).passed
 
 
+def prop31(bound):
+    return lambda: verify_prop31(bound, schema_var_bound=0).passed
+
+
 # the smallest bound of the cheaper check that catches each fault
 KILL_MATRIX = {
     "phi drops the last edge": (phi_drops_the_last_edge, identities(1)),
     "commutator multiplies on the wrong side": (commutator_on_the_wrong_side, figure2(0)),
     "the swap path flips delta": (swap_path_flips_delta, figure2(0)),
     "the swap path loses its reverse steps' sign": (swap_path_loses_its_reverse_signs, figure2(0)),
+    "the closure forgets rule I_a": (closure_forgets_I_a, prop31(4)),
 }
 
 
