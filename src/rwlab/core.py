@@ -251,6 +251,18 @@ class Presentation:
         return deque()  # the keys of _nf_cache, oldest first
 
     @cached_property
+    def _path_cache(self) -> dict:
+        return {}  # word key -> next-step cell, see rewrite.reduction_path
+
+    @cached_property
+    def _path_rules(self) -> dict:
+        return {}  # (schema name, variable mirror) -> the shared instance
+
+    @cached_property
+    def _path_order(self) -> deque:
+        return deque()  # the keys of _path_cache and _path_rules, oldest first
+
+    @cached_property
     def _hash(self) -> int:
         return hash((self.alphabet, self.rules, self.schemas, self.ordering))
 

@@ -481,14 +481,83 @@ def normalize(w: Word, p: Presentation) -> Word:
     return nf
 
 
+def _served(u: Word, cell: tuple) -> List[Edge]:
+    """The edges of the cached reduction of ``u`` from its cell, each spliced
+    from the word before it."""
+    edges = []
+    while cell:
+        i, j, rule, cell = cell
+        edges.append(Edge(u[:i], rule, 1, u[j:]))
+        u = u[:i] + rule.rhs + u[j:]
+    return edges
+
+
 def reduction_path(w: Word, p: Presentation) -> Path:
-    """The positive path witnessing ``w ->* normalize(w)`` under the strategy."""
+    """The positive path witnessing ``w ->* normalize(w)`` under the strategy.
+
+    Every word a reduction reaches by a step is cached with a cell
+    ``(i, j, rule, next_cell)``: its next step rewrites ``[i:j]`` by
+    ``rule`` into the word whose cell is ``next_cell``; a normal form's cell
+    is ``()``.  Keys are as for ``normalize``: the mirror string, or the
+    tuple for a word with an undeclared letter.  The caller's ``w`` is looked
+    up but not stored.  The reduction stops at the first cached word and
+    splices the rest of the path from the cells, with no redex search; each
+    step takes the leftmost redex of the current word alone, so the served
+    edges are those the search would find.  The schema instances that cells
+    use are shared, one per schema and variable.  Past ``NF_CACHE_CAP``
+    entries, words and instances together, the oldest are evicted.  A path
+    longer than ``STEP_CAP`` edges raises, served or not.
+    """
     m = check_orientation(p)
-    edges, source = [], w
-    for _, i, j, a, b, x in _leftmost_steps(w, m.mirror(w), m):
-        rule = x if isinstance(x, Rule) else instantiate_schema(x, source[a:b])
-        edges.append(Edge(source[:i], rule, 1, source[j:]))
-        source = source[:i] + rule.rhs + source[j:]
+    cache, rules, order = p._path_cache, p._path_rules, p._path_order
+    s = _mirror(m.chars, w)
+    known = "\0" not in s
+    cell = cache.get(s if known else w)
+    if cell is not None:
+        edges = _served(w, cell)
+    else:
+        edges, passed, stored = [], [], []  # passed: (key, i, j, rule) of the steps from stored words
+        source, prev, key = w, s, None
+        for t, i, j, a, b, x in _leftmost_steps(w, s, m):
+            if isinstance(x, Rule):
+                rule, shared = x, None
+            else:
+                shared = x.name, prev[a:b]
+                rule = rules.get(shared)
+                if rule is None:
+                    rule = instantiate_schema(x, source[a:b])
+            edges.append(Edge(source[:i], rule, 1, source[j:]))
+            source = source[:i] + rule.rhs + source[j:]
+            if key is not None:
+                passed.append((key, i, j, rule))
+                if shared is not None and shared not in rules:
+                    rules[shared] = rule
+                    order.append(shared)
+            key, prev = t if known else source, t
+            cell = cache.get(key)
+            if cell is not None:
+                edges += _served(source, cell)
+                break
+        else:
+            cell = ()
+            if key is not None:  # the last word reached is the normal form
+                stored.append((key, cell))
+        for key, i, j, rule in reversed(passed):
+            cell = (i, j, rule, cell)
+            stored.append((key, cell))
+        # first reached first: eviction then takes a reduction's first words,
+        # to which its later cells do not link
+        stored.reverse()
+        cache.update(stored)
+        order.extend(key for key, _ in stored)
+        # a key in the order stands for one entry under it in either dict (a
+        # word key may equal an instance key), so each pop frees one entry
+        while len(order) > NF_CACHE_CAP:
+            key = order.popleft()
+            if cache.pop(key, None) is None:
+                del rules[key]
+    if len(edges) > STEP_CAP:
+        raise RewriteError(f"step cap exceeded while reducing {word_str(w)}")
     return Path._trusted(w, tuple(edges))
 
 

@@ -37,6 +37,24 @@ def test_reduce_preset_and_trace(capsys):
     assert "--K_a@0-->" in lines[0]
 
 
+def test_reduce_traces_a_tail_served_from_the_cache(capsys):
+    # the first step of the second word reaches a word the first one passed,
+    # so the rest of its trace comes from the preset's path cache
+    first = run_cli(capsys, "reduce", "--preset", "Qbar", "-w", "a a h b", "--trace")
+    assert rewrite.check_orientation(preset("Qbar")).mirror(("a", "h", "a", "b")) in (
+        preset("Qbar")._path_cache
+    )
+    second = run_cli(capsys, "reduce", "--preset", "Qbar", "-w", "a a' a h a b", "--trace")
+    tail = [
+        "a h a b --K_a@0--> h a a b",
+        "h a a b --Cb_pp[a]@0--> h a b a",
+        "h a b a --C_pp@0--> h b a a",
+        "h b a a",
+    ]
+    assert first == (0, "\n".join(["a a h b --K_a@1--> a h a b"] + tail) + "\n", "")
+    assert second == (0, "\n".join(["a a' a h a b --I_a@0--> a h a b"] + tail) + "\n", "")
+
+
 def test_phi_verb(capsys):
     code, out, _ = run_cli(capsys, "phi", "--circuit", "CT4", "--eps", "+1", "--delta", "+1")
     assert code == 0
@@ -561,6 +579,11 @@ def test_verify_sweeps_check_their_budget_before_building_a_path(
             ("confluence", "--preset", "Qbar", "--schema-bound", "2"),
             771,
             "682726119a0404aa8a13e91c049d83590c9daddab76eb1c2a6b179e27fb082c2",
+        ),
+        (
+            ("confluence", "--preset", "Qbar", "--schema-bound", "3"),
+            3139,
+            "a338c994806f859d053f387236add27c540734493d4aaddc222b6c8977338613",
         ),
     ],
 )

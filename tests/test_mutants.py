@@ -14,7 +14,7 @@ import sys
 import pytest
 
 import rwlab
-from rwlab import casestudy, completion, invariant
+from rwlab import casestudy, completion, invariant, rewrite
 from rwlab.casestudy import verify_figure2, verify_identities, verify_prop31
 from rwlab.core import EMPTY
 from rwlab.ring import from_word, scale, sub, total
@@ -82,6 +82,15 @@ def closure_forgets_I_a(monkeypatch):
     _patch_everywhere(monkeypatch, completion, "equivalence_classes", fault)
 
 
+def served_path_loses_its_last_edge(monkeypatch):
+    served = rewrite._served
+
+    def fault(u, cell):
+        return served(u, cell)[:-1]
+
+    _patch_everywhere(monkeypatch, rewrite, "_served", fault)
+
+
 def figure2(bound):
     return lambda: verify_figure2(bound, bound, samples=0).passed
 
@@ -101,6 +110,7 @@ KILL_MATRIX = {
     "the swap path flips delta": (swap_path_flips_delta, figure2(0)),
     "the swap path loses its reverse steps' sign": (swap_path_loses_its_reverse_signs, figure2(0)),
     "the closure forgets rule I_a": (closure_forgets_I_a, prop31(4)),
+    "a served reduction path loses its last edge": (served_path_loses_its_last_edge, prop31(2)),
 }
 
 
