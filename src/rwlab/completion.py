@@ -13,15 +13,19 @@ data and feeds completion as a candidate rule.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import operator
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .core import (
     EMPTY,
+    OrderingSpec,
     Presentation,
     Rule,
+    RuleSchema,
     RwlabError,
     Word,
     instantiate_schema,
@@ -30,6 +34,7 @@ from .core import (
     words_over,
 )
 from .rewrite import (
+    _leftmost_steps,
     check_budget,
     check_enumeration_budget,
     check_orientation,
@@ -130,21 +135,88 @@ class UnresolvedPeak:
         return (self.nf1, self.nf2)
 
 
-def _rule_universe(p: Presentation, schema_var_bound: int) -> List[Rule]:
-    """Plain rules plus schema instances with |variable| <= bound, minus
-    instances that duplicate a plain rule's rewrite."""
-    rules = list(p.rules)
-    seen = {(r.lhs, r.rhs) for r in rules}
+def _schema_instances(p: Presentation, schema_var_bound: int) -> List[Rule]:
+    """The schema instances with |variable| <= bound, minus instances that
+    repeat an earlier instance's rewrite."""
+    instances = []
+    seen = set()
     for s in p.schemas:
         for v in words_over(s.variable_range, schema_var_bound):
             inst = instantiate_schema(s, v)
             if (inst.lhs, inst.rhs) not in seen:
                 seen.add((inst.lhs, inst.rhs))
-                rules.append(inst)
-    return rules
+                instances.append(inst)
+    return instances
 
 
-def critical_peaks(p: Presentation, schema_var_bound: int = 0) -> List[CriticalPeak]:
+def _rule_universe(p: Presentation, schema_var_bound: int) -> List[Rule]:
+    """Plain rules plus schema instances with |variable| <= bound, minus
+    instances that duplicate a plain rule's rewrite."""
+    rules = list(p.rules)
+    seen = {(r.lhs, r.rhs) for r in rules}
+    instances = _schema_instances(p, schema_var_bound)
+    return rules + [r for r in instances if (r.lhs, r.rhs) not in seen]
+
+
+def _check_peak_budget(peaks: int, schema_var_bound: int) -> None:
+    check_budget([peaks], lambda cap: f"more than {cap} critical peaks at bound {schema_var_bound}")
+
+
+def _configurations(rules: List[Rule], schema_var_bound: int) -> List[tuple]:
+    """The peaks among ``rules`` as ``(i1, i2, 0, s)`` for an inclusion of
+    ``lhs1`` at ``s`` in ``lhs2`` and ``(i1, i2, 1, ell)`` for an overlap of
+    length ``ell``, in rule-pair order."""
+    by_lhs: Dict[Word, List[int]] = {}
+    by_prefix: Dict[Word, List[int]] = {}  # proper prefixes only
+    for i, r in enumerate(rules):
+        by_lhs.setdefault(r.lhs, []).append(i)
+        for ell in range(1, len(r.lhs)):
+            by_prefix.setdefault(r.lhs[:ell], []).append(i)
+
+    found = []
+    for i2, r2 in enumerate(rules):
+        l2 = r2.lhs
+        for s in range(len(l2) + 1):
+            for e in range(s, len(l2) + 1):
+                for i1 in by_lhs.get(l2[s:e], ()):
+                    r1 = rules[i1]
+                    # for identical lhs, keep one orientation
+                    if r1 is not r2 and not (r1.lhs == l2 and r1.name > r2.name):
+                        found.append((i1, i2, 0, s))
+        _check_peak_budget(len(found), schema_var_bound)
+    for i1, r1 in enumerate(rules):
+        l1 = r1.lhs
+        for ell in range(1, len(l1)):
+            for i2 in by_prefix.get(l1[len(l1) - ell :], ()):
+                found.append((i1, i2, 1, ell))
+        _check_peak_budget(len(found), schema_var_bound)
+    found.sort()  # rule-pair order
+    return found
+
+
+def _peak(r1: Rule, r2: Rule, overlap: int, k: int) -> CriticalPeak:
+    """The inclusion of ``lhs1`` at ``k`` in ``lhs2``, or the overlap of
+    length ``k`` of a suffix of ``lhs1`` with a prefix of ``lhs2``."""
+    l1, l2 = r1.lhs, r2.lhs
+    if overlap:
+        return CriticalPeak("overlap", r1, r2, l2[k:], l1[: len(l1) - k], l1 + l2[k:])
+    return CriticalPeak("inclusion", r1, r2, l2[:k], l2[k + len(l1) :], l2)
+
+
+def _peak_key(peak: CriticalPeak, ordering: OrderingSpec) -> tuple:
+    """The order of ``critical_peaks`` under an ordering: by source first."""
+    return (
+        shortlex_key(peak.source, ordering),
+        peak.kind,
+        peak.rule1.name,
+        peak.rule2.name,
+        len(peak.gamma1),
+    )
+
+
+def critical_peaks(
+    p: Presentation, schema_var_bound: int = 0, *, _live: Optional[_LivePeaks] = None
+) -> List[CriticalPeak]:
     """All inclusion and overlap peaks among plain rules and bounded schema
     instances, each geometric configuration once.  With an ordering they are
     sorted by source; without one they are in rule-pair order (rule1, then
@@ -158,6 +230,18 @@ def critical_peaks(p: Presentation, schema_var_bound: int = 0) -> List[CriticalP
     ``RwlabError`` before any schema is instantiated when the schemas have
     more than ``rewrite.ENUMERATION_CAP`` instances at the bound, and once
     more than ``rewrite.ENUMERATION_CAP`` peaks are found.
+
+    ``_live`` is private to ``knuth_bendix``: the live peak index of one
+    completion run (``_LivePeaks``), which the call brings up to ``p`` and
+    which then lists the same peaks in the same order as a call without it.
+    The index builds its universe and first peaks once, by the enumeration
+    above, and afterwards looks only at the rules that changed: an added
+    lhs's factors among the left-hand sides, the left-hand sides that
+    contain it, its proper suffixes among the proper prefixes and its
+    proper prefixes among the proper suffixes.  Ties of the sort key fall to
+    universe order, as the stable sort over rule-pair order has them.  The
+    call without ``_live`` builds neither the suffix index nor anything else
+    that only the live index needs.
     """
     check_budget(  # the instances of each schema, by |variable|, none generated
         (
@@ -167,55 +251,14 @@ def critical_peaks(p: Presentation, schema_var_bound: int = 0) -> List[CriticalP
         ),
         lambda cap: f"more than {cap} schema instances at bound {schema_var_bound}",
     )
+    if _live is not None:
+        return _live.update(p)
     rules = _rule_universe(p, schema_var_bound)
-    by_lhs: Dict[Word, List[int]] = {}
-    by_prefix: Dict[Word, List[int]] = {}  # proper prefixes only
-    for i, r in enumerate(rules):
-        by_lhs.setdefault(r.lhs, []).append(i)
-        for ell in range(1, len(r.lhs)):
-            by_prefix.setdefault(r.lhs[:ell], []).append(i)
-
-    found = []  # (i1, i2, 0, s) for inclusions, (i1, i2, 1, ell) for overlaps
-    too_many_peaks = lambda cap: f"more than {cap} critical peaks at bound {schema_var_bound}"
-    for i2, r2 in enumerate(rules):
-        l2 = r2.lhs
-        for s in range(len(l2) + 1):
-            for e in range(s, len(l2) + 1):
-                for i1 in by_lhs.get(l2[s:e], ()):
-                    r1 = rules[i1]
-                    # for identical lhs, keep one orientation
-                    if r1 is not r2 and not (r1.lhs == l2 and r1.name > r2.name):
-                        found.append((i1, i2, 0, s))
-        check_budget([len(found)], too_many_peaks)
-    for i1, r1 in enumerate(rules):
-        l1 = r1.lhs
-        for ell in range(1, len(l1)):
-            for i2 in by_prefix.get(l1[len(l1) - ell :], ()):
-                found.append((i1, i2, 1, ell))
-        check_budget([len(found)], too_many_peaks)
-    found.sort()  # rule-pair order
-
-    peaks: List[CriticalPeak] = []
-    for i1, i2, overlap, k in found:
-        r1, r2 = rules[i1], rules[i2]
-        l1, l2 = r1.lhs, r2.lhs
-        if overlap:
-            peaks.append(
-                CriticalPeak("overlap", r1, r2, l2[k:], l1[: len(l1) - k], l1 + l2[k:])
-            )
-        else:
-            peaks.append(CriticalPeak("inclusion", r1, r2, l2[:k], l2[k + len(l1) :], l2))
+    found = _configurations(rules, schema_var_bound)
+    peaks = [_peak(rules[i1], rules[i2], overlap, k) for i1, i2, overlap, k in found]
     ordering = p.ordering
     if ordering is not None:
-        peaks.sort(
-            key=lambda k: (
-                shortlex_key(k.source, ordering),
-                k.kind,
-                k.rule1.name,
-                k.rule2.name,
-                len(k.gamma1),
-            )
-        )
+        peaks.sort(key=lambda k: _peak_key(k, ordering))
     return peaks
 
 
@@ -287,6 +330,234 @@ class CompletionReport:
         return self.status == "completed"
 
 
+class _Member:
+    """A rule of the live universe: a plain rule, or a schema instance that
+    no plain rule shadows.  ``rank`` is its place in universe order, plain
+    rules in list order before the instances; ``entries`` are its peaks."""
+
+    __slots__ = ("rule", "lhs", "text", "rank", "entries")
+
+    def __init__(self, rule: Rule, text: str, rank: tuple):
+        self.rule, self.lhs, self.text, self.rank = rule, rule.lhs, text, rank
+        self.entries: Dict["_Entry", None] = {}
+
+
+class _Entry:
+    """A peak of the live index, between the members ``first`` and
+    ``second`` as ``_peak`` places them, with its sort key."""
+
+    __slots__ = ("key", "first", "second", "overlap", "k", "peak")
+
+    def __init__(self, first: _Member, second: _Member, overlap: int, k: int, ordering):
+        self.first, self.second, self.overlap, self.k = first, second, overlap, k
+        self.peak = _peak(first.rule, second.rule, overlap, k)
+        self.key = _peak_key(self.peak, ordering) + (first.rank, second.rank)
+        first.entries[self] = second.entries[self] = None
+
+
+_entry_key = operator.attrgetter("key")
+
+
+class _LivePeaks:
+    """The critical peaks of one ``knuth_bendix`` run, brought up to date
+    at each search from the rules that changed since the last one, and the
+    certificates of the peaks that searches resolved.
+
+    A certificate is the mirror strings of every word on the peak's two
+    reductions, newline-joined, and the names of the plain rules they used;
+    ``users`` files the certified peaks under each of those names."""
+
+    def __init__(self, p: Presentation, schema_var_bound: int):
+        self.bound, self.ordering = schema_var_bound, p.ordering
+        self.mirror = check_orientation(p).mirror  # the same for every rebuilt system
+        self.plain: Dict[str, _Member] = {}  # by name, in list order
+        self.shadowed: Dict[tuple, _Member] = {}  # (lhs, rhs) -> the instance a plain twin hides
+        self.members: Dict[_Member, None] = {}  # the live universe
+        self.by_lhs: Dict[Word, Dict[_Member, None]] = {}
+        self.by_prefix: Dict[Word, Dict[_Member, None]] = {}  # proper prefixes
+        self.by_suffix: Dict[Word, Dict[_Member, None]] = {}  # proper suffixes
+        self.entries: List[_Entry] = []  # in critical_peaks order
+        self.certified: Dict[_Entry, Tuple[str, set]] = {}  # entry -> its certificate
+        self.users: Dict[str, Dict[_Entry, None]] = {}  # rule name -> certified entries using it
+        self.cells: Dict[str, tuple] = {}  # see _reduce
+        self.ranks = itertools.count()
+        self.built = False
+
+    def update(self, sys: Presentation) -> List[CriticalPeak]:
+        """Bring the index up to ``sys`` and list its peaks."""
+        if self.built:
+            self._sync(sys)
+        else:
+            self._build(sys)
+        _check_peak_budget(len(self.entries), self.bound)
+        self.cells = {}  # their steps were taken under the last search's system
+        return [e.peak for e in self.entries]
+
+    def _member(self, rule: Rule, rank: tuple) -> _Member:
+        return _Member(rule, self.mirror(rule.lhs), rank)
+
+    def _index(self, m: _Member) -> None:
+        lhs = m.lhs
+        self.members[m] = None
+        self.by_lhs.setdefault(lhs, {})[m] = None
+        for ell in range(1, len(lhs)):
+            self.by_prefix.setdefault(lhs[:ell], {})[m] = None
+            self.by_suffix.setdefault(lhs[len(lhs) - ell :], {})[m] = None
+
+    def _build(self, sys: Presentation) -> None:
+        """The first universe, and its peaks by the two-index enumeration."""
+        self.built = True
+        plain = {(r.lhs, r.rhs) for r in sys.rules}
+        universe = []
+        for r in sys.rules:
+            self.plain[r.name] = m = self._member(r, (0, next(self.ranks)))
+            universe.append(m)
+        for j, inst in enumerate(_schema_instances(sys, self.bound)):
+            m = self._member(inst, (1, j))
+            if (inst.lhs, inst.rhs) in plain:
+                self.shadowed[inst.lhs, inst.rhs] = m
+            else:
+                universe.append(m)
+        for m in universe:
+            self._index(m)
+        found = _configurations([m.rule for m in universe], self.bound)
+        self.entries = [
+            _Entry(universe[i1], universe[i2], overlap, k, self.ordering)
+            for i1, i2, overlap, k in found
+        ]
+        self.entries.sort(key=_entry_key)
+
+    def _add(self, m: _Member) -> List[_Entry]:
+        """Index ``m`` and list the peaks it takes part in, in both roles."""
+        self._index(m)
+        lhs, text, name, n = m.lhs, m.text, m.rule.name, len(m.lhs)
+        new = []
+        for s in range(n + 1):  # m as rule2: its factors among the left-hand sides
+            for e in range(s, n + 1):
+                for o in self.by_lhs.get(lhs[s:e], ()):
+                    if o is not m and not (o.lhs == lhs and o.rule.name > name):
+                        new.append((o, m, 0, s))
+        for o in self.members:  # m as rule1: the left-hand sides that contain it
+            if o is not m and not (o.lhs == lhs and name > o.rule.name):
+                s = o.text.find(text)
+                while s >= 0:
+                    new.append((m, o, 0, s))
+                    s = o.text.find(text, s + 1)
+        for ell in range(1, n):
+            for o in self.by_prefix.get(lhs[n - ell :], ()):  # m as rule1, itself included
+                new.append((m, o, 1, ell))
+            for o in self.by_suffix.get(lhs[:ell], ()):  # m as rule2
+                if o is not m:
+                    new.append((o, m, 1, ell))
+        return [_Entry(*c, self.ordering) for c in new]
+
+    def _remove(self, m: _Member) -> None:
+        lhs = m.lhs
+        del self.members[m]
+        del self.by_lhs[lhs][m]
+        for ell in range(1, len(lhs)):
+            del self.by_prefix[lhs[:ell]][m]
+            del self.by_suffix[lhs[len(lhs) - ell :]][m]
+        for e in m.entries:
+            other = e.second if e.first is m else e.first
+            if other is not m:  # a self-overlap is in m's entries alone
+                del other.entries[e]
+            self._void(e)
+            e.peak = None  # gone from the list at the end of the sync
+        m.entries.clear()
+
+    def _sync(self, sys: Presentation) -> None:
+        """Drop, rebuild and add peaks for the plain rules that changed, and
+        void the certificates that a change can reach."""
+        current = {r.name: r for r in sys.rules}
+        gone = set()  # rewrites that plain rules gave up
+        stale = {}  # peaks of rewritten rules
+        dropped = False
+        for name, m in list(self.plain.items()):
+            r = current.get(name)
+            if r is m.rule:
+                continue
+            for e in list(self.users.get(name, ())):  # a step it took may change
+                self._void(e)
+            gone.add((m.rule.lhs, m.rule.rhs))
+            if r is None:
+                del self.plain[name]
+                self._remove(m)
+                dropped = True
+            else:
+                m.rule = r
+                stale.update(m.entries)
+        new = []
+        for r in sys.rules:
+            if r.name not in self.plain:
+                self.plain[r.name] = m = self._member(r, (0, next(self.ranks)))
+                # a word on the way with the new lhs in it may step elsewhere
+                for e in [e for e, (words, _) in self.certified.items() if m.text in words]:
+                    self._void(e)
+                new += self._add(m)
+        # An instance rejoins once no plain rule carries its rewrite.  None
+        # leaves: an added lhs is irreducible, so it is no instance's lhs,
+        # and a rule with an instance's lhs and another rhs is dropped at
+        # its first test, before any rewrite.
+        for pair in gone.difference((r.lhs, r.rhs) for r in sys.rules):
+            inst = self.shadowed.pop(pair, None)
+            if inst is not None:
+                new += self._add(inst)
+        for e in stale:
+            if e.peak is not None:
+                e.peak = _peak(e.first.rule, e.second.rule, e.overlap, e.k)
+                self._void(e)
+        if dropped:
+            self.entries = [e for e in self.entries if e.peak is not None]
+        for e in new:
+            bisect.insort(self.entries, e, key=_entry_key)
+
+    def _void(self, e: _Entry) -> None:
+        """Forget the certificate of ``e``, if it has one."""
+        cert = self.certified.pop(e, None)
+        if cert is not None:
+            for name in cert[1]:
+                del self.users[name][e]
+
+    def resolve(self, peak: CriticalPeak, e: _Entry, sys: Presentation) -> Tuple[Word, Word]:
+        """The normal forms of ``peak``'s two results under ``sys``; when
+        they agree, its entry ``e`` keeps the reductions as its certificate."""
+        m = check_orientation(sys)
+        words, names = [], set()
+        nf1, nf2 = (self._reduce(w, m, words, names) for w in (peak.result1, peak.result2))
+        if nf1 == nf2:
+            self.certified[e] = ("\n".join(words), names)
+            for name in names:
+                self.users.setdefault(name, {})[e] = None
+        return m.word(nf1), m.word(nf2)
+
+    def _reduce(self, w: Word, m, words: List[str], names: set) -> str:
+        """The mirror of the normal form of ``w``; the mirror of each word on
+        the way goes to ``words`` and the name of each plain rule used to
+        ``names``.  A word that the search met before takes its steps from
+        ``cells``: the next word and plain rule name of each word met, or
+        None at a normal form."""
+        cells = self.cells
+        s = m.mirror(w)
+        if s not in cells:
+            prev = s
+            for t, _, _, _, _, x in _leftmost_steps(w, s, m):
+                cells[prev] = (t, None if isinstance(x, RuleSchema) else x.name)
+                if t in cells:
+                    break
+                prev = t
+            else:
+                cells[prev] = None
+        while True:
+            words.append(s)
+            cell = cells[s]
+            if cell is None:
+                return s
+            s, name = cell
+            if name is not None:
+                names.add(name)
+
+
 def knuth_bendix(
     p: Presentation,
     max_new_rules: int,
@@ -311,27 +582,63 @@ def knuth_bendix(
     schema instance or rule with the old rewrite reduces its lhs); dropping
     a rule or normalizing a rhs keeps earlier rules passing, so one pass
     makes the changes that restarting at the first rule would.
+
+    Three mechanisms keep a search from redoing the work of the last one;
+    none changes an outcome:
+
+    - **One live peak index** (``_LivePeaks``) for the whole call.  Each
+      search still gets its list from ``critical_peaks``, which brings the
+      index up to the current system: an added rule brings only the peaks
+      it takes part in, a dropped rule takes its peaks away, a rewritten
+      rule's peaks are rebuilt around the new rule with the same sort keys,
+      and a schema instance leaves and rejoins the universe as its plain
+      twin comes and goes.  The list equals the one from scratch.
+    - **Candidate-only interreduction.**  The first pass tests every rule;
+      each later pass follows one added rule ``u -> v`` and tests only the
+      rules with ``u`` in their lhs or rhs, and a rule again after its rhs
+      changed.  This is exact: ``u`` is irreducible under the system before
+      it, reducibility depends only on the left-hand sides and the schemas,
+      dropping a rule or rewriting a rhs adds no lhs, and a rule that shared
+      a rewrite with a rule rewritten in the pass has that rule's rhs, so
+      it contains ``u`` too.
+    - **Resolution certificates.**  A peak a search resolved keeps the
+      words of both leftmost reductions and the plain rules they used, and
+      later searches skip it until a change can reach it: an added lhs that
+      occurs in one of its words, a rule it used dropped or rewritten, or
+      its own rules rewritten.  Otherwise every step keeps its leftmost
+      redex (rules keep their relative order, an added rule comes last and
+      its lhs occurs nowhere, the schemas are fixed), so both reductions
+      still end at one irreducible word.  The search still walks the peaks
+      in source order and stops at the first unresolved one, so it picks
+      the peak a search from scratch picks.  Certificates live as long as
+      the call, at most one per peak.
     """
-    check_orientation(p)
+    mirror = check_orientation(p).mirror
     report = CompletionReport("completed")
     rules: List[Rule] = list(p.rules)
+    texts = [f"{mirror(r.lhs)} {mirror(r.rhs)}" for r in rules]  # both sides of rules[i]
     sys = p
     taken = {r.name for r in rules} | {s.name for s in p.schemas}
     names = (name for name in map("kb{}".format, itertools.count(1)) if name not in taken)
     pending: List[Tuple[Word, Word]] = []  # dropped equations, used as a stack
+    live = _LivePeaks(p, schema_var_bound)
+    added = None  # the mirror of the lhs added last; None before the first pass
 
     while True:
         dropped = []
-        i = 0
+        i, fixed = 0, None
         while i < len(rules):
             r = rules[i]
+            if added is not None and r is not fixed and added not in texts[i]:
+                i += 1  # neither side contains the added lhs: the rule still passes
+                continue
             # The rule's own edge, or a schema instance carrying the very same
             # rewrite, does not count: it is the same rule, not a simplification.
             if any(
                 e.left or e.rule.lhs != r.lhs or e.rule.rhs != r.rhs
                 for e in find_redexes(r.lhs, sys)
             ):
-                del rules[i]
+                del rules[i], texts[i]
                 report.removed.append(r)
                 dropped.append((r.lhs, r.rhs))
             else:
@@ -339,7 +646,8 @@ def knuth_bendix(
                 if rhs == r.rhs:
                     i += 1
                     continue
-                rules[i] = Rule(r.name, r.lhs, rhs, r.origin)
+                rules[i] = fixed = Rule(r.name, r.lhs, rhs, r.origin)
+                texts[i] = f"{mirror(r.lhs)} {mirror(rhs)}"
             sys = Presentation(p.alphabet, tuple(rules), p.schemas, p.ordering)
         pending.extend(reversed(dropped))
 
@@ -347,8 +655,11 @@ def knuth_bendix(
             if pending:
                 u, v = pending.pop()
             else:
-                for peak in critical_peaks(sys, schema_var_bound):
-                    u, v = normalize(peak.result1, sys), normalize(peak.result2, sys)
+                peaks = critical_peaks(sys, schema_var_bound, _live=live)
+                for peak, entry in zip(peaks, live.entries):
+                    if entry in live.certified:
+                        continue  # resolved, and no change since reaches its reductions
+                    u, v = live.resolve(peak, entry, sys)
                     if u != v:
                         break  # critical_peaks is already source-sorted
                 else:
@@ -363,6 +674,8 @@ def knuth_bendix(
             return sys, report
         rule = Rule(next(names), lhs, rhs)
         rules.append(rule)
+        added = mirror(lhs)
+        texts.append(f"{added} {mirror(rhs)}")
         report.added.append(rule)
         sys = Presentation(p.alphabet, tuple(rules), p.schemas, p.ordering)
 

@@ -594,6 +594,34 @@ def test_peak_listings_are_pinned_byte_for_byte(argv, lines, sha256, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize(
+    "argv, lines, sha256",
+    [
+        (
+            ("complete", "--preset", "Q", "--max-rules", "50", "--max-lhs-len", "8"),
+            52,
+            "2424bb537e8ff6e6b2efec5cc1f4a0a784853756fd0a5ab80aec1764afd5d520",
+        ),
+        (  # 140 rules added, then bounded out by the lhs length
+            ("complete", "--preset", "Q", "--max-rules", "500", "--max-lhs-len", "8"),
+            142,
+            "06820926b92ff3f7221c20629f5c09e73334c435c09c7e36fe28610a1351f6fc",
+        ),
+        (
+            ("complete", "--preset", "Qbar", "--max-rules", "10", "--max-lhs-len", "8",
+             "--schema-bound", "3"),
+            2,
+            "40d08e0c1ee86e03308ee8056a119013934e87c5990f0aa6e01ae13ae83c1002",
+        ),
+    ],
+)
+def test_completion_runs_are_pinned_byte_for_byte(argv, lines, sha256, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 @pytest.mark.parametrize("verb", ["peaks", "confluence", "complete"])
 def test_peak_verbs_check_the_instance_budget_before_instantiating(verb, monkeypatch, capsys):
     def instantiate(*args):

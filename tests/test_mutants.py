@@ -2,23 +2,30 @@
 catch it.
 
 Each fault is injected by monkeypatch into every ``rwlab`` module that binds
-the patched name, since several modules import their helpers by name.  The
-paired check runs at a small bound, first on the intact code, where it must
-pass, then with the fault in place, where it must fail.  A fault that
-survives its check fails the suite.
+the patched name, since several modules import their helpers by name.  A
+fault inside a function's body is a copy of the function compiled from its
+source with one piece of it replaced.  The paired check runs at a small
+bound, first on the intact code, where it must pass, then with the fault in
+place, where it must fail.  A fault that survives its check fails the suite.
 """
 
+import __future__
 import dataclasses
+import inspect
 import sys
+import textwrap
 
 import pytest
 
+import reference_completion as ref
 import rwlab
 from rwlab import casestudy, completion, invariant, rewrite
-from rwlab.casestudy import verify_figure2, verify_identities, verify_prop31
-from rwlab.core import EMPTY
+from rwlab.casestudy import m4_uncompleted, verify_figure2, verify_identities, verify_prop31
+from rwlab.core import EMPTY, Alphabet, OrderingSpec, Presentation, Rule, RuleSchema
 from rwlab.ring import from_word, scale, sub, total
 from rwlab.squier import Edge, Path
+from test_completion_differential import _outcome, reference_knuth_bendix
+from test_completion_live import certificates_hold, live_lists_match
 
 
 def _patch_everywhere(monkeypatch, module, name, fault):
@@ -28,6 +35,19 @@ def _patch_everywhere(monkeypatch, module, name, fault):
     for m in modules:
         if getattr(m, name, None) is original:
             monkeypatch.setattr(m, name, fault)
+
+
+def _mutated(owner, name, old, new):
+    """``owner.name``, a function of ``rwlab.completion`` or a method of one
+    of its classes, compiled again from its source with ``old`` replaced by
+    ``new``."""
+    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
+    assert source.count(old) == 1, f"{name} no longer reads {old!r}"
+    flags = __future__.annotations.compiler_flag
+    scope = {}
+    code = compile(source.replace(old, new), completion.__file__, "exec", flags)
+    exec(code, vars(completion), scope)
+    return scope[name]
 
 
 def phi_drops_the_last_edge(monkeypatch):
@@ -91,6 +111,33 @@ def served_path_loses_its_last_edge(monkeypatch):
     _patch_everywhere(monkeypatch, rewrite, "_served", fault)
 
 
+def dropped_equations_pushed_in_order(monkeypatch):
+    fault = _mutated(
+        completion, "knuth_bendix", "pending.extend(reversed(dropped))", "pending.extend(dropped)"
+    )
+    _patch_everywhere(monkeypatch, completion, "knuth_bendix", fault)
+
+
+def peaks_drop_the_empty_factor(monkeypatch):
+    fault = _mutated(
+        completion,
+        "_configurations",
+        "for e in range(s, len(l2) + 1):",
+        "for e in range(s + 1, len(l2) + 1):",
+    )
+    monkeypatch.setattr(completion, "_configurations", fault)
+
+
+def certificate_survives_an_added_lhs(monkeypatch):
+    fault = _mutated(completion._LivePeaks, "_sync", "if m.text in words]", "if False]")
+    monkeypatch.setattr(completion._LivePeaks, "_sync", fault)
+
+
+def live_index_keeps_dropped_peaks(monkeypatch):
+    fault = _mutated(completion._LivePeaks, "_remove", "e.peak = None", "pass")
+    monkeypatch.setattr(completion._LivePeaks, "_remove", fault)
+
+
 def figure2(bound):
     return lambda: verify_figure2(bound, bound, samples=0).passed
 
@@ -103,6 +150,35 @@ def prop31(bound):
     return lambda: verify_prop31(bound, schema_var_bound=0).passed
 
 
+# An empty lhs is inside every lhs, once per position.
+EMPTY_LHS = Presentation(
+    Alphabet(("a", "b")), (Rule("e", (), ("a",)), Rule("r", ("a", "b"), ("b",)))
+)
+
+# The first search resolves the peak of r0 and the instance a a -> a, then
+# adds a -> ε: its lhs occurs in that peak's words, and it drops r0, whose
+# peaks leave the index.
+SMALL = Presentation(
+    Alphabet(("a", "b", "c")),
+    (Rule("r0", ("a", "b"), ()),),
+    (RuleSchema("s", "X", ("a",), (), ("a", "a"), (), ("a",)),),
+    OrderingSpec(("b", "a", "c")),
+)
+
+
+def peaks_match_the_reference(p):
+    return lambda: completion.critical_peaks(p) == ref.critical_peaks(p)
+
+
+def completes_like_the_reference(make, *args):
+    def check():
+        p = make()
+        got = completion.knuth_bendix(p, *args)
+        return _outcome(got) == _outcome(reference_knuth_bendix(p, *args))
+
+    return check
+
+
 # the smallest bound of the cheaper check that catches each fault
 KILL_MATRIX = {
     "phi drops the last edge": (phi_drops_the_last_edge, identities(1)),
@@ -111,6 +187,22 @@ KILL_MATRIX = {
     "the swap path loses its reverse steps' sign": (swap_path_loses_its_reverse_signs, figure2(0)),
     "the closure forgets rule I_a": (closure_forgets_I_a, prop31(4)),
     "a served reduction path loses its last edge": (served_path_loses_its_last_edge, prop31(2)),
+    "knuth_bendix pushes dropped equations in order": (
+        dropped_equations_pushed_in_order,
+        completes_like_the_reference(m4_uncompleted, 40, 8, 1),
+    ),
+    "critical_peaks drops the empty factor": (
+        peaks_drop_the_empty_factor,
+        peaks_match_the_reference(EMPTY_LHS),
+    ),
+    "a certificate survives an added lhs that occurs in its words": (
+        certificate_survives_an_added_lhs,
+        lambda: certificates_hold(SMALL, (6, 5, 0)),
+    ),
+    "the live index keeps a dropped rule's peaks": (
+        live_index_keeps_dropped_peaks,
+        lambda: live_lists_match(SMALL, (6, 5, 0)),
+    ),
 }
 
 
