@@ -263,13 +263,6 @@ class Presentation:
         return deque()  # the keys of _path_cache and _path_rules, oldest first
 
     @cached_property
-    def _hash(self) -> int:
-        return hash((self.alphabet, self.rules, self.schemas, self.ordering))
-
-    def __hash__(self):
-        return self._hash
-
-    @cached_property
     def _rules_by_name(self) -> dict:
         return {r.name: r for r in reversed(self.rules)}  # the first declared wins
 

@@ -500,11 +500,13 @@ def reduction_path(w: Word, p: Presentation) -> Path:
     ``rule`` into the word whose cell is ``next_cell``; a normal form's cell
     is ``()``.  Keys are as for ``normalize``: the mirror string, or the
     tuple for a word with an undeclared letter.  The caller's ``w`` is looked
-    up but not stored.  The reduction stops at the first cached word and
-    splices the rest of the path from the cells, with no redex search; each
-    step takes the leftmost redex of the current word alone, so the served
-    edges are those the search would find.  The schema instances that cells
-    use are shared, one per schema and variable.  Past ``NF_CACHE_CAP``
+    up but not stored.  The search records each step's positions and rule
+    and stops at the first cached word, whose cell continues the chain
+    with no redex search; each step takes the leftmost redex of the current
+    word alone, so the cells give the steps the search would find.  Every
+    edge, searched or served, is spliced from the chain of ``w`` by
+    ``_served``.  The schema instances that cells use are shared, one per
+    schema and variable.  Past ``NF_CACHE_CAP``
     entries, words and instances together, the oldest are evicted.  A path
     longer than ``STEP_CAP`` edges raises, served or not.
     """
@@ -512,39 +514,35 @@ def reduction_path(w: Word, p: Presentation) -> Path:
     cache, rules, order = p._path_cache, p._path_rules, p._path_order
     s = _mirror(m.chars, w)
     known = "\0" not in s
-    cell = cache.get(s if known else w)
-    if cell is not None:
-        edges = _served(w, cell)
-    else:
-        edges, passed, stored = [], [], []  # passed: (key, i, j, rule) of the steps from stored words
+    head = cache.get(s if known else w)
+    if head is None:
+        steps, stored = [], []  # steps: (key of the word stepped from, i, j, rule); w's key is None
         source, prev, key = w, s, None
         for t, i, j, a, b, x in _leftmost_steps(w, s, m):
             if isinstance(x, Rule):
-                rule, shared = x, None
+                rule = x
             else:
                 shared = x.name, prev[a:b]
                 rule = rules.get(shared)
                 if rule is None:
                     rule = instantiate_schema(x, source[a:b])
-            edges.append(Edge(source[:i], rule, 1, source[j:]))
+                    if key is not None:
+                        rules[shared] = rule
+                        order.append(shared)
+            steps.append((key, i, j, rule))
             source = source[:i] + rule.rhs + source[j:]
-            if key is not None:
-                passed.append((key, i, j, rule))
-                if shared is not None and shared not in rules:
-                    rules[shared] = rule
-                    order.append(shared)
             key, prev = t if known else source, t
-            cell = cache.get(key)
-            if cell is not None:
-                edges += _served(source, cell)
+            head = cache.get(key)
+            if head is not None:
                 break
         else:
-            cell = ()
+            head = ()
             if key is not None:  # the last word reached is the normal form
-                stored.append((key, cell))
-        for key, i, j, rule in reversed(passed):
-            cell = (i, j, rule, cell)
-            stored.append((key, cell))
+                stored.append((key, head))
+        for key, i, j, rule in reversed(steps):
+            head = (i, j, rule, head)
+            if key is not None:
+                stored.append((key, head))
         # first reached first: eviction then takes a reduction's first words,
         # to which its later cells do not link
         stored.reverse()
@@ -556,6 +554,7 @@ def reduction_path(w: Word, p: Presentation) -> Path:
             key = order.popleft()
             if cache.pop(key, None) is None:
                 del rules[key]
+    edges = _served(w, head)
     if len(edges) > STEP_CAP:
         raise RewriteError(f"step cap exceeded while reducing {word_str(w)}")
     return Path._trusted(w, tuple(edges))

@@ -13,6 +13,7 @@ cancellations) that invariance tests need.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -23,33 +24,32 @@ class PathError(RwlabError):
     pass
 
 
-@dataclass(init=False, unsafe_hash=True)
-class Edge:
+class Edge(namedtuple("Edge", "left rule sign right")):
     """An immutable edge ``(left, rule, sign, right)``, equal to another edge
-    with the same four fields and to nothing else."""
+    with the same four fields and to nothing else: not to a bare tuple."""
 
-    __slots__ = ("left", "rule", "sign", "right")
+    __slots__ = ()
     left: Word
     rule: Rule
     sign: int  # +1 or -1
     right: Word
 
-    def __init__(self, left: Word, rule: Rule, sign: int, right: Word):
+    def __new__(cls, left: Word, rule: Rule, sign: int, right: Word):
         if sign not in (+1, -1):
             raise PathError(f"edge sign must be +1 or -1, got {sign}")
-        _set_left(self, left)
-        _set_rule(self, rule)
-        _set_sign(self, sign)
-        _set_right(self, right)
+        return tuple.__new__(cls, (left, rule, sign, right))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    @classmethod
+    def _make(cls, fields) -> "Edge":
+        return cls(*fields)
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    def __eq__(self, other):
+        return type(other) is Edge and tuple.__eq__(self, other)
 
-    def __reduce__(self):
-        return Edge, (self.left, self.rule, self.sign, self.right)
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     @property
     def source(self) -> Word:
@@ -66,10 +66,6 @@ class Edge:
 
     def __str__(self):
         return f"({word_str(self.left)}, {self.rule.name}, {self.sign:+d}, {word_str(self.right)})"
-
-
-# The slot setters bypass ``Edge.__setattr__``; only ``__init__`` uses them.
-_set_left, _set_rule, _set_sign, _set_right = (Edge.__dict__[f].__set__ for f in Edge.__slots__)
 
 
 @dataclass(frozen=True)

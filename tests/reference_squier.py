@@ -1,7 +1,7 @@
 """Former code of ``rwlab.squier``, kept as the reference.
 
 ``Edge`` is the former frozen dataclass, unchanged: its ``repr``, hash and
-sign check are what the slotted ``rwlab.squier.Edge`` must reproduce.
+sign check are what the tuple-based ``rwlab.squier.Edge`` must reproduce.
 
 ``check_path`` is the former ``Path.__post_init__`` walk, unchanged but for
 taking the path as an argument: every edge must start where the previous

@@ -4,9 +4,13 @@ catch it.
 Each fault is injected by monkeypatch into every ``rwlab`` module that binds
 the patched name, since several modules import their helpers by name.  A
 fault inside a function's body is a copy of the function compiled from its
-source with one piece of it replaced.  The paired check runs at a small
-bound, first on the intact code, where it must pass, then with the fault in
-place, where it must fail.  A fault that survives its check fails the suite.
+source, in its own module's namespace, with one piece of it replaced.  The
+paired check runs at a small bound, first on the intact code, where it must
+pass, then with the fault in place, where it must fail; it calls the faulty
+name through its module, since a test module's own by-name import is not
+patched, and it works on fresh presentations where a fault could leave a
+wrong result in a shared cache.  A fault that survives its check fails the
+suite.
 """
 
 import __future__
@@ -19,13 +23,34 @@ import pytest
 
 import reference_completion as ref
 import rwlab
-from rwlab import casestudy, completion, invariant, rewrite
-from rwlab.casestudy import m4_uncompleted, verify_figure2, verify_identities, verify_prop31
-from rwlab.core import EMPTY, Alphabet, OrderingSpec, Presentation, Rule, RuleSchema
+from rwlab import casestudy, completion, invariant, rewrite, squier, structure
+from rwlab.casestudy import (
+    build_C_path,
+    m4_uncompleted,
+    preset,
+    verify_figure2,
+    verify_identities,
+    verify_prop31,
+)
+from rwlab.core import (
+    EMPTY,
+    Alphabet,
+    OrderingSpec,
+    Presentation,
+    Rule,
+    RuleSchema,
+    RwlabError,
+    word,
+)
+from rwlab.rewrite import OrientationError
 from rwlab.ring import from_word, scale, sub, total
 from rwlab.squier import Edge, Path
+from rwlab.structure import HClass
 from test_completion_differential import _outcome, reference_knuth_bendix
 from test_completion_live import certificates_hold, live_lists_match
+from test_rewrite import UNORIENTED
+from test_rewrite_differential import assert_same
+from test_squier_differential import assert_valid
 
 
 def _patch_everywhere(monkeypatch, module, name, fault):
@@ -38,15 +63,17 @@ def _patch_everywhere(monkeypatch, module, name, fault):
 
 
 def _mutated(owner, name, old, new):
-    """``owner.name``, a function of ``rwlab.completion`` or a method of one
-    of its classes, compiled again from its source with ``old`` replaced by
-    ``new``."""
-    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
+    """``owner.name``, a function of an rwlab module or a method of one of
+    its classes, compiled again from its source with ``old`` replaced by
+    ``new``, in the namespace of the module that defines it."""
+    original = getattr(owner, name)
+    module = sys.modules[original.__module__]
+    source = textwrap.dedent(inspect.getsource(original))
     assert source.count(old) == 1, f"{name} no longer reads {old!r}"
     flags = __future__.annotations.compiler_flag
     scope = {}
-    code = compile(source.replace(old, new), completion.__file__, "exec", flags)
-    exec(code, vars(completion), scope)
+    code = compile(source.replace(old, new), module.__file__, "exec", flags)
+    exec(code, vars(module), scope)
     return scope[name]
 
 
@@ -138,6 +165,51 @@ def live_index_keeps_dropped_peaks(monkeypatch):
     monkeypatch.setattr(completion._LivePeaks, "_remove", fault)
 
 
+def invert_keeps_the_edge_order(monkeypatch):
+    fault = _mutated(squier, "invert", "for e in reversed(p.edges)", "for e in p.edges")
+    _patch_everywhere(monkeypatch, squier, "invert", fault)
+
+
+def normalize_skips_the_orientation_check(monkeypatch):
+    fault = _mutated(rewrite, "normalize", "m = check_orientation(p)", "m = _matcher(p)")
+    _patch_everywhere(monkeypatch, rewrite, "normalize", fault)
+
+
+def schema_matches_one_letter_too_far(monkeypatch):
+    fault = _mutated(
+        rewrite._Matcher,
+        "leftmost",
+        "return m.start(), m.end(), a, b,",
+        "return m.start(), m.end() + 1, a, b,",
+    )
+    monkeypatch.setattr(rewrite._Matcher, "leftmost", fault)
+
+
+def classify_ignores_z(monkeypatch):
+    fault = _mutated(
+        structure, "classify", 'count = 2 if "z" in nf else nf.count("h")', 'count = nf.count("h")'
+    )
+    _patch_everywhere(monkeypatch, structure, "classify", fault)
+
+
+def isometry_skips_the_last_vertex(monkeypatch):
+    fault = _mutated(structure, "isometry_check", "for u in vertices:", "for u in vertices[:-1]:")
+    _patch_everywhere(monkeypatch, structure, "isometry_check", fault)
+
+
+def passes(assertion):
+    """A check that holds when ``assertion()`` raises nothing."""
+
+    def check():
+        try:
+            assertion()
+        except (AssertionError, RwlabError):
+            return False
+        return True
+
+    return check
+
+
 def figure2(bound):
     return lambda: verify_figure2(bound, bound, samples=0).passed
 
@@ -168,6 +240,38 @@ SMALL = Presentation(
 
 def peaks_match_the_reference(p):
     return lambda: completion.critical_peaks(p) == ref.critical_peaks(p)
+
+
+def inverse_walks(p):
+    # the reference walk of the former ``Path`` constructor
+    return passes(lambda: assert_valid(squier.invert(p)))
+
+
+def same_reduction_on_a_fresh_qbar(w):
+    # a fresh presentation, so that no cache serves what the intact run stored
+    return passes(lambda: assert_same(word(w), dataclasses.replace(preset("Qbar"))))
+
+
+def normalize_rejects(case):
+    _, p, w, _ = case  # message, unoriented presentation, word, redex start
+
+    def check():
+        try:
+            # a fresh copy: the fault must not leave its result in p's cache
+            rewrite.normalize(w, dataclasses.replace(p))
+        except OrientationError:
+            return True
+        return False
+
+    return check
+
+
+def z_is_zero(name):
+    return lambda: structure.classify(word("z"), preset(name)) == HClass.ZERO
+
+
+def isometry_counts_pairs(radius, pairs):
+    return lambda: structure.isometry_check(preset("M4"), preset("N4"), radius).pair_count == pairs
 
 
 def completes_like_the_reference(make, *args):
@@ -202,6 +306,25 @@ KILL_MATRIX = {
     "the live index keeps a dropped rule's peaks": (
         live_index_keeps_dropped_peaks,
         lambda: live_lists_match(SMALL, (6, 5, 0)),
+    ),
+    "invert keeps the edge order": (
+        invert_keeps_the_edge_order,
+        inverse_walks(build_C_path(word("a b"), 1, 1)),
+    ),
+    "normalize skips the orientation check": (
+        normalize_skips_the_orientation_check,
+        normalize_rejects(UNORIENTED[0]),
+    ),
+    "a schema matches one letter too far": (
+        schema_matches_one_letter_too_far,
+        same_reduction_on_a_fresh_qbar("h a' b' a b"),
+    ),
+    "classify ignores z": (classify_ignores_z, z_is_zero("M4")),
+    # the 7 vertices of the radius-1 ball in ordered pairs, as the
+    # `verify isometry --radius 1` output pins them
+    "isometry_check skips the last vertex": (
+        isometry_skips_the_last_vertex,
+        isometry_counts_pairs(1, 49),
     ),
 }
 

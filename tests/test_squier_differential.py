@@ -1,11 +1,12 @@
 """Paths and edges against the former ``squier`` code, kept in
 ``reference_squier``: the outputs of ``compose``, ``invert``, ``act`` and
 ``lift_path``, which are built without the validating walk, pass that walk;
-the slotted ``Edge`` behaves as the former frozen dataclass."""
+the tuple-based ``Edge`` behaves as the former frozen dataclass."""
 
 import copy
 import pickle
 import random
+from collections import namedtuple
 
 import pytest
 
@@ -83,7 +84,7 @@ def test_public_constructor_still_walks_every_edge(Q):
 
 
 # ---------------------------------------------------------------------------
-# The slotted Edge against the former frozen dataclass
+# The tuple-based Edge against the former frozen dataclass
 # ---------------------------------------------------------------------------
 
 
@@ -134,3 +135,30 @@ def test_edge_copies_and_pickles(Q):
     e = Edge(word("b"), Q.rule_named("K_a"), -1, word("a"))
     for twin in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
         assert twin == e and twin.source == e.source
+
+
+# ---------------------------------------------------------------------------
+# What the tuple base must keep and what it must not inherit
+# ---------------------------------------------------------------------------
+
+
+def test_make_and_replace_keep_the_sign_check(Q):
+    e = Edge(word("b"), Q.rule_named("K_a"), 1, word("a"))
+    with pytest.raises(PathError) as made:
+        Edge._make((e.left, e.rule, 0, e.right))
+    with pytest.raises(PathError) as replaced:
+        e._replace(sign=2)
+    assert str(made.value) == "edge sign must be +1 or -1, got 0"
+    assert str(replaced.value) == "edge sign must be +1 or -1, got 2"
+    assert e._replace(sign=-1) == e.inverse() and type(Edge._make(e)) is Edge
+
+
+def test_an_edge_equals_no_tuple_with_its_fields(Q):
+    e = Edge(word("b"), Q.rule_named("K_a"), 1, word("a"))
+    assert e != tuple(e) and tuple(e) != e
+    assert not e == tuple(e) and not tuple(e) == e
+    # a foreign namedtuple compares first by its own tuple equality, so only
+    # the edge's side of the comparison is the edge's to decide
+    twin = namedtuple("Edge", "left rule sign right")(*e)
+    assert e != twin and not e == twin
+    assert e == Edge(*twin) and not e != Edge(*twin)
