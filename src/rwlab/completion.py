@@ -34,6 +34,7 @@ from .core import (
     words_over,
 )
 from .rewrite import (
+    _derived,
     _leftmost_steps,
     check_budget,
     check_enumeration_budget,
@@ -583,9 +584,20 @@ def knuth_bendix(
     a rule or normalizing a rhs keeps earlier rules passing, so one pass
     makes the changes that restarting at the first rule would.
 
-    Three mechanisms keep a search from redoing the work of the last one;
+    Four mechanisms keep a search from redoing the work of the last one;
     none changes an outcome:
 
+    - **One live system.**  Each dropped, rewritten or added rule derives
+      the next system and its matcher from the last one
+      (``rewrite._derived``), checking only the changed rule: its name,
+      letters and anti-symmetry against the running sets, and its
+      orientation.  This is exact: the first system is ``p``, validated
+      on construction and oriented by the check above, every later one
+      is derived from an oriented, validated one, dropping a rule can
+      fail no check, and an added or rewritten rule is oriented by
+      construction (``lhs`` is the shortlex-greater side, a new rhs a
+      normal form of the old one).  The matcher's table is copied, never
+      written, so ``p`` and its matcher end the call as they began it.
     - **One live peak index** (``_LivePeaks``) for the whole call.  Each
       search still gets its list from ``critical_peaks``, which brings the
       index up to the current system: an added rule brings only the peaks
@@ -615,10 +627,9 @@ def knuth_bendix(
     """
     mirror = check_orientation(p).mirror
     report = CompletionReport("completed")
-    rules: List[Rule] = list(p.rules)
-    texts = [f"{mirror(r.lhs)} {mirror(r.rhs)}" for r in rules]  # both sides of rules[i]
+    texts = [f"{mirror(r.lhs)} {mirror(r.rhs)}" for r in p.rules]  # both sides of sys.rules[i]
     sys = p
-    taken = {r.name for r in rules} | {s.name for s in p.schemas}
+    taken = {r.name for r in p.rules} | {s.name for s in p.schemas}
     names = (name for name in map("kb{}".format, itertools.count(1)) if name not in taken)
     pending: List[Tuple[Word, Word]] = []  # dropped equations, used as a stack
     live = _LivePeaks(p, schema_var_bound)
@@ -627,8 +638,8 @@ def knuth_bendix(
     while True:
         dropped = []
         i, fixed = 0, None
-        while i < len(rules):
-            r = rules[i]
+        while i < len(sys.rules):
+            r = sys.rules[i]
             if added is not None and r is not fixed and added not in texts[i]:
                 i += 1  # neither side contains the added lhs: the rule still passes
                 continue
@@ -638,7 +649,8 @@ def knuth_bendix(
                 e.left or e.rule.lhs != r.lhs or e.rule.rhs != r.rhs
                 for e in find_redexes(r.lhs, sys)
             ):
-                del rules[i], texts[i]
+                sys = _derived(sys, i)
+                del texts[i]
                 report.removed.append(r)
                 dropped.append((r.lhs, r.rhs))
             else:
@@ -646,9 +658,9 @@ def knuth_bendix(
                 if rhs == r.rhs:
                     i += 1
                     continue
-                rules[i] = fixed = Rule(r.name, r.lhs, rhs, r.origin)
+                fixed = Rule(r.name, r.lhs, rhs, r.origin)
+                sys = _derived(sys, i, fixed)
                 texts[i] = f"{mirror(r.lhs)} {mirror(rhs)}"
-            sys = Presentation(p.alphabet, tuple(rules), p.schemas, p.ordering)
         pending.extend(reversed(dropped))
 
         while True:
@@ -673,11 +685,10 @@ def knuth_bendix(
             report.status = "bounded-out"
             return sys, report
         rule = Rule(next(names), lhs, rhs)
-        rules.append(rule)
+        sys = _derived(sys, len(sys.rules), rule)
         added = mirror(lhs)
         texts.append(f"{added} {mirror(rhs)}")
         report.added.append(rule)
-        sys = Presentation(p.alphabet, tuple(rules), p.schemas, p.ordering)
 
 
 # ---------------------------------------------------------------------------

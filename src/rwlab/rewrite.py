@@ -113,12 +113,15 @@ class _Matcher:
     Plain rules sit in a table keyed by lhs.  Schemas share one compiled
     alternation ``lhs_prefix([range]*?)lhs_suffix``: the lazy repeat gives
     each schema's shortest instantiation, and the order of the alternatives
-    gives declaration order.  Only the schemas are compiled, so completion,
-    which rebuilds the rules but keeps the schemas, compiles nothing new.
+    gives declaration order.  Only the schemas are compiled: completion,
+    which changes one rule at a time and keeps the schemas, derives each
+    system's matcher from the last one's (``_derived``) and compiles
+    nothing new.
     """
 
     def __init__(self, p: Presentation):
         self.unoriented = _orientation_error(p)  # None, or why reducing raises
+        self.top = len(p.rules) - 1  # the highest declaration rank
         (
             self.chars,
             self.letters,
@@ -129,14 +132,55 @@ class _Matcher:
             self.runs,
             self.lastout,
         ) = _schema_part(p.alphabet.letters, p.schemas)
-        # lhs string -> [(declaration index, rule, rhs string, "", None)]
-        self.plain: dict = {}
+        self.plain: dict = {}  # lhs string -> [entry], by rank
         for k, r in enumerate(p.rules):
             if r.lhs:
-                entry = (k, r, self.mirror(r.rhs), "", None)
-                self.plain.setdefault(self.mirror(r.lhs), []).append(entry)
+                self.plain.setdefault(self.mirror(r.lhs), []).append(self._entry(k, r))
         self.lengths = sorted({len(lhs) for lhs in self.plain})
         self.maxlhs = max(self.lengths, default=0)
+
+    def _entry(self, rank: int, r: Rule) -> tuple:
+        """The table entry of ``r``: its declaration rank, the rule, its rhs
+        string, and the schema fields ``leftmost`` reads, empty."""
+        return rank, r, self.mirror(r.rhs), "", None
+
+    def _derived(
+        self, old: Optional[Rule], new: Optional[Rule], ordering: OrderingSpec
+    ) -> "_Matcher":
+        """The matcher of this one's presentation with ``old`` dropped
+        (``new`` None), ``new`` in ``old``'s place with ``old``'s lhs, or
+        ``new`` appended (``old`` None), as ``Presentation._derived`` makes it.
+
+        This matcher must be oriented.  The plain table is copied and only
+        the list of the changed lhs is built anew, so this one's table is
+        never written.  An entry keeps its declaration rank and a rule put
+        in ``old``'s place takes its rank; an appended rule ranks above all
+        others, so ties still break in list order.  Only ``new`` is checked
+        for orientation, the schema part is shared.
+        """
+        m = object.__new__(_Matcher)
+        m.__dict__.update(self.__dict__)
+        plain = m.plain = dict(self.plain)
+        if old is None:
+            key = self.mirror(new.lhs)
+            entries = plain.get(key, [])
+            at = cut = len(entries)
+            rank = m.top = self.top + 1
+        else:
+            key = self.mirror(old.lhs)
+            entries = plain[key]
+            at = next(n for n, e in enumerate(entries) if e[1] is old)
+            cut, rank = at + 1, entries[at][0]
+        put = [] if new is None else [self._entry(rank, new)]
+        entries = entries[:at] + put + entries[cut:]
+        if entries:
+            plain[key] = entries
+        else:
+            del plain[key]
+        m.lengths = sorted({len(lhs) for lhs in plain})
+        m.maxlhs = max(m.lengths, default=0)
+        m.unoriented = None if new is None else _rule_orientation_error(new, ordering)
+        return m
 
     def mirror(self, w: Word) -> str:
         return _mirror(self.chars, w)
@@ -287,6 +331,15 @@ def _matcher(p: Presentation) -> _Matcher:
     return m
 
 
+def _derived(p: Presentation, i: int, new: Optional[Rule] = None) -> Presentation:
+    """``p._derived(i, new)``, with its matcher derived from the matcher of
+    ``p``, which must be oriented."""
+    q = p._derived(i, new)
+    old = p.rules[i] if i < len(p.rules) else None
+    q.__dict__["_matcher"] = _matcher(p)._derived(old, new, p.ordering)
+    return q
+
+
 def find_redexes(w: Word, p: Presentation) -> List[Edge]:
     """All rule applications to ``w``, as positive edges with source ``w``:
     per position, plain rules first then the shortest schema instantiation
@@ -332,14 +385,21 @@ def _schema_oriented(s: RuleSchema, ordering: OrderingSpec) -> bool:
     return False
 
 
+def _rule_orientation_error(r: Rule, ordering: OrderingSpec) -> Optional[str]:
+    if compare_shortlex(r.lhs, r.rhs, ordering) <= 0:
+        return f"rule {r.name} is not oriented; termination not guaranteed"
+    return None
+
+
 def _orientation_error(p: Presentation) -> Optional[str]:
     """None when every rule and schema orients lhs > rhs under shortlex,
     otherwise why termination is not guaranteed."""
     if p.ordering is None:
         return "presentation has no ordering; termination not guaranteed"
     for r in p.rules:
-        if compare_shortlex(r.lhs, r.rhs, p.ordering) <= 0:
-            return f"rule {r.name} is not oriented; termination not guaranteed"
+        error = _rule_orientation_error(r, p.ordering)
+        if error is not None:
+            return error
     for s in p.schemas:
         if not _schema_oriented(s, p.ordering):
             return f"schema {s.name} is not oriented; termination not guaranteed"

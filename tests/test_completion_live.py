@@ -8,15 +8,21 @@ both leftmost reductions under the current system pass exactly the words it
 recorded and end at one normal form.  The outcome of each run must equal
 that of ``reference_knuth_bendix``, the oracle of
 ``tests/test_completion_differential.py``.
+
+After every rule change of a run, the system that ``knuth_bendix`` derives
+from the last one, with its matcher, must equal a system built from scratch
+from the changed rule list, and the caller's presentation and its matcher
+must end the run as they began it.
 """
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rwlab import completion
+from rwlab import completion, rewrite
 from rwlab.casestudy import m4_uncompleted, preset
 from rwlab.completion import knuth_bendix
 from rwlab.core import Alphabet, OrderingSpec, Presentation, Rule, RuleSchema, words_over
@@ -79,6 +85,59 @@ def certificates_hold(p, args) -> bool:
     return watched_run(p, args)[1] == 0
 
 
+def _table(m) -> tuple:
+    """What a matcher's search reads of its plain rules: each lhs's entries
+    without their ranks, in their order, and the rules ranked across the
+    table; with ``lengths``, ``maxlhs`` and ``unoriented``."""
+    by_lhs = {lhs: [e[1:] for e in entries] for lhs, entries in m.plain.items()}
+    ranked = [e[1] for e in sorted(e for entries in m.plain.values() for e in entries)]
+    return by_lhs, ranked, m.lengths, m.maxlhs, m.unoriented
+
+
+def _snapshot(p) -> tuple:
+    """Copies of ``p``, its running name and pair sets, and its matcher's table."""
+    m = rewrite._matcher(p)
+    table = {lhs: list(entries) for lhs, entries in m.plain.items()}
+    return dataclasses.replace(p), set(p._names), p._pairs.copy(), table, _table(m)
+
+
+def derived_run(p, args):
+    """Run ``knuth_bendix`` with every derived system checked against one
+    built from scratch; returns the outcome, the number of derivations that
+    differ from scratch (or of runs that changed ``p``), and the kinds of
+    change made."""
+    original = completion._derived
+    bad, kinds = [], set()
+
+    def watch(sys, i, new=None):
+        q = original(sys, i, new)
+        rules = list(sys.rules)
+        kinds.add("drop" if new is None else "append" if i == len(rules) else "rewrite")
+        if new is None:
+            del rules[i]
+        else:
+            rules[i : i + 1] = [new]
+        fresh = Presentation(p.alphabet, tuple(rules), p.schemas, p.ordering)
+        derived = q, hash(q), _table(rewrite._matcher(q))
+        if derived != (fresh, hash(fresh), _table(rewrite._Matcher(fresh))):
+            bad.append((sys, i, new))
+        return q
+
+    before = _snapshot(p)
+    completion._derived = watch
+    try:
+        result = knuth_bendix(p, *args)
+    finally:
+        completion._derived = original
+    if _snapshot(p) != before:
+        bad.append(p)
+    return _outcome(result), len(bad), kinds
+
+
+def derivations_match(p, args) -> bool:
+    return derived_run(p, args)[1] == 0
+
+
 RUNS = dict(CASES)
 for _seed in range(100, 103):
     RUNS[f"Q-perm{_seed}-60-10"] = (lambda s=_seed: _permuted(preset("Q"), s), (60, 10))
@@ -93,6 +152,22 @@ def test_every_search_lists_the_peaks_from_scratch(run):
     outcome, bad = watched_run(p, args)
     assert bad == 0
     assert outcome == _outcome(reference_knuth_bendix(p, *args))
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_every_derived_system_equals_one_from_scratch(run):
+    make, args = RUNS[run]
+    _, bad, kinds = derived_run(make(), args)
+    assert bad == 0
+    if run == "duplicated-rewrite":
+        assert kinds == {"drop", "rewrite", "append"}
+
+
+def test_q_at_500_rules_and_lhs_10_derives_the_systems_from_scratch():
+    outcome, bad, _ = derived_run(dataclasses.replace(preset("Q")), (500, 10))
+    assert bad == 0
+    status, added, removed, rules = outcome
+    assert (status, len(added), removed, len(rules)) == ("bounded-out", 252, [], 269)
 
 
 def test_q_at_500_rules_and_lhs_8_lists_the_peaks_from_scratch():
@@ -140,6 +215,30 @@ def test_drawn_systems_match_scratch_and_the_reference(p, bound):
     outcome, bad = watched_run(p, args)
     assert bad == 0
     assert outcome == _outcome(reference_knuth_bendix(p, *args))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(p=small_systems(), bound=st.integers(0, 2))
+def test_drawn_systems_derive_the_systems_from_scratch(p, bound):
+    assert derived_run(p, (6, 5, bound))[1] == 0
+
+
+def test_one_matcher_is_built_from_scratch_per_run(monkeypatch):
+    p = dataclasses.replace(preset("Q"))  # no matcher yet
+    built, checked, validated = [], [], []
+    init, orientation = rewrite._Matcher.__init__, rewrite._orientation_error
+    post_init = Presentation.__post_init__
+    monkeypatch.setattr(rewrite._Matcher, "__init__", lambda m, q: (built.append(q), init(m, q))[1])
+    monkeypatch.setattr(
+        rewrite, "_orientation_error", lambda q: (checked.append(q), orientation(q))[1]
+    )
+    monkeypatch.setattr(
+        Presentation, "__post_init__", lambda q: (validated.append(q), post_init(q))[1]
+    )
+    _, report = knuth_bendix(p, 500, 8)
+    assert len(report.added) == 140
+    assert built == [p] and checked == [p]
+    assert validated == []  # each system is derived from the last one
 
 
 def test_the_bulk_universe_is_built_once_per_run(monkeypatch):

@@ -46,8 +46,8 @@ from rwlab.rewrite import OrientationError
 from rwlab.ring import from_word, scale, sub, total
 from rwlab.squier import Edge, Path
 from rwlab.structure import HClass
-from test_completion_differential import _outcome, reference_knuth_bendix
-from test_completion_live import certificates_hold, live_lists_match
+from test_completion_differential import _duplicated_rewrite, _outcome, reference_knuth_bendix
+from test_completion_live import certificates_hold, derivations_match, live_lists_match
 from test_rewrite import UNORIENTED
 from test_rewrite_differential import assert_same
 from test_squier_differential import assert_valid
@@ -163,6 +163,36 @@ def certificate_survives_an_added_lhs(monkeypatch):
 def live_index_keeps_dropped_peaks(monkeypatch):
     fault = _mutated(completion._LivePeaks, "_remove", "e.peak = None", "pass")
     monkeypatch.setattr(completion._LivePeaks, "_remove", fault)
+
+
+def derived_matcher_keeps_a_dropped_entry(monkeypatch):
+    fault = _mutated(
+        rewrite._Matcher,
+        "_derived",
+        "cut, rank = at + 1, entries[at][0]",
+        "cut, rank = at + (new is not None), entries[at][0]",
+    )
+    monkeypatch.setattr(rewrite._Matcher, "_derived", fault)
+
+
+def derived_matcher_keeps_the_old_rhs(monkeypatch):
+    fault = _mutated(
+        rewrite._Matcher,
+        "_derived",
+        "[self._entry(rank, new)]",
+        "[self._entry(rank, new)[:2] + self._entry(rank, old or new)[2:]]",
+    )
+    monkeypatch.setattr(rewrite._Matcher, "_derived", fault)
+
+
+def derivation_splices_the_base_lists(monkeypatch):
+    fault = _mutated(
+        rewrite._Matcher,
+        "_derived",
+        "entries = entries[:at] + put + entries[cut:]",
+        "entries[at:cut] = put",
+    )
+    monkeypatch.setattr(rewrite._Matcher, "_derived", fault)
 
 
 def invert_keeps_the_edge_order(monkeypatch):
@@ -306,6 +336,19 @@ KILL_MATRIX = {
     "the live index keeps a dropped rule's peaks": (
         live_index_keeps_dropped_peaks,
         lambda: live_lists_match(SMALL, (6, 5, 0)),
+    ),
+    # d1's rhs is rewritten on the caller's presentation, then d1 is dropped
+    "a derived matcher keeps a dropped rule's entry": (
+        derived_matcher_keeps_a_dropped_entry,
+        lambda: derivations_match(_duplicated_rewrite(), (10, 6)),
+    ),
+    "a rewritten rule keeps its old rhs string in the derived table": (
+        derived_matcher_keeps_the_old_rhs,
+        lambda: derivations_match(_duplicated_rewrite(), (10, 6)),
+    ),
+    "a derivation splices the base's lists in place, changing the caller's presentation": (
+        derivation_splices_the_base_lists,
+        lambda: derivations_match(_duplicated_rewrite(), (10, 6)),
     ),
     "invert keeps the edge order": (
         invert_keeps_the_edge_order,
