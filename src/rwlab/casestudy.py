@@ -195,32 +195,41 @@ def c_bar_rule(w: Word, eps: int, delta: int) -> Rule:
     return instantiate_schema(preset("Qbar").schema_named(f"Cb_{_EXP[eps]}{_EXP[delta]}"), w)
 
 
-def _swap_edges(
-    w: Word, eps: int, delta: int, left: Word = EMPTY, right: Word = EMPTY
-) -> List[Edge]:
-    """The edges of the swap path from ``h w aᵉ bᵈ`` to ``h w bᵈ aᵉ`` over
-    Q, in the outer contexts ``left`` and ``right``.
+@lru_cache(maxsize=4)
+def _swap_rules(eps: int, delta: int) -> tuple:
+    """The two sides ``(aᵉ bᵈ, bᵈ aᵉ)`` of the pair swap, its rule of Q, and
+    Q's commutation rule ``K_x`` of each letter x."""
+    q = preset("Q")
+    k_rules = {x: q.rule_named(f"K_{x}") for x in A_LETTERS}
+    return swap_pair(eps, delta), q.rule_named(f"C_{_EXP[eps]}{_EXP[delta]}"), k_rules
+
+
+def _swap_steps(w: Word, eps: int, delta: int) -> tuple:
+    """The steps of the swap path from ``h w aᵉ bᵈ`` to ``h w bᵈ aᵉ`` over Q,
+    as a piece's steps ``(i, rule, sign, tail)`` over w (``squier.Path.pieces``).
 
     Each letter of w is carried out in front of h by a reverse commutation
     step, the bare pair swap happens in the middle, and the letters are
-    carried back; 2|w| + 1 edges in total, each starting where the one
-    before it ends.
+    carried back; 2|w| + 1 steps in total, each starting where the one
+    before it ends.  Every swap path's Φ and edges are read from here.
     """
-    q = preset("Q")
-    tail_l, tail_r = swap_pair(eps, delta)
+    (tail_l, tail_r), c_rule, k_rules = _swap_rules(eps, delta)
     front, back = [], []
     for i, x in enumerate(w):
-        k_rule = q.rule_named(f"K_{x}")
-        front.append(Edge(left + w[:i], k_rule, -1, w[i + 1 :] + tail_l + right))
-        back.append(Edge(left + w[:i], k_rule, 1, w[i + 1 :] + tail_r + right))
-    front.append(Edge(left + w, q.rule_named(f"C_{_EXP[eps]}{_EXP[delta]}"), 1, right))
-    return front + back[::-1]
+        k_rule = k_rules[x]
+        front.append((i, k_rule, -1, tail_l))
+        back.append((i, k_rule, 1, tail_r))
+    front.append((len(w), c_rule, 1, EMPTY))
+    return tuple(front + back[::-1])
 
 
 def build_C_path(w: Word, eps: int, delta: int) -> Path:
     """The swap path from ``h w aᵉ bᵈ`` to ``h w bᵈ aᵉ`` over Q: the swap
-    rule ``c_bar_rule(w, eps, delta)`` realized by 2|w| + 1 edges of Q."""
-    return Path._trusted(("h",) + w + swap_pair(eps, delta)[0], tuple(_swap_edges(w, eps, delta)))
+    rule ``c_bar_rule(w, eps, delta)`` realized by 2|w| + 1 edges of Q.
+
+    The path is one piece, the steps of ``_swap_steps``; Φ reads them, and
+    the edges are built only when read."""
+    return Path._of_pieces(((EMPTY, w, _swap_steps(w, eps, delta), 1, EMPTY),))
 
 
 def build_ct_circuit(params: CtParams) -> Path:
@@ -228,14 +237,19 @@ def build_ct_circuit(params: CtParams) -> Path:
     swap path.
 
     The circuit starts at the peak source, descends the right-hand side of
-    the diagram, and climbs back up the left-hand side.  Its edges chain by
-    construction, so the path is built without the validating walk.
+    the diagram, and climbs back up the left-hand side.  It keeps its
+    pieces, each a swap path or one Q rule in its outer contexts
+    (``squier.Path.pieces``): Φ sums them without building an edge, and the
+    edges are built only when read.  The pieces chain by construction, so
+    no walk validates them.
     """
     q = preset("Q")
-    swap = _swap_edges
 
-    def step(name: str, left: Word, right: Word = EMPTY) -> List[Edge]:
-        return [Edge(left, q.rule_named(name), 1, right)]
+    def swap(v: Word, eps: int, delta: int, left: Word = EMPTY, right: Word = EMPTY) -> list:
+        return [(left, v, _swap_steps(v, eps, delta), 1, right)]
+
+    def step(name: str, left: Word, right: Word = EMPTY) -> list:
+        return [(left, EMPTY, ((0, q.rule_named(name), 1, EMPTY),), 1, right)]
 
     f, x = params.family, params.x
     w, w1, w2, eps, delta = params.w, params.w1, params.w2, params.eps, params.delta
@@ -285,8 +299,8 @@ def build_ct_circuit(params: CtParams) -> Path:
         left = swap(w1, e1, d1, right=w2 + t2l) + swap(w1 + t1r + w2, e2, d2)
     else:
         raise RwlabError(f"unknown circuit family {f}")
-    edges = right + [e.inverse() for e in reversed(left)]
-    return Path._trusted(edges[0].source, tuple(edges))
+    climb = [(l, v, steps, -sign, r) for l, v, steps, sign, r in reversed(left)]
+    return Path._of_pieces(tuple(right + climb))
 
 
 # ---------------------------------------------------------------------------

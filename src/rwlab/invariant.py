@@ -82,14 +82,13 @@ def phi_path(p: Path, weights: WeightSpec, ambient: Presentation) -> RingElement
     distinct context with a nonzero net coefficient is normalized once.
     Every distinct weighted context, cancelled or not, is checked in order of
     first appearance (its letters, then the ambient's orientation), so the
-    error raised is the one the first faulty weighted edge would raise.
+    error raised is the one the first faulty weighted edge would raise.  A
+    path of pieces (a circuit or a swap path) is summed from its pieces'
+    steps, and none of its edges is built.
     """
     net: Dict[Word, int] = {}
-    weight = weights.entries.get
-    for e in p.edges:
-        wt = weight(e.rule.name, 0)
-        if wt:
-            net[e.right] = net.get(e.right, 0) + e.sign * wt
+    for c, right in p.weighted_contexts(weights.entries):
+        net[right] = net.get(right, 0) + c
     acc: Dict[Word, int] = {}
     for k, (right, c) in enumerate(net.items()):
         check_letters(right, ambient)

@@ -654,8 +654,14 @@ def check_enumeration_budget(k: int, max_len: int) -> None:
 def enumerate_normal_forms(p: Presentation, max_len: int) -> List[Word]:
     """All irreducible words of length <= max_len, in ascending shortlex order;
     ``RwlabError``, before any word is tested, when there are more than
-    ``ENUMERATION_CAP`` words of length <= max_len."""
-    check_enumeration_budget(len(p.alphabet.letters), max_len)
+    ``ENUMERATION_CAP`` words of length <= max_len, or more than
+    ``ENUMERATION_CAP`` letters in those words together."""
+    k = len(p.alphabet.letters)
+    check_enumeration_budget(k, max_len)
+    check_budget(  # one letter alone gives (max_len + 1) words, but max_len² / 2 letters
+        (n * k**n for n in range(max_len + 1 if k else 1)),
+        lambda cap: f"{k} letters give more than {cap} letters in the words of length <= {max_len}",
+    )
     m = check_orientation(p)
     out = [w for w in words_over(p.alphabet.letters, max_len) if m.leftmost(m.mirror(w)) is None]
     out.sort(key=lambda w: shortlex_key(w, p.ordering))

@@ -4,7 +4,9 @@ An edge is the 4-tuple (left context, rule, sign, right context); its source
 is ``left · side · right`` where side is the rule's lhs for sign +1 and the
 rhs for sign −1, and its target swaps the two sides.  Paths are composable
 edge sequences that remember their start word, so the empty path at a word
-is well-typed.  Everything here is immutable and pure.
+is well-typed.  A path may instead keep its pieces, each a short path placed
+in a left and right context, and build its edges only when they are read.
+Everything here is immutable and pure.
 
 Homotopy of paths is not decided anywhere in this package; this module only
 constructs paths and the generating moves (interchange squares, pp⁻¹
@@ -14,8 +16,8 @@ cancellations) that invariance tests need.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, Mapping, Optional, Tuple
 
 from .core import Rule, RwlabError, Word, word_str
 
@@ -70,10 +72,22 @@ class Edge(namedtuple("Edge", "left rule sign right")):
 
 @dataclass(frozen=True)
 class Path:
-    """A composable sequence of edges starting at ``start``."""
+    """A composable sequence of edges starting at ``start``.
+
+    A path built by ``Path._of_pieces`` keeps its ``pieces`` and builds its
+    edges the first time they are read; it equals the path given those edges.
+    """
 
     start: Word
-    edges: tuple = ()
+    edges: tuple = field(default_factory=tuple)
+
+    # ``(left, w, steps, sign, right)`` per piece, or None for a path given its
+    # edges.  A piece runs steps ``(i, rule, s, tail)`` over the word w, each
+    # the edge ``(w[:i], rule, s, w[i+1:] + tail)``, forwards (sign +1) or last
+    # to first (sign −1), in the outer contexts ``left`` and ``right``: in
+    # place, a step is the edge ``(left + w[:i], rule, s·sign, w[i+1:] + tail
+    # + right)``.  A one-edge piece has w = ε and the one step (0, rule, s, ε).
+    pieces = None
 
     def __post_init__(self):
         at = self.start
@@ -91,6 +105,43 @@ class Path:
         p = object.__new__(cls)
         p.__dict__.update(start=start, edges=edges)
         return p
+
+    @classmethod
+    def _of_pieces(cls, pieces: tuple) -> "Path":
+        """The path of ``pieces``, which must chain by construction; its start
+        is the source of the first step, and no edge is built."""
+        left, w, steps, sign, right = pieces[0]
+        i, rule, s, tail = steps[0] if sign == 1 else steps[-1]
+        side = rule.lhs if s * sign == 1 else rule.rhs
+        p = object.__new__(cls)
+        p.__dict__.update(start=left + w[:i] + side + w[i + 1 :] + tail + right, pieces=pieces)
+        return p
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks, which is the
+        # edges of a path of pieces until they are first read
+        if name != "edges" or self.pieces is None:
+            raise AttributeError(name)
+        edges = self.__dict__["edges"] = tuple(_piece_edges(self.pieces))
+        return edges
+
+    def weighted_contexts(self, weights: Mapping[str, int]) -> Iterator[Tuple[int, Word]]:
+        """``(sign · weight, right context)`` of each edge whose rule has a
+        nonzero weight in ``weights`` (by rule name), in path order.  A path
+        of pieces is read step by step without building an edge, and a
+        step's right context is built only when its rule has a weight."""
+        weight = weights.get
+        if self.pieces is None:
+            for e in self.edges:
+                wt = weight(e.rule.name, 0)
+                if wt:
+                    yield e.sign * wt, e.right
+            return
+        for left, w, steps, sign, right in self.pieces:
+            for i, rule, s, tail in steps if sign == 1 else reversed(steps):
+                wt = weight(rule.name, 0)
+                if wt:
+                    yield s * sign * wt, w[i + 1 :] + tail + right
 
     @property
     def iota(self) -> Word:
@@ -116,6 +167,13 @@ class Path:
         for e in self.edges:
             parts.append(f" --({e.rule.name},{e.sign:+d})@{len(e.left)}--> {word_str(e.target)}")
         return "".join(parts)
+
+
+def _piece_edges(pieces: tuple) -> Iterator[Edge]:
+    """The edges of ``pieces`` in path order (see ``Path.pieces``)."""
+    for left, w, steps, sign, right in pieces:
+        for i, rule, s, tail in steps if sign == 1 else reversed(steps):
+            yield Edge(left + w[:i], rule, s * sign, w[i + 1 :] + tail + right)
 
 
 def compose(p: Path, q: Path) -> Path:

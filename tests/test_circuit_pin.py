@@ -13,10 +13,16 @@ from rwlab.casestudy import build_ct_circuit, ct_parameter_sweep
 CIRCUITS_DIGEST = "5736c814f18e354a1fad4973f1ec5e05b5cd270479db53aeef32df3cb68f3fed"
 
 
-def test_every_circuit_of_the_small_sweep_is_pinned():
+def circuits_digest():
+    """The sha256 of every circuit of ``ct_parameter_sweep(2, 2)``, 2 336 in
+    all, each as the repr of its start word and edge tuple."""
     digest, n = hashlib.sha256(), 0
     for n, params in enumerate(ct_parameter_sweep(2, 2), 1):
         circuit = build_ct_circuit(params)
         digest.update(repr((circuit.start, circuit.edges)).encode())
     assert n == 2336
-    assert digest.hexdigest() == CIRCUITS_DIGEST
+    return digest.hexdigest()
+
+
+def test_every_circuit_of_the_small_sweep_is_pinned():
+    assert circuits_digest() == CIRCUITS_DIGEST

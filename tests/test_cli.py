@@ -356,12 +356,47 @@ def test_nf_rejects_a_length_past_the_enumeration_cap():
     assert result.stdout == ""
 
 
+def test_nf_budgets_the_letters_of_its_words(tmp_path):
+    # one letter gives only 20 001 words of length <= 20 000, but 200 010 000
+    # letters in them: without a letter budget the enumeration never ends
+    pres = tmp_path / "a.pres"
+    pres.write_text("letters a\norder a\n")
+    result = run_cli_process("nf", "-p", str(pres), "--max-len", "20000")
+    assert result.returncode == 2
+    assert "1 letters give more than 1000000 letters in the words of length <= 20000" in (
+        result.stderr
+    )
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
 def test_ball_stops_past_the_vertex_cap(monkeypatch, capsys):
     monkeypatch.setattr(structure, "BALL_VERTEX_CAP", 1000)
     code, out, err = run_cli(capsys, "ball", "--radius", "60")
     assert code == 2
     assert "exceeds 1000 vertices before radius 60" in err
     assert out == ""
+
+
+# Φ of two circuits with long word slots, byte for byte as the CLI printed it
+# when every circuit edge was built
+PHI_GOLDEN = {
+    (
+        "--circuit", "CT1", "--x", "a'", "--w1", "a b' a' a b b a b' a'",
+        "--w2", "b a a b' a' a' b b' a b a", "--eps", "-1", "--delta", "+1",
+    ): "- a b a a b' a' b a b a' + b a a b' a' b a b a' + a b a a b' a' b b"
+    " - b a a b' a' b b\n",
+    (
+        "--circuit", "CT7", "--w1", "b a' a' b b' a b a b'", "--eps1", "+1", "--delta1", "-1",
+        "--w2", "a a b' b' a' b a' b b a a' a", "--eps2", "-1", "--delta2", "-1",
+    ): "+ b' a a b' b' a' b a' b b a b' a' - a a b' b' a' b a' b b a b' a'"
+    " - b' a a b' b' a' b a' b + a a b' b' a' b a' b\n",
+}
+
+
+@pytest.mark.parametrize("argv", list(PHI_GOLDEN), ids=lambda argv: argv[1])
+def test_phi_of_long_circuits_is_pinned(argv, capsys):
+    assert run_cli(capsys, "phi", *argv) == (0, PHI_GOLDEN[argv], "")
 
 
 @pytest.mark.parametrize(

@@ -33,7 +33,6 @@ from rwlab.casestudy import (
     verify_prop31,
 )
 from rwlab.core import (
-    EMPTY,
     Alphabet,
     OrderingSpec,
     Presentation,
@@ -44,8 +43,9 @@ from rwlab.core import (
 )
 from rwlab.rewrite import OrientationError
 from rwlab.ring import from_word, scale, sub, total
-from rwlab.squier import Edge, Path
+from rwlab.squier import Path
 from rwlab.structure import HClass
+from test_circuit_pin import CIRCUITS_DIGEST, circuits_digest
 from test_completion_differential import _duplicated_rewrite, _outcome, reference_knuth_bendix
 from test_completion_live import certificates_hold, derivations_match, live_lists_match
 from test_rewrite import UNORIENTED
@@ -98,21 +98,33 @@ def commutator_on_the_wrong_side(monkeypatch):
 
 
 def swap_path_flips_delta(monkeypatch):
-    swap_edges = casestudy._swap_edges
+    swap_steps = casestudy._swap_steps
 
-    def fault(w, eps, delta, left=EMPTY, right=EMPTY):
-        return swap_edges(w, eps, -delta, left, right)
+    def fault(w, eps, delta):
+        return swap_steps(w, eps, -delta)
 
-    _patch_everywhere(monkeypatch, casestudy, "_swap_edges", fault)
+    _patch_everywhere(monkeypatch, casestudy, "_swap_steps", fault)
 
 
 def swap_path_loses_its_reverse_signs(monkeypatch):
-    swap_edges = casestudy._swap_edges
+    swap_steps = casestudy._swap_steps
 
-    def fault(*args, **kwargs):
-        return [Edge(e.left, e.rule, 1, e.right) for e in swap_edges(*args, **kwargs)]
+    def fault(w, eps, delta):
+        return tuple((i, rule, 1, tail) for i, rule, _, tail in swap_steps(w, eps, delta))
 
-    _patch_everywhere(monkeypatch, casestudy, "_swap_edges", fault)
+    _patch_everywhere(monkeypatch, casestudy, "_swap_steps", fault)
+
+
+def piece_phi_ignores_the_outer_right_context(monkeypatch):
+    fault = _mutated(
+        squier.Path, "weighted_contexts", "w[i + 1 :] + tail + right", "w[i + 1 :] + tail"
+    )
+    monkeypatch.setattr(squier.Path, "weighted_contexts", fault)
+
+
+def piece_edges_drop_the_outer_left_context(monkeypatch):
+    fault = _mutated(squier, "_piece_edges", "Edge(left + w[:i]", "Edge(w[:i]")
+    _patch_everywhere(monkeypatch, squier, "_piece_edges", fault)
 
 
 def closure_forgets_I_a(monkeypatch):
@@ -319,6 +331,14 @@ KILL_MATRIX = {
     "commutator multiplies on the wrong side": (commutator_on_the_wrong_side, figure2(0)),
     "the swap path flips delta": (swap_path_flips_delta, figure2(0)),
     "the swap path loses its reverse steps' sign": (swap_path_loses_its_reverse_signs, figure2(0)),
+    "a piece's phi ignores its outer right context": (
+        piece_phi_ignores_the_outer_right_context,
+        figure2(0),
+    ),
+    "built-on-demand edges drop the outer left context": (
+        piece_edges_drop_the_outer_left_context,
+        lambda: circuits_digest() == CIRCUITS_DIGEST,
+    ),
     "the closure forgets rule I_a": (closure_forgets_I_a, prop31(4)),
     "a served reduction path loses its last edge": (served_path_loses_its_last_edge, prop31(2)),
     "knuth_bendix pushes dropped equations in order": (

@@ -14,12 +14,13 @@ import pytest
 from rwlab import casestudy, completion, rewrite, structure
 from rwlab.casestudy import preset, verify_figure2, verify_identities
 from rwlab.completion import critical_peaks, equivalence_classes
-from rwlab.core import RwlabError
+from rwlab.core import RwlabError, parse_presentation
 from rwlab.rewrite import enumerate_normal_forms
 from rwlab.structure import isometry_check
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rwlab"
 CAP = 10
+ONE_LETTER = parse_presentation("letters a\norder a")
 
 
 def _work(*args, **kwargs):
@@ -30,6 +31,8 @@ def _work(*args, **kwargs):
     "call, module, work",
     [
         (lambda: enumerate_normal_forms(preset("Qbar"), 2), rewrite, "words_over"),
+        # 6 words of length <= 5 over one letter, with 15 letters
+        (lambda: enumerate_normal_forms(ONE_LETTER, 5), rewrite, "words_over"),
         (lambda: equivalence_classes(preset("Q"), 2), completion, "_UnionFind"),
         (lambda: critical_peaks(preset("Qbar"), 2), completion, "instantiate_schema"),
         (lambda: critical_peaks(preset("Qbar"), 0), completion, "CriticalPeak"),  # 4 instances
@@ -37,7 +40,7 @@ def _work(*args, **kwargs):
         (lambda: verify_identities(1, samples=0), casestudy, "build_C_path"),
         (lambda: isometry_check(preset("M4"), preset("N4"), 1), structure, "shortlex_key"),
     ],
-    ids=["words", "classes", "instances", "peaks", "figure2", "identities", "isometry"],
+    ids=["words", "letters", "classes", "instances", "peaks", "figure2", "identities", "isometry"],
 )
 def test_the_one_cap_stops_every_sweep_before_its_work(call, module, work, monkeypatch):
     monkeypatch.setattr(rewrite, "ENUMERATION_CAP", CAP)

@@ -194,11 +194,15 @@ def test_enumerate_normal_forms_counts(Qbar):
 
 
 def test_enumeration_cap_is_checked_before_enumerating(Qbar, monkeypatch):
-    # five letters give 1 + 5 + 25 = 31 words of length <= 2 and 156 of length <= 3
+    # five letters give 1 + 5 + 25 = 31 words of length <= 2 and 156 of length <= 3;
+    # the 31 words have 5 + 2·25 = 55 letters
     monkeypatch.setattr(rewrite, "ENUMERATION_CAP", 31)
-    assert len(enumerate_normal_forms(Qbar, 2)) == 23
     with pytest.raises(RwlabError, match="5 letters give more than 31 words of length <= 3"):
         enumerate_normal_forms(Qbar, 3)
+    with pytest.raises(RwlabError, match="more than 31 letters in the words of length <= 2"):
+        enumerate_normal_forms(Qbar, 2)
+    monkeypatch.setattr(rewrite, "ENUMERATION_CAP", 55)
+    assert len(enumerate_normal_forms(Qbar, 2)) == 23
     monkeypatch.undo()
     # the counts are bounded sums, so a huge length is rejected at once
     with pytest.raises(RwlabError, match="words of length <= 1000000000"):
