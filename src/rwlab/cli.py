@@ -205,9 +205,8 @@ def run(argv) -> int:
         w = _word_over(args.word, p)
         if args.trace:
             path = rewrite.reduction_path(w, p)
-            trace = rewrite.format_trace(path)
-            if trace:
-                print(trace)
+            for line in rewrite.trace_lines(path):
+                print(line)
             print(word_str(path.tau))
             return 0
         return _emit_scalar(args, "nf", word_str(rewrite.normalize(w, p)))

@@ -269,7 +269,10 @@ def resolve_peak(peak: CriticalPeak, p: Presentation):
 
     The two reductions are ``reduction_path``s, so a descendant whose
     reduction joins a word that an earlier peak's reduction reached on ``p``
-    takes the rest of its path from ``p``'s path cache."""
+    takes the rest of its path from ``p``'s path cache.  Each path keeps its
+    chain of cells and its normal form, so the comparison and the
+    ``CriticalCircuit`` checks build no edge; the edges are spliced from the
+    chains when a caller reads them."""
     p1, p2 = reduction_path(peak.result1, p), reduction_path(peak.result2, p)
     if p1.tau != p2.tau:
         return UnresolvedPeak(peak, p1.tau, p2.tau)
@@ -307,7 +310,9 @@ def is_confluent_bounded(p: Presentation, schema_var_bound: int = 0) -> Confluen
 
     The peaks share ``p``'s path cache: on Qbar at bound 3, 9 677 of the
     31 714 steps of the 3 138 resolutions are searched, and the rest are
-    spliced from cells that earlier peaks stored."""
+    served from cells that earlier peaks stored.  No edge is built: each
+    resolution keeps the chains of its two paths, whose edges are spliced
+    only if a caller reads them."""
     check_orientation(p)
     report = ConfluenceReport(p, schema_var_bound)
     for peak in critical_peaks(p, schema_var_bound):

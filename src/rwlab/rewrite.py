@@ -541,34 +541,27 @@ def normalize(w: Word, p: Presentation) -> Word:
     return nf
 
 
-def _served(u: Word, cell: tuple) -> List[Edge]:
-    """The edges of the cached reduction of ``u`` from its cell, each spliced
-    from the word before it."""
-    edges = []
-    while cell:
-        i, j, rule, cell = cell
-        edges.append(Edge(u[:i], rule, 1, u[j:]))
-        u = u[:i] + rule.rhs + u[j:]
-    return edges
-
-
 def reduction_path(w: Word, p: Presentation) -> Path:
     """The positive path witnessing ``w ->* normalize(w)`` under the strategy.
 
     Every word a reduction reaches by a step is cached with a cell
     ``(i, j, rule, next_cell)``: its next step rewrites ``[i:j]`` by
     ``rule`` into the word whose cell is ``next_cell``; a normal form's cell
-    is ``()``.  Keys are as for ``normalize``: the mirror string, or the
-    tuple for a word with an undeclared letter.  The caller's ``w`` is looked
-    up but not stored.  The search records each step's positions and rule
-    and stops at the first cached word, whose cell continues the chain
-    with no redex search; each step takes the leftmost redex of the current
-    word alone, so the cells give the steps the search would find.  Every
-    edge, searched or served, is spliced from the chain of ``w`` by
-    ``_served``.  The schema instances that cells use are shared, one per
-    schema and variable.  Past ``NF_CACHE_CAP``
-    entries, words and instances together, the oldest are evicted.  A path
-    longer than ``STEP_CAP`` edges raises, served or not.
+    is ``(nf,)``, and so every chain ends in its normal form.  Keys are as
+    for ``normalize``: the mirror string, or the tuple for a word with an
+    undeclared letter.  The caller's ``w`` is looked up but not stored.  The
+    search records each step's positions and rule and stops at the first
+    cached word, whose cell continues the chain with no redex search; each
+    step takes the leftmost redex of the current word alone, so the cells
+    give the steps the search would find.  The schema instances that cells
+    use are shared, one per schema and variable.  Past ``NF_CACHE_CAP``
+    entries, words and instances together, the oldest are evicted.
+
+    The path keeps ``w``, the chain's first cell and its normal form, and
+    builds no edge: ``tau`` and ``is_positive`` read none, and its edges,
+    searched or served alike, are spliced from the chain by
+    ``squier._served`` when first read.  A chain longer than ``STEP_CAP``
+    steps raises here, served or not.
     """
     m = check_orientation(p)
     cache, rules, order = p._path_cache, p._path_rules, p._path_order
@@ -596,8 +589,8 @@ def reduction_path(w: Word, p: Presentation) -> Path:
             if head is not None:
                 break
         else:
-            head = ()
-            if key is not None:  # the last word reached is the normal form
+            head = (source,)  # the last word reached is the normal form
+            if key is not None:
                 stored.append((key, head))
         for key, i, j, rule in reversed(steps):
             head = (i, j, rule, head)
@@ -614,20 +607,35 @@ def reduction_path(w: Word, p: Presentation) -> Path:
             key = order.popleft()
             if cache.pop(key, None) is None:
                 del rules[key]
-    edges = _served(w, head)
-    if len(edges) > STEP_CAP:
+    n, end = 0, head
+    while len(end) > 1:
+        n, end = n + 1, end[3]
+    if n > STEP_CAP:
         raise RewriteError(f"step cap exceeded while reducing {word_str(w)}")
-    return Path._trusted(w, tuple(edges))
+    return Path._of_chain(w, head, end[0])
+
+
+def trace_lines(path: Path) -> Iterator[str]:
+    """The lines of ``format_trace(path)``, one at a time.  A path of a
+    chain is read from its cells: each word is spliced and formatted once,
+    and no edge is built."""
+    if path.chain is None:
+        for e in path.edges:
+            yield f"{word_str(e.source)} --{e.rule.name}@{len(e.left)}--> {word_str(e.target)}"
+        return
+    u, cell = path.start, path.chain
+    before = word_str(u)
+    while len(cell) > 1:
+        i, j, rule, cell = cell
+        u = u[:i] + rule.rhs + u[j:]
+        after = word_str(u)
+        yield f"{before} --{rule.name}@{i}--> {after}"
+        before = after
 
 
 def format_trace(path: Path) -> str:
     """One rewrite step per line: ``<word> --<rule>@<pos>--> <word>``."""
-    lines = []
-    for e in path.edges:
-        lines.append(
-            f"{word_str(e.source)} --{e.rule.name}@{len(e.left)}--> {word_str(e.target)}"
-        )
-    return "\n".join(lines)
+    return "\n".join(trace_lines(path))
 
 
 def is_irreducible(w: Word, p: Presentation) -> bool:

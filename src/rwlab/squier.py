@@ -5,8 +5,9 @@ is ``left · side · right`` where side is the rule's lhs for sign +1 and the
 rhs for sign −1, and its target swaps the two sides.  Paths are composable
 edge sequences that remember their start word, so the empty path at a word
 is well-typed.  A path may instead keep its pieces, each a short path placed
-in a left and right context, and build its edges only when they are read.
-Everything here is immutable and pure.
+in a left and right context, or the chain of cached cells of a reduction,
+and build its edges only when they are read.  Everything here is immutable
+and pure.
 
 Homotopy of paths is not decided anywhere in this package; this module only
 constructs paths and the generating moves (interchange squares, pp⁻¹
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Optional, Tuple
+from typing import Callable, Iterator, List, Mapping, Optional, Tuple
 
 from .core import Rule, RwlabError, Word, word_str
 
@@ -74,8 +75,10 @@ class Edge(namedtuple("Edge", "left rule sign right")):
 class Path:
     """A composable sequence of edges starting at ``start``.
 
-    A path built by ``Path._of_pieces`` keeps its ``pieces`` and builds its
-    edges the first time they are read; it equals the path given those edges.
+    A path built by ``Path._of_pieces`` keeps its ``pieces``, and one built
+    by ``Path._of_chain`` its ``chain``; either builds its edges the first
+    time they are read.  It equals, hashes, prints and pickles as the path
+    given those edges.
     """
 
     start: Word
@@ -88,6 +91,14 @@ class Path:
     # place, a step is the edge ``(left + w[:i], rule, s·sign, w[i+1:] + tail
     # + right)``.  A one-edge piece has w = ε and the one step (0, rule, s, ε).
     pieces = None
+
+    # The first cell of a positive path's chain, or None.  A cell ``(i, j,
+    # rule, next)`` rewrites ``[i:j]`` of its word by ``rule`` into the word
+    # whose cell is ``next``; the terminal cell ``(end,)`` holds the word the
+    # path ends at, which the path also keeps as ``end``.  The cells are
+    # those of ``rewrite.reduction_path``'s cache and are never changed, so
+    # a path holds its chain after the cache evicts it.
+    chain = None
 
     def __post_init__(self):
         at = self.start
@@ -117,13 +128,30 @@ class Path:
         p.__dict__.update(start=left + w[:i] + side + w[i + 1 :] + tail + right, pieces=pieces)
         return p
 
+    @classmethod
+    def _of_chain(cls, start: Word, chain: tuple, end: Word) -> "Path":
+        """The positive path from ``start`` along ``chain``, which ends at
+        ``end``; no edge is built."""
+        p = object.__new__(cls)
+        p.__dict__.update(start=start, chain=chain, end=end)
+        return p
+
     def __getattr__(self, name):
         # reached only for an attribute the instance lacks, which is the
-        # edges of a path of pieces until they are first read
-        if name != "edges" or self.pieces is None:
+        # edges of a path of pieces or of a chain until they are first read
+        if name != "edges":
             raise AttributeError(name)
-        edges = self.__dict__["edges"] = tuple(_piece_edges(self.pieces))
+        if self.pieces is not None:
+            edges = tuple(_piece_edges(self.pieces))
+        elif self.chain is not None:
+            edges = tuple(_served(self.start, self.chain))
+        else:
+            raise AttributeError(name)
+        self.__dict__["edges"] = edges
         return edges
+
+    def __getstate__(self):
+        return {"start": self.start, "edges": self.edges}
 
     def weighted_contexts(self, weights: Mapping[str, int]) -> Iterator[Tuple[int, Word]]:
         """``(sign · weight, right context)`` of each edge whose rule has a
@@ -149,11 +177,13 @@ class Path:
 
     @property
     def tau(self) -> Word:
+        if self.chain is not None:
+            return self.end
         return self.edges[-1].target if self.edges else self.start
 
     @property
     def is_positive(self) -> bool:
-        return all(e.sign == 1 for e in self.edges)
+        return self.chain is not None or all(e.sign == 1 for e in self.edges)
 
     @property
     def is_closed(self) -> bool:
@@ -174,6 +204,17 @@ def _piece_edges(pieces: tuple) -> Iterator[Edge]:
     for left, w, steps, sign, right in pieces:
         for i, rule, s, tail in steps if sign == 1 else reversed(steps):
             yield Edge(left + w[:i], rule, s * sign, w[i + 1 :] + tail + right)
+
+
+def _served(u: Word, cell: tuple) -> List[Edge]:
+    """The edges of the chain from ``cell`` (see ``Path.chain``), each
+    spliced from the word before it, ``u`` first."""
+    edges = []
+    while len(cell) > 1:
+        i, j, rule, cell = cell
+        edges.append(Edge(u[:i], rule, 1, u[j:]))
+        u = u[:i] + rule.rhs + u[j:]
+    return edges
 
 
 def compose(p: Path, q: Path) -> Path:

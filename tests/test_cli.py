@@ -55,6 +55,22 @@ def test_reduce_traces_a_tail_served_from_the_cache(capsys):
     assert second == (0, "\n".join(["a a' a h a b --I_a@0--> a h a b"] + tail) + "\n", "")
 
 
+# h, 60 letters drawn from a a' b b' by random.Random(60), then a b
+TRACED_WORD = (
+    "h b b a' b a' b' b' b a a a' a' b' a a' a b' a' a' b a' a a b a' a a' b a' b a a' a' b a' "
+    "a' a b b' b b' a a a a a a a' b' b b' b' a' b b b' a b' a b' a b"
+)
+
+
+def test_a_long_trace_is_pinned_byte_for_byte(capsys):
+    code, out, err = run_cli(capsys, "reduce", "--preset", "Qbar", "-w", TRACED_WORD, "--trace")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 551 and len(out.encode()) == 213925
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5fba30fc1d3fcede3133276de1633d4d13a0bb427b4aeb44cf49d36c9e059225"
+    )
+
+
 def test_phi_verb(capsys):
     code, out, _ = run_cli(capsys, "phi", "--circuit", "CT4", "--eps", "+1", "--delta", "+1")
     assert code == 0

@@ -18,10 +18,12 @@ import dataclasses
 import inspect
 import sys
 import textwrap
+from collections import deque
 
 import pytest
 
 import reference_completion as ref
+import reference_rewrite as ref_rewrite
 import rwlab
 from rwlab import casestudy, completion, invariant, rewrite, squier, structure
 from rwlab.casestudy import (
@@ -142,12 +144,28 @@ def closure_forgets_I_a(monkeypatch):
 
 
 def served_path_loses_its_last_edge(monkeypatch):
-    served = rewrite._served
+    served = squier._served
 
     def fault(u, cell):
         return served(u, cell)[:-1]
 
-    _patch_everywhere(monkeypatch, rewrite, "_served", fault)
+    _patch_everywhere(monkeypatch, squier, "_served", fault)
+
+
+def terminal_cell_keeps_the_word_before_the_last_step(monkeypatch):
+    fault = _mutated(
+        rewrite,
+        "reduction_path",
+        "head = (source,)",
+        "head = (source[:i] + rule.lhs + source[i + len(rule.rhs) :] if steps else source,)",
+    )
+    _patch_everywhere(monkeypatch, rewrite, "reduction_path", fault)
+    # the fault is in the cells a search stores, and the check reduces on the
+    # shared Qbar preset: it gets empty path caches while the fault is in
+    # place, so the check searches again and the wrong cells go with them
+    qbar = vars(preset("Qbar"))
+    for name, empty in (("_path_cache", {}), ("_path_rules", {}), ("_path_order", deque())):
+        monkeypatch.setitem(qbar, name, empty)
 
 
 def dropped_equations_pushed_in_order(monkeypatch):
@@ -284,6 +302,22 @@ def peaks_match_the_reference(p):
     return lambda: completion.critical_peaks(p) == ref.critical_peaks(p)
 
 
+def peak_paths_match_the_reference(name, bound):
+    # one presentation for all peaks, so that later results take served tails
+    def check():
+        p, oracle = dataclasses.replace(preset(name)), dataclasses.replace(preset(name))
+        for peak in completion.critical_peaks(p, bound):
+            res = completion.resolve_peak(peak, p)
+            if (res.p1, res.p2) != (
+                ref_rewrite.reduction_path(peak.result1, oracle),
+                ref_rewrite.reduction_path(peak.result2, oracle),
+            ):
+                return False
+        return True
+
+    return check
+
+
 def inverse_walks(p):
     # the reference walk of the former ``Path`` constructor
     return passes(lambda: assert_valid(squier.invert(p)))
@@ -340,7 +374,14 @@ KILL_MATRIX = {
         lambda: circuits_digest() == CIRCUITS_DIGEST,
     ),
     "the closure forgets rule I_a": (closure_forgets_I_a, prop31(4)),
-    "a served reduction path loses its last edge": (served_path_loses_its_last_edge, prop31(2)),
+    "a served reduction path loses its last edge": (
+        served_path_loses_its_last_edge,
+        peak_paths_match_the_reference("Qbar", 0),
+    ),
+    "the terminal cell keeps the word before the last step": (
+        terminal_cell_keeps_the_word_before_the_last_step,
+        prop31(2),
+    ),
     "knuth_bendix pushes dropped equations in order": (
         dropped_equations_pushed_in_order,
         completes_like_the_reference(m4_uncompleted, 40, 8, 1),
