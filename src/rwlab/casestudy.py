@@ -24,6 +24,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .core import (
@@ -75,7 +76,7 @@ from .obstruction import (
 )
 from .rewrite import check_budget, enumerate_normal_forms, normalize
 from .ring import RingElement, from_word, negate, scale, sub
-from .squier import Edge, Path
+from .squier import Edge, Path, act, compose, invert
 from .structure import isometry_check
 
 _EXP = {1: "p", -1: "m"}
@@ -205,21 +206,21 @@ def _swap_rules(eps: int, delta: int) -> tuple:
 
 
 def _swap_steps(w: Word, eps: int, delta: int) -> tuple:
-    """The steps of the swap path from ``h w aᵉ bᵈ`` to ``h w bᵈ aᵉ`` over Q,
-    as a piece's steps ``(i, rule, sign, tail)`` over w (``squier.Path.pieces``).
+    """The steps ``(i, j, rule, sign)`` of the swap path from ``h w aᵉ bᵈ``
+    to ``h w bᵈ aᵉ`` over Q.
 
     Each letter of w is carried out in front of h by a reverse commutation
     step, the bare pair swap happens in the middle, and the letters are
     carried back; 2|w| + 1 steps in total, each starting where the one
     before it ends.  Every swap path's Φ and edges are read from here.
     """
-    (tail_l, tail_r), c_rule, k_rules = _swap_rules(eps, delta)
+    _, c_rule, k_rules = _swap_rules(eps, delta)
     front, back = [], []
     for i, x in enumerate(w):
-        k_rule = k_rules[x]
-        front.append((i, k_rule, -1, tail_l))
-        back.append((i, k_rule, 1, tail_r))
-    front.append((len(w), c_rule, 1, EMPTY))
+        k_rule = k_rules[x]  # x h -> h x: both sides have two letters
+        front.append((i, i + 2, k_rule, -1))
+        back.append((i, i + 2, k_rule, 1))
+    front.append((len(w), len(w) + 3, c_rule, 1))  # h aᵉ bᵈ -> h bᵈ aᵉ
     return tuple(front + back[::-1])
 
 
@@ -227,9 +228,11 @@ def build_C_path(w: Word, eps: int, delta: int) -> Path:
     """The swap path from ``h w aᵉ bᵈ`` to ``h w bᵈ aᵉ`` over Q: the swap
     rule ``c_bar_rule(w, eps, delta)`` realized by 2|w| + 1 edges of Q.
 
-    The path is one piece, the steps of ``_swap_steps``; Φ reads them, and
-    the edges are built only when read."""
-    return Path._of_pieces(((EMPTY, w, _swap_steps(w, eps, delta), 1, EMPTY),))
+    The path is the steps of ``_swap_steps``; Φ reads them, and the edges
+    are built only when read."""
+    (tail_l, tail_r), _, _ = _swap_rules(eps, delta)
+    hw = ("h",) + w
+    return Path._of_steps(hw + tail_l, _swap_steps(w, eps, delta), hw + tail_r)
 
 
 def build_ct_circuit(params: CtParams) -> Path:
@@ -237,19 +240,21 @@ def build_ct_circuit(params: CtParams) -> Path:
     swap path.
 
     The circuit starts at the peak source, descends the right-hand side of
-    the diagram, and climbs back up the left-hand side.  It keeps its
-    pieces, each a swap path or one Q rule in its outer contexts
-    (``squier.Path.pieces``): Φ sums them without building an edge, and the
-    edges are built only when read.  The pieces chain by construction, so
-    no walk validates them.
+    the diagram, and climbs back up the left-hand side, which is the left
+    descent inverted.  A descent is a list of paths, each a swap path or one
+    Q rule in its outer contexts; they chain by construction, so no walk
+    validates them, and no edge is built until a caller reads the edges.
     """
     q = preset("Q")
 
+    # each returns a one-path list, so that a descent is a sum of lists
     def swap(v: Word, eps: int, delta: int, left: Word = EMPTY, right: Word = EMPTY) -> list:
-        return [(left, v, _swap_steps(v, eps, delta), 1, right)]
+        return [act(left, build_C_path(v, eps, delta), right)]
 
     def step(name: str, left: Word, right: Word = EMPTY) -> list:
-        return [(left, EMPTY, ((0, q.rule_named(name), 1, EMPTY),), 1, right)]
+        rule = q.rule_named(name)
+        at = (len(left), len(left) + len(rule.lhs), rule, 1)
+        return [Path._of_steps(left + rule.lhs + right, (at,), left + rule.rhs + right)]
 
     f, x = params.family, params.x
     w, w1, w2, eps, delta = params.w, params.w1, params.w2, params.eps, params.delta
@@ -299,8 +304,7 @@ def build_ct_circuit(params: CtParams) -> Path:
         left = swap(w1, e1, d1, right=w2 + t2l) + swap(w1 + t1r + w2, e2, d2)
     else:
         raise RwlabError(f"unknown circuit family {f}")
-    climb = [(l, v, steps, -sign, r) for l, v, steps, sign, r in reversed(left)]
-    return Path._of_pieces(tuple(right + climb))
+    return compose(*right, invert(compose(*left)))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +442,7 @@ def verify_figure2(
         ct7_word_len = min(max_word_len, 3)
     k = len(A_LETTERS)
     check_budget(  # the parts of ct_parameter_sweep, by word length
-        itertools.chain(
+        chain(
             [2 * k],  # CT2, CT6
             (4 * (2 + k + k * (n + 1)) * k**n for n in range(max_word_len + 1)),  # CT3-5, CT1
             (16 * (n + 1) * k**n for n in range(ct7_word_len + 1)),  # CT7
@@ -532,7 +536,7 @@ def verify_identities(exhaust_len: int = 5, samples: int = 1000) -> Report:
     bound plus randomized tuples."""
     k = len(A_LETTERS)
     check_budget(  # the exhaustive parts of checks (i) to (iv), by word length
-        itertools.chain(
+        chain(
             [k],
             (4 * (n + 2) * k**n for n in range(exhaust_len + 1)),  # (ii), (iv)
             (4 * k * k**n for n in range(exhaust_len)),  # (iii)
@@ -599,7 +603,7 @@ def verify_identities(exhaust_len: int = 5, samples: int = 1000) -> Report:
     )
     report.check(
         "identity (iii) letter prefix",
-        itertools.chain(
+        chain(
             ((x,) + t for x in A_LETTERS for t in swap_instances(exhaust_len - 1)),
             ((x, w2, eps, delta) for _, w2, x, eps, delta in draws),
         ),
@@ -608,7 +612,7 @@ def verify_identities(exhaust_len: int = 5, samples: int = 1000) -> Report:
     )
     report.check(
         "identity (iv) word prefix",
-        itertools.chain(
+        chain(
             (split + s for split in word_splits(exhaust_len) for s in signs),
             ((w1, w2, eps, delta) for w1, w2, _, eps, delta in draws),
         ),
@@ -648,7 +652,7 @@ def verify_obstruction(
     )
     report.check(
         "obstruction basepoint kills generators",
-        itertools.chain(
+        chain(
             [ONE_MINUS_A], (XGenRef(w, *s) for w in reduced_a_words(kill_len) for s in signs)
         ),
         lambda source: basepoint_apply(source_value(source, ambient)).is_zero(),

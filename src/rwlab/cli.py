@@ -222,11 +222,12 @@ def run(argv) -> int:
         return 0
 
     if args.verb == "confluence":
-        report = completion.is_confluent_bounded(p, args.schema_bound)
-        for line in report.lines():
-            print(line)
-        print(f"confluent: {'true' if report.confluent else 'false'}")
-        return 0 if report.confluent else 1
+        confluent = True
+        for _, res in completion.resolve_peaks(p, args.schema_bound):
+            print(completion.resolution_line(res))
+            confluent = confluent and not isinstance(res, completion.UnresolvedPeak)
+        print(f"confluent: {'true' if confluent else 'false'}")
+        return 0 if confluent else 1
 
     if args.verb == "complete":
         completed, report = completion.knuth_bendix(

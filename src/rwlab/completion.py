@@ -18,7 +18,7 @@ import itertools
 import operator
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .core import (
     EMPTY,
@@ -44,7 +44,7 @@ from .rewrite import (
     normalize,
     reduction_path,
 )
-from .squier import Edge, Path
+from .squier import Edge, Path, compose, invert
 
 
 @dataclass(frozen=True)
@@ -120,9 +120,8 @@ class CriticalCircuit:
 
     def circuit(self) -> Path:
         """The closed path p1⁻¹ ∘ (peak) ∘ p2, based at the common endpoint."""
-        back = tuple(e.inverse() for e in reversed(self.p1.edges))
-        peak = (self.peak.edge1().inverse(), self.peak.edge2())
-        return Path(self.p1.tau, back + peak + self.p2.edges)
+        peak = Path(self.peak.result1, (self.peak.edge1().inverse(), self.peak.edge2()))
+        return compose(invert(self.p1), peak, self.p2)
 
 
 @dataclass(frozen=True)
@@ -270,9 +269,8 @@ def resolve_peak(peak: CriticalPeak, p: Presentation):
     The two reductions are ``reduction_path``s, so a descendant whose
     reduction joins a word that an earlier peak's reduction reached on ``p``
     takes the rest of its path from ``p``'s path cache.  Each path keeps its
-    chain of cells and its normal form, so the comparison and the
-    ``CriticalCircuit`` checks build no edge; the edges are spliced from the
-    chains when a caller reads them."""
+    steps and its normal form, so the comparison and the ``CriticalCircuit``
+    checks build no edge."""
     p1, p2 = reduction_path(peak.result1, p), reduction_path(peak.result2, p)
     if p1.tau != p2.tau:
         return UnresolvedPeak(peak, p1.tau, p2.tau)
@@ -294,30 +292,31 @@ class ConfluenceReport:
         return not self.unresolved
 
     def lines(self) -> List[str]:
-        out = []
-        for peak, res in self.resolutions:
-            if isinstance(res, UnresolvedPeak):
-                out.append(
-                    f"{peak.describe()} -> UNRESOLVED({word_str(res.nf1)},{word_str(res.nf2)})"
-                )
-            else:
-                out.append(f"{peak.describe()} -> resolved")
-        return out
+        return [resolution_line(res) for _, res in self.resolutions]
 
 
-def is_confluent_bounded(p: Presentation, schema_var_bound: int = 0) -> ConfluenceReport:
-    """Resolve every critical peak at the bound and report the outcomes.
+def resolution_line(res) -> str:
+    """``<peak> -> resolved``, or ``<peak> -> UNRESOLVED(<nf1>,<nf2>)``."""
+    if isinstance(res, UnresolvedPeak):
+        return f"{res.peak.describe()} -> UNRESOLVED({word_str(res.nf1)},{word_str(res.nf2)})"
+    return f"{res.peak.describe()} -> resolved"
+
+
+def resolve_peaks(p: Presentation, schema_var_bound: int = 0) -> Iterator[tuple]:
+    """``(peak, resolution)`` for every critical peak at the bound, resolved
+    one at a time.
 
     The peaks share ``p``'s path cache: on Qbar at bound 3, 9 677 of the
     31 714 steps of the 3 138 resolutions are searched, and the rest are
-    served from cells that earlier peaks stored.  No edge is built: each
-    resolution keeps the chains of its two paths, whose edges are spliced
-    only if a caller reads them."""
+    served from cells that earlier peaks stored.  No edge is built."""
     check_orientation(p)
-    report = ConfluenceReport(p, schema_var_bound)
     for peak in critical_peaks(p, schema_var_bound):
-        report.resolutions.append((peak, resolve_peak(peak, p)))
-    return report
+        yield peak, resolve_peak(peak, p)
+
+
+def is_confluent_bounded(p: Presentation, schema_var_bound: int = 0) -> ConfluenceReport:
+    """Resolve every critical peak at the bound and report the outcomes."""
+    return ConfluenceReport(p, schema_var_bound, list(resolve_peaks(p, schema_var_bound)))
 
 
 # ---------------------------------------------------------------------------

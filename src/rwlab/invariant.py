@@ -82,9 +82,8 @@ def phi_path(p: Path, weights: WeightSpec, ambient: Presentation) -> RingElement
     distinct context with a nonzero net coefficient is normalized once.
     Every distinct weighted context, cancelled or not, is checked in order of
     first appearance (its letters, then the ambient's orientation), so the
-    error raised is the one the first faulty weighted edge would raise.  A
-    path of pieces (a circuit or a swap path) is summed from its pieces'
-    steps, and none of its edges is built.
+    error raised is the one the first faulty weighted edge would raise.
+    The contexts are read from the path's steps, and no edge is built.
     """
     net: Dict[Word, int] = {}
     for c, right in p.weighted_contexts(weights.entries):

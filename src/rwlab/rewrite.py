@@ -545,23 +545,22 @@ def reduction_path(w: Word, p: Presentation) -> Path:
     """The positive path witnessing ``w ->* normalize(w)`` under the strategy.
 
     Every word a reduction reaches by a step is cached with a cell
-    ``(i, j, rule, next_cell)``: its next step rewrites ``[i:j]`` by
-    ``rule`` into the word whose cell is ``next_cell``; a normal form's cell
-    is ``(nf,)``, and so every chain ends in its normal form.  Keys are as
-    for ``normalize``: the mirror string, or the tuple for a word with an
-    undeclared letter.  The caller's ``w`` is looked up but not stored.  The
-    search records each step's positions and rule and stops at the first
-    cached word, whose cell continues the chain with no redex search; each
-    step takes the leftmost redex of the current word alone, so the cells
-    give the steps the search would find.  The schema instances that cells
-    use are shared, one per schema and variable.  Past ``NF_CACHE_CAP``
-    entries, words and instances together, the oldest are evicted.
+    ``(step, next_cell)``: its next step ``(i, j, rule, 1)`` rewrites
+    ``[i:j]`` by ``rule`` into the word whose cell is ``next_cell``; a
+    normal form's cell is ``(nf,)``, and so every chain ends in its normal
+    form.  Keys are as for ``normalize``: the mirror string, or the tuple
+    for a word with an undeclared letter.  The caller's ``w`` is looked up
+    but not stored.  The search records each step's positions and rule and
+    stops at the first cached word, whose cell continues the chain with no
+    redex search; each step takes the leftmost redex of the current word
+    alone, so the cells give the steps the search would find.  The schema
+    instances that cells use are shared, one per schema and variable.  Past
+    ``NF_CACHE_CAP`` entries, words and instances together, the oldest are
+    evicted.
 
-    The path keeps ``w``, the chain's first cell and its normal form, and
-    builds no edge: ``tau`` and ``is_positive`` read none, and its edges,
-    searched or served alike, are spliced from the chain by
-    ``squier._served`` when first read.  A chain longer than ``STEP_CAP``
-    steps raises here, served or not.
+    The path keeps ``w``, the chain's steps, the very tuples of its cells,
+    and its normal form, and builds no edge.  A chain longer than
+    ``STEP_CAP`` steps raises here, served or not.
     """
     m = check_orientation(p)
     cache, rules, order = p._path_cache, p._path_rules, p._path_order
@@ -593,7 +592,7 @@ def reduction_path(w: Word, p: Presentation) -> Path:
             if key is not None:
                 stored.append((key, head))
         for key, i, j, rule in reversed(steps):
-            head = (i, j, rule, head)
+            head = ((i, j, rule, 1), head)
             if key is not None:
                 stored.append((key, head))
         # first reached first: eviction then takes a reduction's first words,
@@ -607,30 +606,21 @@ def reduction_path(w: Word, p: Presentation) -> Path:
             key = order.popleft()
             if cache.pop(key, None) is None:
                 del rules[key]
-    n, end = 0, head
-    while len(end) > 1:
-        n, end = n + 1, end[3]
-    if n > STEP_CAP:
+    taken = []
+    while len(head) > 1:
+        step, head = head
+        taken.append(step)
+    if len(taken) > STEP_CAP:
         raise RewriteError(f"step cap exceeded while reducing {word_str(w)}")
-    return Path._of_chain(w, head, end[0])
+    return Path._of_steps(w, tuple(taken), head[0])
 
 
 def trace_lines(path: Path) -> Iterator[str]:
-    """The lines of ``format_trace(path)``, one at a time.  A path of a
-    chain is read from its cells: each word is spliced and formatted once,
-    and no edge is built."""
-    if path.chain is None:
-        for e in path.edges:
-            yield f"{word_str(e.source)} --{e.rule.name}@{len(e.left)}--> {word_str(e.target)}"
-        return
-    u, cell = path.start, path.chain
-    before = word_str(u)
-    while len(cell) > 1:
-        i, j, rule, cell = cell
-        u = u[:i] + rule.rhs + u[j:]
-        after = word_str(u)
+    """The lines of ``format_trace(path)``, one at a time: each word is
+    spliced by the path's walk and formatted once, and no edge is built."""
+    words = itertools.pairwise(map(word_str, path._walk()))
+    for (i, _, rule, _), (before, after) in zip(path.steps, words):
         yield f"{before} --{rule.name}@{i}--> {after}"
-        before = after
 
 
 def format_trace(path: Path) -> str:

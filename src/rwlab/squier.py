@@ -2,12 +2,12 @@
 
 An edge is the 4-tuple (left context, rule, sign, right context); its source
 is ``left · side · right`` where side is the rule's lhs for sign +1 and the
-rhs for sign −1, and its target swaps the two sides.  Paths are composable
-edge sequences that remember their start word, so the empty path at a word
-is well-typed.  A path may instead keep its pieces, each a short path placed
-in a left and right context, or the chain of cached cells of a reduction,
-and build its edges only when they are read.  Everything here is immutable
-and pure.
+rhs for sign −1, and its target swaps the two sides.  A path is a start
+word, a tuple of steps ``(i, j, rule, sign)`` and an end word, so the empty
+path at a word is well-typed.  The operations on paths move steps and splice
+no word; the words a path passes are spliced from its start by one walk,
+``Path._walk``, which its edges, Φ, printing and traces read.  Everything
+here is immutable and pure.
 
 Homotopy of paths is not decided anywhere in this package; this module only
 constructs paths and the generating moves (interchange squares, pp⁻¹
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Iterator, Mapping, Optional, Tuple
 
 from .core import Rule, RwlabError, Word, word_str
 
@@ -71,105 +71,88 @@ class Edge(namedtuple("Edge", "left rule sign right")):
         return f"({word_str(self.left)}, {self.rule.name}, {self.sign:+d}, {word_str(self.right)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Path:
     """A composable sequence of edges starting at ``start``.
 
-    A path built by ``Path._of_pieces`` keeps its ``pieces``, and one built
-    by ``Path._of_chain`` its ``chain``; either builds its edges the first
-    time they are read.  It equals, hashes, prints and pickles as the path
-    given those edges.
+    A path keeps ``start``, its ``steps`` and its ``end`` word.  A step
+    ``(i, j, rule, sign)`` rewrites ``[i:j]`` of the word before it, which
+    holds the rule's lhs (sign +1) or rhs (sign −1), into the other side.
+    ``Path(start, edges)`` checks that each edge starts where the one before
+    it ends and reads the steps off the edges; every other path is built
+    from steps, and builds its edges the first time they are read.  Start
+    and steps fix the edges and are fixed by them, so a path equals and
+    hashes on ``(start, steps)``, and it prints and pickles as the path
+    given its edges.
     """
 
     start: Word
     edges: tuple = field(default_factory=tuple)
 
-    # ``(left, w, steps, sign, right)`` per piece, or None for a path given its
-    # edges.  A piece runs steps ``(i, rule, s, tail)`` over the word w, each
-    # the edge ``(w[:i], rule, s, w[i+1:] + tail)``, forwards (sign +1) or last
-    # to first (sign −1), in the outer contexts ``left`` and ``right``: in
-    # place, a step is the edge ``(left + w[:i], rule, s·sign, w[i+1:] + tail
-    # + right)``.  A one-edge piece has w = ε and the one step (0, rule, s, ε).
-    pieces = None
-
-    # The first cell of a positive path's chain, or None.  A cell ``(i, j,
-    # rule, next)`` rewrites ``[i:j]`` of its word by ``rule`` into the word
-    # whose cell is ``next``; the terminal cell ``(end,)`` holds the word the
-    # path ends at, which the path also keeps as ``end``.  The cells are
-    # those of ``rewrite.reduction_path``'s cache and are never changed, so
-    # a path holds its chain after the cache evicts it.
-    chain = None
-
     def __post_init__(self):
-        at = self.start
+        at, steps = self.start, []
         for i, e in enumerate(self.edges):
             if e.source != at:
                 raise PathError(
                     f"edge {i} starts at {word_str(e.source)}, expected {word_str(at)}"
                 )
+            steps.append((len(e.left), len(at) - len(e.right), e.rule, e.sign))
             at = e.target
+        self.__dict__.update(steps=tuple(steps), end=at)
 
     @classmethod
-    def _trusted(cls, start: Word, edges: tuple) -> "Path":
-        """A path whose edges are known to compose from ``start``: the
-        constructor without the walk of ``__post_init__``."""
+    def _of_steps(cls, start: Word, steps: tuple, end: Word) -> "Path":
+        """The path of ``steps`` from ``start``, which must end at ``end``:
+        the constructor without the walk of ``__post_init__``, building no
+        edge."""
         p = object.__new__(cls)
-        p.__dict__.update(start=start, edges=edges)
-        return p
-
-    @classmethod
-    def _of_pieces(cls, pieces: tuple) -> "Path":
-        """The path of ``pieces``, which must chain by construction; its start
-        is the source of the first step, and no edge is built."""
-        left, w, steps, sign, right = pieces[0]
-        i, rule, s, tail = steps[0] if sign == 1 else steps[-1]
-        side = rule.lhs if s * sign == 1 else rule.rhs
-        p = object.__new__(cls)
-        p.__dict__.update(start=left + w[:i] + side + w[i + 1 :] + tail + right, pieces=pieces)
-        return p
-
-    @classmethod
-    def _of_chain(cls, start: Word, chain: tuple, end: Word) -> "Path":
-        """The positive path from ``start`` along ``chain``, which ends at
-        ``end``; no edge is built."""
-        p = object.__new__(cls)
-        p.__dict__.update(start=start, chain=chain, end=end)
+        p.__dict__.update(start=start, steps=steps, end=end)
         return p
 
     def __getattr__(self, name):
         # reached only for an attribute the instance lacks, which is the
-        # edges of a path of pieces or of a chain until they are first read
+        # edges of a path built from steps until they are first read
         if name != "edges":
             raise AttributeError(name)
-        if self.pieces is not None:
-            edges = tuple(_piece_edges(self.pieces))
-        elif self.chain is not None:
-            edges = tuple(_served(self.start, self.chain))
-        else:
-            raise AttributeError(name)
+        edges = tuple(
+            Edge(tuple(u[:i]), rule, sign, tuple(u[j:]))
+            for (i, j, rule, sign), u in zip(self.steps, self._walk())
+        )
         self.__dict__["edges"] = edges
         return edges
 
-    def __getstate__(self):
-        return {"start": self.start, "edges": self.edges}
+    def __reduce__(self):
+        return Path, (self.start, self.edges)
+
+    def __eq__(self, other):
+        if other.__class__ is not Path:
+            return NotImplemented
+        return self.start == other.start and self.steps == other.steps
+
+    def __hash__(self):
+        return hash((self.start, self.steps))
+
+    def _walk(self) -> Iterator[list]:
+        """``start``, then the word after each step: the one walk that
+        edges, Φ, printing and traces read.  It yields one list, spliced in
+        place at each step, so a reader takes what it needs of a word before
+        it asks for the next."""
+        u = list(self.start)
+        yield u
+        for i, j, rule, sign in self.steps:
+            u[i:j] = rule.rhs if sign == 1 else rule.lhs
+            yield u
 
     def weighted_contexts(self, weights: Mapping[str, int]) -> Iterator[Tuple[int, Word]]:
-        """``(sign · weight, right context)`` of each edge whose rule has a
-        nonzero weight in ``weights`` (by rule name), in path order.  A path
-        of pieces is read step by step without building an edge, and a
-        step's right context is built only when its rule has a weight."""
+        """``(sign · weight, right context)`` of each step whose rule has a
+        nonzero weight in ``weights`` (by rule name), in path order.  The
+        right context is cut from the word before the step only when its
+        rule has a weight, and no edge is built."""
         weight = weights.get
-        if self.pieces is None:
-            for e in self.edges:
-                wt = weight(e.rule.name, 0)
-                if wt:
-                    yield e.sign * wt, e.right
-            return
-        for left, w, steps, sign, right in self.pieces:
-            for i, rule, s, tail in steps if sign == 1 else reversed(steps):
-                wt = weight(rule.name, 0)
-                if wt:
-                    yield s * sign * wt, w[i + 1 :] + tail + right
+        for (i, j, rule, sign), u in zip(self.steps, self._walk()):
+            wt = weight(rule.name, 0)
+            if wt:
+                yield sign * wt, tuple(u[j:])
 
     @property
     def iota(self) -> Word:
@@ -177,65 +160,65 @@ class Path:
 
     @property
     def tau(self) -> Word:
-        if self.chain is not None:
-            return self.end
-        return self.edges[-1].target if self.edges else self.start
+        return self.end
 
     @property
     def is_positive(self) -> bool:
-        return self.chain is not None or all(e.sign == 1 for e in self.edges)
+        return all(step[3] == 1 for step in self.steps)
 
     @property
     def is_closed(self) -> bool:
         return self.iota == self.tau
 
     def __len__(self):
-        return len(self.edges)
+        return len(self.steps)
 
     def __str__(self):
-        parts = [word_str(self.start)]
-        for e in self.edges:
-            parts.append(f" --({e.rule.name},{e.sign:+d})@{len(e.left)}--> {word_str(e.target)}")
+        words = map(word_str, self._walk())
+        parts = [next(words)]
+        for (i, _, rule, sign), after in zip(self.steps, words):
+            parts.append(f" --({rule.name},{sign:+d})@{i}--> {after}")
         return "".join(parts)
 
 
-def _piece_edges(pieces: tuple) -> Iterator[Edge]:
-    """The edges of ``pieces`` in path order (see ``Path.pieces``)."""
-    for left, w, steps, sign, right in pieces:
-        for i, rule, s, tail in steps if sign == 1 else reversed(steps):
-            yield Edge(left + w[:i], rule, s * sign, w[i + 1 :] + tail + right)
+def _shifted(steps: tuple, n: int) -> tuple:
+    """``steps`` applied n letters further right."""
+    if not n:
+        return steps
+    return tuple([(i + n, j + n, rule, sign) for i, j, rule, sign in steps])
 
 
-def _served(u: Word, cell: tuple) -> List[Edge]:
-    """The edges of the chain from ``cell`` (see ``Path.chain``), each
-    spliced from the word before it, ``u`` first."""
-    edges = []
-    while len(cell) > 1:
-        i, j, rule, cell = cell
-        edges.append(Edge(u[:i], rule, 1, u[j:]))
-        u = u[:i] + rule.rhs + u[j:]
-    return edges
-
-
-def compose(p: Path, q: Path) -> Path:
-    """``p`` then ``q``; both are valid paths, so only the junction is checked."""
-    if p.tau != q.iota:
-        raise PathError(
-            f"cannot compose: {word_str(p.tau)} != {word_str(q.iota)}"
-        )
-    return Path._trusted(p.start, p.edges + q.edges)
+def compose(p: Path, *rest: Path) -> Path:
+    """``p``, then each path of ``rest`` in turn; all are valid paths, so
+    only the junctions are checked."""
+    if not rest:
+        return p
+    steps, last = p.steps, p
+    for q in rest:
+        if last.tau != q.iota:
+            raise PathError(
+                f"cannot compose: {word_str(last.tau)} != {word_str(q.iota)}"
+            )
+        steps += q.steps
+        last = q
+    return Path._of_steps(p.start, steps, last.end)
 
 
 def invert(p: Path) -> Path:
-    return Path._trusted(p.tau, tuple(e.inverse() for e in reversed(p.edges)))
+    """``p`` backwards: each step, last first, puts back the side it took
+    out."""
+    steps = [
+        (i, i + len(rule.rhs if sign == 1 else rule.lhs), rule, -sign)
+        for i, _, rule, sign in reversed(p.steps)
+    ]
+    return Path._of_steps(p.end, tuple(steps), p.start)
 
 
 def act(x: Word, p: Path, y: Word) -> Path:
-    """Two-sided action: extend every edge's contexts by x on the left, y on the right."""
-    return Path._trusted(
-        x + p.start + y,
-        tuple(Edge(x + e.left, e.rule, e.sign, e.right + y) for e in p.edges),
-    )
+    """Two-sided action: x in front of and y behind every word of the path."""
+    if not x and not y:
+        return p
+    return Path._of_steps(x + p.start + y, _shifted(p.steps, len(x)), x + p.end + y)
 
 
 def _span(e: Edge) -> tuple:
@@ -275,23 +258,23 @@ def lift_path(p: Path, realize: Realization) -> Path:
     """Replace each edge whose rule has a realization by the realizing path.
 
     ``realize(rule)`` returns a path from ``rule.lhs`` to ``rule.rhs`` (or
-    None to keep the edge as is).  Contexts and signs are transported, so
-    endpoints are preserved and lifting commutes with composition and
-    inversion.  A realization with the rule's endpoints, transported, runs
-    from the edge's source to its target, so the result is built without a
-    second walk.
+    None to keep the edge as is).  The realizing steps move to the edge's
+    position, reversed for a backward edge, so endpoints are preserved and
+    lifting commutes with composition and inversion.  A realization with the
+    rule's endpoints, so moved, runs from the edge's source to its target,
+    and the result is built without a walk.
     """
-    edges = []
-    for e in p.edges:
-        base = realize(e.rule)
+    steps = []
+    for step in p.steps:
+        i, _, rule, sign = step
+        base = realize(rule)
         if base is None:
-            edges.append(e)
+            steps.append(step)
             continue
-        if base.iota != e.rule.lhs or base.tau != e.rule.rhs:
+        if base.iota != rule.lhs or base.tau != rule.rhs:
             raise PathError(
-                f"realization of {e.rule.name} has endpoints "
+                f"realization of {rule.name} has endpoints "
                 f"{word_str(base.iota)} -> {word_str(base.tau)}, expected rule sides"
             )
-        steps = base.edges if e.sign == 1 else reversed(base.edges)
-        edges.extend(Edge(e.left + b.left, b.rule, b.sign * e.sign, b.right + e.right) for b in steps)
-    return Path._trusted(p.start, tuple(edges))
+        steps.extend(_shifted((base if sign == 1 else invert(base)).steps, i))
+    return Path._of_steps(p.start, tuple(steps), p.end)

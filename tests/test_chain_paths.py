@@ -1,11 +1,12 @@
-"""Paths of a chain against the reference paths of their edges.
+"""Reduction paths against the reference paths of their edges.
 
-``reduction_path`` returns a path that keeps its start, the first cell of its
+``reduction_path`` returns a path that keeps its start, the steps of its
 cached chain and its normal form, and builds its edges only when they are
-read.  Here ``tau``, ``iota`` and ``is_positive`` are read first, with no
-edge built, and then the edges, ``len``, equality, hash, repr and pickle must
-be those of ``reference_rewrite.reduction_path``, a ``Path(w, edges)`` built
-by the former search on a fresh presentation.
+read.  Here the steps must be the ones the public constructor reads off the
+reference edges, ``tau``, ``iota`` and ``is_positive`` are read before any
+edge, and then the edges, ``len``, equality, hash, repr and pickle must be
+those of ``reference_rewrite.reduction_path``, a ``Path(w, edges)`` built by
+the former search on a fresh presentation.
 """
 
 import pickle
@@ -31,12 +32,11 @@ def fresh(p):
 
 
 def assert_like_the_reference(path, expected):
-    """``path``, a path of a chain whose edges were never read, against
+    """``path``, a reduction path whose edges were never read, against
     ``expected``, a path given its edges."""
-    assert path.chain is not None and "edges" not in vars(path)
+    assert path.steps == expected.steps  # as the public constructor reads them off the edges
     assert (path.iota, path.tau, path.is_positive) == (expected.iota, expected.tau, True)
     assert path.is_closed == expected.is_closed
-    assert "edges" not in vars(path)  # nothing above read an edge
     assert path.edges == expected.edges
     assert len(path) == len(expected)
     assert path == expected and expected == path
@@ -46,7 +46,7 @@ def assert_like_the_reference(path, expected):
     # edges hold equal but distinct schema instances, which pickle apart
     assert pickle.dumps(path) == pickle.dumps(Path(path.start, path.edges))
     twin = pickle.loads(pickle.dumps(path))
-    assert twin == expected and twin.tau == expected.tau and twin.chain is None
+    assert twin == expected and twin.tau == expected.tau and twin.steps == expected.steps
 
 
 def assert_paths_match(words, p):
@@ -131,7 +131,7 @@ def test_the_trace_of_a_chain_builds_no_edge(Qbar, monkeypatch):
 
     monkeypatch.setattr(Edge, "__new__", no_edge)
     assert [rewrite.format_trace(path) for path in paths] == expected
-    assert all("edges" not in vars(path) for path in paths)
+    assert [line.count("\n") + 1 for line in expected] == [len(path.steps) for path in paths]
 
 
 def test_resolving_every_qbar_peak_builds_no_edge(Qbar, monkeypatch):
@@ -152,3 +152,15 @@ def test_resolving_every_qbar_peak_builds_no_edge(Qbar, monkeypatch):
     for peak, res in zip(peaks[::97], resolutions[::97]):
         assert res.p1 == ref.reduction_path(peak.result1, oracle)
         assert res.p2 == ref.reduction_path(peak.result2, oracle)
+
+
+def test_a_path_holds_the_step_tuples_of_its_cells(Qbar):
+    # a path's steps are the tuples its cells hold, not copies of them; the
+    # caller's own word is not stored, so its first step is searched again
+    p = fresh(Qbar)
+    w = word("h a b' a' b a b")
+    searched, served = rewrite.reduction_path(w, p), rewrite.reduction_path(w, p)
+    assert len(searched) > 3 and searched == served
+    assert all(a is b for a, b in zip(searched.steps[1:], served.steps[1:]))
+    cell = p._path_cache[rewrite.check_orientation(p).mirror(searched.edges[0].target)]
+    assert cell[0] is searched.steps[1]

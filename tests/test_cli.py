@@ -106,6 +106,22 @@ def test_confluence_exit_codes(capsys):
     assert out.strip().splitlines()[-1] == "confluent: true"
 
 
+def test_confluence_prints_each_line_as_its_peak_resolves(capsys, monkeypatch):
+    chunks = []
+    resolve = completion.resolve_peak
+
+    def resolve_after_reading(peak, p):
+        chunks.append(capsys.readouterr().out)  # what was printed since the last peak
+        return resolve(peak, p)
+
+    monkeypatch.setattr(completion, "resolve_peak", resolve_after_reading)
+    code, out, _ = run_cli(capsys, "confluence", "--preset", "Q")
+    assert code == 1 and chunks[0] == "" and len(chunks) > 10
+    assert all(chunk.count("\n") == 1 for chunk in chunks[1:])
+    lines = "".join(chunks[1:] + [out]).splitlines()
+    assert lines == completion.is_confluent_bounded(preset("Q")).lines() + ["confluent: false"]
+
+
 def test_complete_verb(capsys):
     code, out, _ = run_cli(capsys, "complete", "--preset", "Q", "--max-rules", "5", "--max-lhs-len", "6")
     assert code == 0

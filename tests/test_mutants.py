@@ -83,7 +83,7 @@ def phi_drops_the_last_edge(monkeypatch):
     phi_path = invariant.phi_path
 
     def fault(p, weights, ambient):
-        return phi_path(Path._trusted(p.start, p.edges[:-1]), weights, ambient)
+        return phi_path(Path(p.start, p.edges[:-1]), weights, ambient)
 
     _patch_everywhere(monkeypatch, invariant, "phi_path", fault)
 
@@ -112,21 +112,24 @@ def swap_path_loses_its_reverse_signs(monkeypatch):
     swap_steps = casestudy._swap_steps
 
     def fault(w, eps, delta):
-        return tuple((i, rule, 1, tail) for i, rule, _, tail in swap_steps(w, eps, delta))
+        return tuple((i, j, rule, 1) for i, j, rule, _ in swap_steps(w, eps, delta))
 
     _patch_everywhere(monkeypatch, casestudy, "_swap_steps", fault)
 
 
-def piece_phi_ignores_the_outer_right_context(monkeypatch):
-    fault = _mutated(
-        squier.Path, "weighted_contexts", "w[i + 1 :] + tail + right", "w[i + 1 :] + tail"
-    )
+def phi_context_is_cut_short(monkeypatch):
+    fault = _mutated(squier.Path, "weighted_contexts", "tuple(u[j:])", "tuple(u[j:-1])")
     monkeypatch.setattr(squier.Path, "weighted_contexts", fault)
 
 
-def piece_edges_drop_the_outer_left_context(monkeypatch):
-    fault = _mutated(squier, "_piece_edges", "Edge(left + w[:i]", "Edge(w[:i]")
-    _patch_everywhere(monkeypatch, squier, "_piece_edges", fault)
+def edges_drop_the_first_letter_of_the_left_context(monkeypatch):
+    fault = _mutated(squier.Path, "__getattr__", "Edge(tuple(u[:i])", "Edge(tuple(u[1:i])")
+    monkeypatch.setattr(squier.Path, "__getattr__", fault)
+
+
+def act_leaves_positions_unshifted(monkeypatch):
+    fault = _mutated(squier, "act", "_shifted(p.steps, len(x))", "p.steps")
+    _patch_everywhere(monkeypatch, squier, "act", fault)
 
 
 def closure_forgets_I_a(monkeypatch):
@@ -143,13 +146,9 @@ def closure_forgets_I_a(monkeypatch):
     _patch_everywhere(monkeypatch, completion, "equivalence_classes", fault)
 
 
-def served_path_loses_its_last_edge(monkeypatch):
-    served = squier._served
-
-    def fault(u, cell):
-        return served(u, cell)[:-1]
-
-    _patch_everywhere(monkeypatch, squier, "_served", fault)
+def reduction_path_drops_its_last_step(monkeypatch):
+    fault = _mutated(rewrite, "reduction_path", "tuple(taken)", "tuple(taken[:-1])")
+    _patch_everywhere(monkeypatch, rewrite, "reduction_path", fault)
 
 
 def terminal_cell_keeps_the_word_before_the_last_step(monkeypatch):
@@ -226,7 +225,7 @@ def derivation_splices_the_base_lists(monkeypatch):
 
 
 def invert_keeps_the_edge_order(monkeypatch):
-    fault = _mutated(squier, "invert", "for e in reversed(p.edges)", "for e in p.edges")
+    fault = _mutated(squier, "invert", "in reversed(p.steps)", "in p.steps")
     _patch_everywhere(monkeypatch, squier, "invert", fault)
 
 
@@ -365,17 +364,18 @@ KILL_MATRIX = {
     "commutator multiplies on the wrong side": (commutator_on_the_wrong_side, figure2(0)),
     "the swap path flips delta": (swap_path_flips_delta, figure2(0)),
     "the swap path loses its reverse steps' sign": (swap_path_loses_its_reverse_signs, figure2(0)),
-    "a piece's phi ignores its outer right context": (
-        piece_phi_ignores_the_outer_right_context,
-        figure2(0),
+    "phi's right context is cut short": (phi_context_is_cut_short, figure2(0)),
+    "built-on-demand edges drop the first letter of the left context": (
+        edges_drop_the_first_letter_of_the_left_context,
+        lambda: circuits_digest() == CIRCUITS_DIGEST,
     ),
-    "built-on-demand edges drop the outer left context": (
-        piece_edges_drop_the_outer_left_context,
+    "act leaves the positions of the steps unshifted": (
+        act_leaves_positions_unshifted,
         lambda: circuits_digest() == CIRCUITS_DIGEST,
     ),
     "the closure forgets rule I_a": (closure_forgets_I_a, prop31(4)),
-    "a served reduction path loses its last edge": (
-        served_path_loses_its_last_edge,
+    "a reduction path drops its last step": (
+        reduction_path_drops_its_last_step,
         peak_paths_match_the_reference("Qbar", 0),
     ),
     "the terminal cell keeps the word before the last step": (

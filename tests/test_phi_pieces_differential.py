@@ -1,10 +1,12 @@
-"""Φ summed from a path's pieces against the former per-edge Φ, kept in
+"""Φ summed from a path's steps against the former per-edge Φ, kept in
 ``reference_invariant``, over the same path's edges built on demand.
 
-Circuits and swap paths keep their pieces, and ``phi_path`` reads those
-pieces' steps without building an edge.  Here every value, and every error
-class and message, must be the one the reference gives on the edges, and
-the weighted contexts must come in edge order.
+Circuits and swap paths are built from steps, and ``phi_path`` reads the
+right context of each weighted step from the walk of the path's words
+without building an edge.  Here the steps must be the ones the public
+constructor reads off the edges, every value, and every error class and
+message, must be the one the reference gives on the edges, and the weighted
+contexts must come in edge order.
 """
 
 import random
@@ -13,7 +15,7 @@ import pytest
 
 import reference_invariant as ref
 from rwlab.casestudy import build_C_path, build_ct_circuit, ct_parameter_sweep, random_ct_params
-from rwlab.core import Alphabet, OrderingSpec, Presentation, RwlabError
+from rwlab.core import Alphabet, OrderingSpec, Presentation, RwlabError, word
 from rwlab.invariant import (
     A_LETTERS,
     CASE_STUDY_WEIGHTS,
@@ -23,8 +25,10 @@ from rwlab.invariant import (
     closed_form_ct,
     phi_path,
 )
-from rwlab.ring import format_ring
-from rwlab.squier import Edge, Path
+from rwlab.rewrite import reduction_path, trace_lines
+from rwlab.ring import format_ring, zero
+from rwlab.squier import Edge, Path, act, compose, invert, lift_path
+from test_squier import _swap_realization
 
 SIGNS = (1, -1)
 
@@ -37,12 +41,11 @@ def outcome(phi, path, weights, ambient):
         return type(exc), str(exc)
 
 
-def assert_pieces_match_edges(path, ambient, weights=CASE_STUDY_WEIGHTS):
-    assert path.pieces is not None
+def assert_steps_match_edges(path, ambient, weights=CASE_STUDY_WEIGHTS):
     got = outcome(phi_path, path, weights, ambient)  # before any edge is built
-    assert "edges" not in vars(path)
     assert got == outcome(ref.phi_path, path, weights, ambient)
     plain = Path(path.start, path.edges)  # the walk checks that the edges chain
+    assert path.steps == plain.steps and path.tau == plain.tau
     assert got == outcome(phi_path, plain, weights, ambient)
     contexts = list(path.weighted_contexts(weights.entries))
     assert contexts == list(plain.weighted_contexts(weights.entries))
@@ -50,13 +53,13 @@ def assert_pieces_match_edges(path, ambient, weights=CASE_STUDY_WEIGHTS):
 
 def test_the_small_sweep_matches_the_reference(P):
     for params in ct_parameter_sweep(2, 2):
-        assert_pieces_match_edges(build_ct_circuit(params), P)
+        assert_steps_match_edges(build_ct_circuit(params), P)
 
 
 def test_long_random_circuits_match_the_reference(P):
     rng = random.Random(40)
     for _ in range(2000):
-        assert_pieces_match_edges(build_ct_circuit(random_ct_params(rng, 40, 40)), P)
+        assert_steps_match_edges(build_ct_circuit(random_ct_params(rng, 40, 40)), P)
 
 
 def test_swap_paths_match_the_reference(P, Qbar):
@@ -67,7 +70,7 @@ def test_swap_paths_match_the_reference(P, Qbar):
         for eps in SIGNS:
             for delta in SIGNS:
                 for ambient in (P, Qbar):
-                    assert_pieces_match_edges(build_C_path(w, eps, delta), ambient)
+                    assert_steps_match_edges(build_C_path(w, eps, delta), ambient)
 
 
 def _words(n):
@@ -81,7 +84,7 @@ def test_other_weights_match_the_reference(Q, P):
     weights = WeightSpec.of({r.name: (i % 5) - 2 for i, r in enumerate(Q.rules)})
     rng = random.Random(7)
     for _ in range(200):
-        assert_pieces_match_edges(build_ct_circuit(random_ct_params(rng, 6, 6)), P, weights)
+        assert_steps_match_edges(build_ct_circuit(random_ct_params(rng, 6, 6)), P, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +125,11 @@ def test_an_unoriented_ambient_raises_what_the_edges_raise(unoriented_P):
 
 
 # ---------------------------------------------------------------------------
-# Work: Φ of a circuit builds no edge
+# Work: Φ of a circuit, and the path operations, build no edge
 # ---------------------------------------------------------------------------
 
 
-def test_phi_of_a_circuit_builds_no_edge(monkeypatch, P):
+def test_phi_of_a_circuit_builds_no_edge(monkeypatch, P, Qbar):
     rng = random.Random(11)
     params = [random_ct_params(rng, 12, 12) for _ in range(100)]
     params += [CtParams("CT2", x=x) for x in A_LETTERS] + [CtParams("CT6", x=x) for x in A_LETTERS]
@@ -135,9 +138,19 @@ def test_phi_of_a_circuit_builds_no_edge(monkeypatch, P):
     def no_edge(*args):
         raise AssertionError("an edge was built")
 
+    # a reduction path over Qbar whose swap steps lift to swap paths
+    reduced = reduction_path(word("h a b' a' a b"), Qbar)
     monkeypatch.setattr(Edge, "__new__", no_edge)
     for p in params:
-        assert phi_path(build_ct_circuit(p), CASE_STUDY_WEIGHTS, P) == closed_form_ct(p, P)
+        circuit = build_ct_circuit(p)
+        assert phi_path(circuit, CASE_STUDY_WEIGHTS, P) == closed_form_ct(p, P)
+        assert circuit.is_closed and circuit.tau == circuit.start
+        loop = act(word("a"), compose(circuit, invert(circuit)), word("b'"))
+        assert loop.is_closed and len(loop) == 2 * len(circuit)
+        assert phi_path(loop, CASE_STUDY_WEIGHTS, P) == zero(P)
     phi_path(build_C_path(("a", "b'", "a'"), -1, 1), CASE_STUDY_WEIGHTS, P)
+    lifted = lift_path(invert(reduced), _swap_realization)
+    assert (lifted.start, lifted.tau) == (reduced.tau, reduced.start) and len(lifted) > len(reduced)
+    assert len(list(trace_lines(lifted))) == len(lifted)
     with pytest.raises(AssertionError, match="an edge was built"):
         build_ct_circuit(params[0]).edges

@@ -1,7 +1,9 @@
 """Paths and edges against the former ``squier`` code, kept in
 ``reference_squier``: the outputs of ``compose``, ``invert``, ``act`` and
-``lift_path``, which are built without the validating walk, pass that walk;
-the tuple-based ``Edge`` behaves as the former frozen dataclass."""
+``lift_path``, which are built from steps without the validating walk, pass
+that walk and have the start, edges and end of the former edge-building
+operations; the tuple-based ``Edge`` behaves as the former frozen
+dataclass."""
 
 import copy
 import pickle
@@ -9,11 +11,16 @@ import random
 from collections import namedtuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_squier as ref
-from rwlab.casestudy import build_ct_circuit, ct_parameter_sweep
+from rwlab.casestudy import build_ct_circuit, ct_parameter_sweep, preset
 from rwlab.core import EMPTY, word
+from rwlab.invariant import A_LETTERS, swap_pair
 from rwlab.squier import Edge, Path, PathError, act, compose, invert, lift_path
+from test_properties import draw_path, draw_word
+from test_squier import _swap_realization
 from tests_helpers_paths import random_mixed_path
 
 
@@ -73,6 +80,59 @@ def test_every_figure2_family_stays_valid():
         x, y = rng.choice(pads), rng.choice(pads)
         for out in (circuit, back, act(x, circuit, y), compose(circuit, back)):
             assert_valid(out)
+
+
+def assert_like(got: Path, want: Path) -> None:
+    assert (got.start, got.edges, got.tau) == (want.start, want.edges, want.tau)
+    assert got == want and hash(got) == hash(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_step_operations_match_the_edge_operations(data):
+    q = preset("Q")
+    p1 = draw_path(data, q)
+    p2 = draw_path(data, q, start=p1.tau)
+    x, y = draw_word(data, q, 3), draw_word(data, q, 3)
+    assert_like(compose(p1, p2), ref.compose(p1, p2))
+    assert_like(invert(p1), ref.invert(p1))
+    assert_like(act(x, p1, y), ref.act(x, p1, y))
+    assert_like(act(x, compose(p1, p2), y), ref.act(x, ref.compose(p1, p2), y))
+    assert_like(act(x, invert(p2), y), ref.act(x, ref.invert(p2), y))
+    assert_like(invert(act(x, p1, y)), ref.invert(ref.act(x, p1, y)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_lifted_swap_paths_match_the_edge_lift(data):
+    # a start h w aᵉ bᵈ v, so that the drawn path often applies a swap schema
+    qbar = preset("Qbar")
+    eps, delta = data.draw(st.sampled_from((1, -1))), data.draw(st.sampled_from((1, -1)))
+    w = tuple(data.draw(st.lists(st.sampled_from(A_LETTERS), max_size=3)))
+    start = ("h",) + w + swap_pair(eps, delta)[0] + draw_word(data, qbar, 2)
+    p = draw_path(data, qbar, start=start)
+    x, y = draw_word(data, qbar, 2), draw_word(data, qbar, 2)
+    for path in (p, invert(p), act(x, p, y), invert(act(x, p, y))):
+        lifted = lift_path(path, _swap_realization)
+        assert_like(lifted, ref.lift_path(path, _swap_realization))
+        ref.check_path(lifted)
+    assert_like(
+        act(x, lift_path(invert(p), _swap_realization), y),
+        ref.act(x, ref.lift_path(ref.invert(p), _swap_realization), y),
+    )
+
+
+def test_drawn_paths_apply_swap_schemas():
+    # the lift test above would test little if its paths held no swap edge
+    rng = random.Random(31)
+    qbar = preset("Qbar")
+    lifted = 0
+    for _ in range(100):
+        eps, delta = rng.choice((1, -1)), rng.choice((1, -1))
+        start = ("h", rng.choice(A_LETTERS)) + swap_pair(eps, delta)[0]
+        p = random_mixed_path(qbar, rng, max_edges=6, start=start)
+        lifted += any(_swap_realization(e.rule) is not None for e in p.edges)
+    assert lifted > 20
 
 
 def test_public_constructor_still_walks_every_edge(Q):
