@@ -18,8 +18,9 @@ from dataclasses import dataclass, fields
 from typing import Dict, Mapping, Optional, Tuple
 
 from .core import EMPTY, Presentation, RwlabError, Word, word_str
-from .rewrite import check_orientation, normalize
-from .ring import RingElement, check_letters, from_word, right_mul, scale, sub, total, zero
+from .completion import normalize_suffixes
+from .rewrite import check_orientation
+from .ring import RingElement, check_letters, from_word, right_mul, scale, sub, zero
 from .squier import Edge, Path
 
 A_LETTERS = ("a", "a'", "b", "b'")
@@ -50,20 +51,33 @@ CASE_STUDY_WEIGHTS = WeightSpec.of({"K_a": 1, "K_a'": -1})
 
 def partial_derivation(w: Word, ambient: Presentation) -> RingElement:
     """∂w, by the recursion ∂(x·w') = (∂x)·w' + ∂w' with ∂a = −1, ∂a' = +1,
-    ∂b = ∂b' = 0 and ∂ε = 0, evaluated in the free-group ring."""
+    ∂b = ∂b' = 0 and ∂ε = 0, evaluated in the free-group ring.
+
+    The terms are ``−e · [w[i+1:]]`` for each letter ``w[i]`` of nonzero
+    a-exponent ``e``.  Their suffixes nest, so the longest one holds every
+    letter the others do: its letters are checked, then the ambient's
+    orientation, and the suffixes are normalized as one family by
+    ``completion.normalize_suffixes``, which on a complete ambient takes each
+    from the normal form of the next shorter one, nf(uv) = nf(u·nf(v)), and
+    on any other normalizes each on its own.
+    """
     for letter in w:
         if letter not in LETTER_EXPONENTS:
             raise RwlabError(
                 f"derivation is only defined on letters a, a', b, b' (got {letter})"
             )
-    return total(
-        (
-            scale(-LETTER_EXPONENTS[x][0], from_word(w[i + 1 :], ambient))
-            for i, x in enumerate(w)
-            if LETTER_EXPONENTS[x][0]
-        ),
-        ambient,
-    )
+    suffixes, coefficients = [], []
+    for i, x in enumerate(w):
+        if LETTER_EXPONENTS[x][0]:
+            suffixes.append(w[i + 1 :])
+            coefficients.append(-LETTER_EXPONENTS[x][0])
+    if suffixes:
+        check_letters(suffixes[0], ambient)  # the longest suffix
+        check_orientation(ambient)
+    acc: Dict[Word, int] = {}
+    for c, nf in zip(coefficients, normalize_suffixes(suffixes, ambient)):
+        acc[nf] = acc.get(nf, 0) + c
+    return RingElement({u: c for u, c in acc.items() if c}, ambient)
 
 
 def phi_edge(e: Edge, weights: WeightSpec, ambient: Presentation) -> RingElement:
@@ -78,23 +92,32 @@ def phi_edge(e: Edge, weights: WeightSpec, ambient: Presentation) -> RingElement
 def phi_path(p: Path, weights: WeightSpec, ambient: Presentation) -> RingElement:
     """The sum of ``phi_edge`` over the edges of ``p``, in one pass.
 
-    ``sign · weight`` is summed per raw right context first, and each
-    distinct context with a nonzero net coefficient is normalized once.
-    Every distinct weighted context, cancelled or not, is checked in order of
-    first appearance (its letters, then the ambient's orientation), so the
-    error raised is the one the first faulty weighted edge would raise.
-    The contexts are read from the path's steps, and no edge is built.
+    ``sign · weight`` is summed per raw right context first.  Every distinct
+    weighted context, cancelled or not, is checked in order of first
+    appearance (its letters, then the ambient's orientation), so the error
+    raised is the one the first faulty weighted edge would raise.  The
+    contexts with a nonzero net coefficient are then normalized once each,
+    as one family by ``completion.normalize_suffixes``: on a complete
+    ambient a context the cache misses starts from the normal form of its
+    longest proper suffix among them, nf(uv) = nf(u·nf(v)), which the
+    contexts ``w[k+1:]·aᵉbᵈ`` of a swap path form a chain of; on any other
+    each is normalized on its own.  The contexts are read from the path's
+    steps, and no edge is built.
     """
     net: Dict[Word, int] = {}
     for c, right in p.weighted_contexts(weights.entries):
         net[right] = net.get(right, 0) + c
-    acc: Dict[Word, int] = {}
+    surviving, coefficients = [], []
     for k, (right, c) in enumerate(net.items()):
         check_letters(right, ambient)
         if k == 0:
             check_orientation(ambient)  # the same verdict for every context
         if c:
-            nf = normalize(right, ambient)
+            surviving.append(right)
+            coefficients.append(c)
+    acc: Dict[Word, int] = {}
+    if surviving:  # most small circuits cancel every context
+        for c, nf in zip(coefficients, normalize_suffixes(surviving, ambient)):
             acc[nf] = acc.get(nf, 0) + c
     return RingElement({w: c for w, c in acc.items() if c}, ambient)
 

@@ -532,13 +532,20 @@ def normalize(w: Word, p: Presentation) -> Word:
         nf = passed[-1]
         if isinstance(nf, str):
             nf = w if nf is s else m.word(nf)
-    for u in passed:
+    _store(p, passed, nf)
+    return nf
+
+
+def _store(p: Presentation, keys: List, nf: Word) -> None:
+    """Cache ``nf`` under each of ``keys``, none of them cached yet, and
+    evict the oldest entries past ``NF_CACHE_CAP``."""
+    cache = p._nf_cache
+    for u in keys:
         cache[u] = nf
     order = p._nf_order
-    order.extend(passed)
+    order.extend(keys)
     while len(order) > NF_CACHE_CAP:
         del cache[order.popleft()]
-    return nf
 
 
 def reduction_path(w: Word, p: Presentation) -> Path:
@@ -559,8 +566,9 @@ def reduction_path(w: Word, p: Presentation) -> Path:
     evicted.
 
     The path keeps ``w``, the chain's steps, the very tuples of its cells,
-    and its normal form, and builds no edge.  A chain longer than
-    ``STEP_CAP`` steps raises here, served or not.
+    and its normal form, is positive without a walk of its steps, and
+    builds no edge.  A chain longer than ``STEP_CAP`` steps raises here,
+    served or not.
     """
     m = check_orientation(p)
     cache, rules, order = p._path_cache, p._path_rules, p._path_order
@@ -612,7 +620,7 @@ def reduction_path(w: Word, p: Presentation) -> Path:
         taken.append(step)
     if len(taken) > STEP_CAP:
         raise RewriteError(f"step cap exceeded while reducing {word_str(w)}")
-    return Path._of_steps(w, tuple(taken), head[0])
+    return Path._of_steps(w, tuple(taken), head[0], positive=True)
 
 
 def trace_lines(path: Path) -> Iterator[str]:

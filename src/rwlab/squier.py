@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Mapping, Optional, Tuple
 
 from .core import Rule, RwlabError, Word, word_str
@@ -101,12 +102,15 @@ class Path:
         self.__dict__.update(steps=tuple(steps), end=at)
 
     @classmethod
-    def _of_steps(cls, start: Word, steps: tuple, end: Word) -> "Path":
+    def _of_steps(cls, start: Word, steps: tuple, end: Word, positive: bool = False) -> "Path":
         """The path of ``steps`` from ``start``, which must end at ``end``:
         the constructor without the walk of ``__post_init__``, building no
-        edge."""
+        edge.  ``positive`` says that every step has sign +1, and is then
+        ``is_positive`` without a walk of the steps."""
         p = object.__new__(cls)
         p.__dict__.update(start=start, steps=steps, end=end)
+        if positive:
+            p.__dict__["is_positive"] = True
         return p
 
     def __getattr__(self, name):
@@ -162,7 +166,7 @@ class Path:
     def tau(self) -> Word:
         return self.end
 
-    @property
+    @cached_property
     def is_positive(self) -> bool:
         return all(step[3] == 1 for step in self.steps)
 

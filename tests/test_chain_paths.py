@@ -20,7 +20,7 @@ import reference_rewrite as ref
 from rwlab import rewrite
 from rwlab.casestudy import PRESETS, preset
 from rwlab.completion import CriticalCircuit, critical_peaks, resolve_peak
-from rwlab.core import OrderingSpec, Presentation, word
+from rwlab.core import OrderingSpec, Presentation, Rule, RwlabError, word
 from rwlab.squier import Edge, Path
 from test_peaks_differential import plain_presentations
 from test_rewrite_differential import MIXED
@@ -71,8 +71,15 @@ def test_every_preset_matches_the_reference(name):
 def test_drawn_presentations_match_the_reference(p, data):
     assume(p.ordering is not None)
     # the strategy draws the precedence as a list, which does not hash
-    p = Presentation(p.alphabet, p.rules, (), OrderingSpec(tuple(p.ordering.precedence)))
-    assume(rewrite._matcher(p).unoriented is None)
+    ordering = OrderingSpec(tuple(p.ordering.precedence))
+    # each rule turned to shrink, so that few draws are thrown away (a rule
+    # and its reverse are never both drawn, so no two rules become inverse)
+    rules = tuple(
+        r if rewrite.compare_shortlex(r.lhs, r.rhs, ordering) > 0 else Rule(r.name, r.rhs, r.lhs)
+        for r in p.rules
+    )
+    p = Presentation(p.alphabet, rules, (), ordering)
+    assert rewrite._matcher(p).unoriented is None
     letters = st.sampled_from(p.alphabet.letters + ("q",))  # q is undeclared
     words = data.draw(st.lists(st.lists(letters, max_size=8).map(tuple), max_size=8))
     assert_paths_match(words + words, p)
@@ -164,3 +171,27 @@ def test_a_path_holds_the_step_tuples_of_its_cells(Qbar):
     assert all(a is b for a, b in zip(searched.steps[1:], served.steps[1:]))
     cell = p._path_cache[rewrite.check_orientation(p).mirror(searched.edges[0].target)]
     assert cell[0] is searched.steps[1]
+
+
+def test_a_reduction_path_is_positive_without_a_walk(Qbar, monkeypatch):
+    p = fresh(Qbar)
+    w = word("h a b' a' b a b")
+    searched, served = rewrite.reduction_path(w, p), rewrite.reduction_path(w, p)
+    # reading is_positive walks no step: the steps of these paths are never read
+    monkeypatch.setattr(Path, "steps", property(lambda path: 1 / 0), raising=False)
+    assert searched.is_positive and served.is_positive
+    monkeypatch.undo()
+    # any other path walks its steps, and a resolution that is not positive
+    # raises as before
+    peak, p1 = next(
+        (peak, path)
+        for peak in critical_peaks(Qbar)
+        for path in [rewrite.reduction_path(peak.result1, p)]
+        if len(path)
+    )
+    walked = Path(p1.start, p1.edges)
+    assert "is_positive" not in vars(walked) and walked.is_positive
+    back = Path(p1.tau, tuple(e.inverse() for e in reversed(p1.edges)))
+    assert not back.is_positive
+    with pytest.raises(RwlabError, match="^resolution paths must be positive$"):
+        CriticalCircuit(peak, back, rewrite.reduction_path(peak.result2, p))

@@ -53,6 +53,7 @@ from test_completion_live import certificates_hold, derivations_match, live_list
 from test_rewrite import UNORIENTED
 from test_rewrite_differential import assert_same
 from test_squier_differential import assert_valid
+from test_suffix_families import NON_CONFLUENT
 
 
 def _patch_everywhere(monkeypatch, module, name, fault):
@@ -86,6 +87,10 @@ def phi_drops_the_last_edge(monkeypatch):
         return phi_path(Path(p.start, p.edges[:-1]), weights, ambient)
 
     _patch_everywhere(monkeypatch, invariant, "phi_path", fault)
+
+
+def completeness_verdict_always_true(monkeypatch):
+    _patch_everywhere(monkeypatch, completion, "is_complete", lambda p: True)
 
 
 def commutator_on_the_wrong_side(monkeypatch):
@@ -341,6 +346,15 @@ def normalize_rejects(case):
     return check
 
 
+def suffixes_normalize_as_words(p, words):
+    # a fresh copy each time: a wrong normal form must not stay in p's cache
+    def check():
+        q, oracle = dataclasses.replace(p), dataclasses.replace(p)
+        return completion.normalize_suffixes(words, q) == [ref_rewrite.normalize(w, oracle) for w in words]
+
+    return check
+
+
 def z_is_zero(name):
     return lambda: structure.classify(word("z"), preset(name)) == HClass.ZERO
 
@@ -362,6 +376,11 @@ def completes_like_the_reference(make, *args):
 KILL_MATRIX = {
     "phi drops the last edge": (phi_drops_the_last_edge, identities(1)),
     "commutator multiplies on the wrong side": (commutator_on_the_wrong_side, figure2(0)),
+    # nf(x a b) = y b there, but x · nf(a b) = x z is irreducible too
+    "the completeness verdict is always true": (
+        completeness_verdict_always_true,
+        suffixes_normalize_as_words(NON_CONFLUENT, [word("x a b"), word("a b")]),
+    ),
     "the swap path flips delta": (swap_path_flips_delta, figure2(0)),
     "the swap path loses its reverse steps' sign": (swap_path_loses_its_reverse_signs, figure2(0)),
     "phi's right context is cut short": (phi_context_is_cut_short, figure2(0)),

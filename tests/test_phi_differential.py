@@ -1,8 +1,9 @@
 """The one-pass Φ against the former per-edge Φ, kept in ``reference_invariant``:
 the same element on every circuit family and swap path, the same element or
-the same error on random mixed paths, and each distinct surviving context
-normalized exactly once."""
+the same error on random mixed paths, each distinct surviving context
+normalized exactly once, and Φ of a swap path in linear rewrite steps."""
 
+import dataclasses
 import functools
 import random
 
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_invariant as ref
-from rwlab import invariant
+import reference_rewrite as ref_rewrite
+from rwlab import completion, rewrite
 from rwlab.casestudy import build_C_path, build_ct_circuit, ct_parameter_sweep, preset
 from rwlab.core import EMPTY, Presentation, RwlabError, word, words_over
 from rwlab.invariant import A_LETTERS, CASE_STUDY_WEIGHTS, CtParams, WeightSpec, phi_path
@@ -172,12 +174,49 @@ def test_each_surviving_context_is_normalized_once(monkeypatch, P, params):
             weighted += 1
             net[e.right] = net.get(e.right, 0) + e.sign * wt
     surviving = [right for right, c in net.items() if c]
-    assert 0 < len(surviving) < weighted  # contexts are shared and some cancel
+    cancelled = [right for right, c in net.items() if not c]
+    assert surviving and cancelled  # contexts are shared and some cancel
 
+    # on P, which is complete, a context is normalized from the normal form
+    # of its longest proper suffix among the surviving ones, if it has one
+    expected = []
+    for right in surviving:
+        cuts = [k for k in range(1, len(right)) if right[k:] in surviving]
+        k = cuts[0] if cuts else None
+        expected.append(right if k is None else right[:k] + ref_rewrite.normalize(right[k:], P))
+
+    ambient = dataclasses.replace(P)  # cold caches: every context misses
+    assert completion.is_complete(ambient)
     calls = []
-    normalize = invariant.normalize
-    monkeypatch.setattr(invariant, "normalize", lambda w, p: (calls.append(w), normalize(w, p))[1])
-    value = phi_path(circuit, CASE_STUDY_WEIGHTS, P)
+    normalize = completion.normalize
+    monkeypatch.setattr(completion, "normalize", lambda w, p: (calls.append(w), normalize(w, p))[1])
+    value = phi_path(circuit, CASE_STUDY_WEIGHTS, ambient)
     monkeypatch.undo()
-    assert sorted(calls) == sorted(surviving)
+    assert sorted(calls) == sorted(expected)  # one call per surviving context
+    assert not set(calls) & set(cancelled)
     assert value == ref.phi_path(circuit, CASE_STUDY_WEIGHTS, P)
+
+
+@pytest.mark.parametrize("n", (0, 1, 10, 20, 40, 80))
+def test_phi_of_a_swap_path_takes_linear_steps(monkeypatch, P, n):
+    # the contexts w[k+1:]·aᵉbᵈ of a swap path each start from the normal form
+    # of the next shorter one, so a cold cache takes at most |w| + 3 steps
+    steps = rewrite._leftmost_steps
+
+    def counted(*args):
+        for step in steps(*args):
+            taken.append(step)
+            yield step
+
+    rng = random.Random(n)
+    for eps, delta in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        w = tuple(rng.choice(A_LETTERS) for _ in range(n))
+        path = build_C_path(w, eps, delta)
+        ambient = dataclasses.replace(P)
+        assert completion.is_complete(ambient)  # the verdict takes steps of its own
+        taken = []
+        monkeypatch.setattr(rewrite, "_leftmost_steps", counted)
+        value = phi_path(path, CASE_STUDY_WEIGHTS, ambient)
+        monkeypatch.undo()
+        assert len(taken) <= n + 3
+        assert value == ref.phi_path(path, CASE_STUDY_WEIGHTS, P)
