@@ -18,7 +18,7 @@ import itertools
 import operator
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .core import (
     EMPTY,
@@ -37,7 +37,6 @@ from .rewrite import (
     _derived,
     _leftmost_steps,
     _matcher,
-    _store,
     check_budget,
     check_enumeration_budget,
     check_orientation,
@@ -322,7 +321,7 @@ def is_confluent_bounded(p: Presentation, schema_var_bound: int = 0) -> Confluen
 
 
 # ---------------------------------------------------------------------------
-# Suffix families on a complete ambient
+# Normal forms on a complete ambient
 # ---------------------------------------------------------------------------
 
 
@@ -348,63 +347,19 @@ def _complete(p: Presentation) -> bool:
         return False
 
 
-def normalize_suffixes(words: Sequence[Word], p: Presentation) -> List[Word]:
-    """``normalize(w, p)`` of each of ``words``, in order, where words that
-    are suffixes of one another share their reductions.
+def normal_form(w: Word, p: Presentation) -> Word:
+    """``normalize(w, p)``, by whole-word passes when ``p`` is known complete.
 
-    A word the cache holds costs one lookup.  At the first word the cache
-    misses, ``is_complete(p)`` is read.  On a known complete ``p`` every
-    word has one normal form, so nf(u·v) = nf(u·nf(v)): a word the cache
-    misses is normalized as ``w[:k] + nf(w[k:])``, where ``w[k:]`` is its
-    longest proper suffix among ``words``, normalized first in the same way,
-    and ``w`` is cached with the result.  On any other ``p`` a word the
-    cache misses is normalized on its own.
+    A word the cache holds costs one lookup.  For a word it misses,
+    ``is_complete(p)`` is read and passed down to ``normalize``.  On a known
+    complete ``p`` every word has one normal form, whatever order its
+    redexes are rewritten in, so passes that rewrite every occurrence of
+    each rule at once (``_Matcher.passes``) end at the very word the
+    leftmost strategy reaches.  On any other ``p`` the word is reduced
+    leftmost, as ``normalize`` alone does.
     """
-    cache = p._nf_cache
-    out = list(map(cache.get, words))
-    if None in out:
-        family = set(words) if is_complete(p) else ()
-        lengths = sorted({len(u) for u in family if u})
-        for n, w in enumerate(words):
-            if out[n] is None:  # a miss, unless an earlier word's chain stored it
-                nf = cache.get(w)
-                if nf is None:
-                    nf = _via_suffixes(w, p, family, lengths) if family else normalize(w, p)
-                out[n] = nf
-    return out
-
-
-def _via_suffixes(w: Word, p: Presentation, family: set, lengths: List[int]) -> Word:
-    """The normal form of ``w``, which the cache misses.  The chain of
-    longest proper suffixes in ``family`` is walked down from ``w`` to one
-    the cache holds or one with no such suffix, and normalized back up,
-    shortest first, each word from the normal form of the one below it."""
-    cache = p._nf_cache
-    chain, nf, u = [], None, w
-    while nf is None:
-        k = _longest_suffix(u, family, lengths)
-        chain.append((u, k))
-        if k is None:
-            break
-        u = u[k:]
-        nf = cache.get(u)
-    for u, k in reversed(chain):
-        nf = normalize(u if k is None else u[:k] + nf, p)
-        if u not in cache:  # it was spliced: keep the word itself too
-            _store(p, [u], nf)
-    return nf
-
-
-def _longest_suffix(u: Word, family: set, lengths: List[int]) -> Optional[int]:
-    """The cut ``k`` of the longest nonempty proper suffix ``u[k:]`` in
-    ``family``, whose nonempty members' lengths are ``lengths``, ascending;
-    None when there is none."""
-    n = len(u)
-    for at in range(bisect.bisect_left(lengths, n) - 1, -1, -1):
-        k = n - lengths[at]
-        if u[k:] in family:
-            return k
-    return None
+    nf = p._nf_cache.get(w)
+    return normalize(w, p, is_complete(p)) if nf is None else nf
 
 
 # ---------------------------------------------------------------------------

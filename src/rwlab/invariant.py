@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 from typing import Dict, Mapping, Optional, Tuple
 
 from .core import EMPTY, Presentation, RwlabError, Word, word_str
-from .completion import normalize_suffixes
+from .completion import normal_form
 from .rewrite import check_orientation
 from .ring import RingElement, check_letters, from_word, right_mul, scale, sub, zero
 from .squier import Edge, Path
@@ -56,10 +56,9 @@ def partial_derivation(w: Word, ambient: Presentation) -> RingElement:
     The terms are ``−e · [w[i+1:]]`` for each letter ``w[i]`` of nonzero
     a-exponent ``e``.  Their suffixes nest, so the longest one holds every
     letter the others do: its letters are checked, then the ambient's
-    orientation, and the suffixes are normalized as one family by
-    ``completion.normalize_suffixes``, which on a complete ambient takes each
-    from the normal form of the next shorter one, nf(uv) = nf(u·nf(v)), and
-    on any other normalizes each on its own.
+    orientation, and each suffix is normalized by
+    ``completion.normal_form``, which on a complete ambient rewrites it by
+    whole-word passes and on any other by the leftmost strategy.
     """
     for letter in w:
         if letter not in LETTER_EXPONENTS:
@@ -75,7 +74,8 @@ def partial_derivation(w: Word, ambient: Presentation) -> RingElement:
         check_letters(suffixes[0], ambient)  # the longest suffix
         check_orientation(ambient)
     acc: Dict[Word, int] = {}
-    for c, nf in zip(coefficients, normalize_suffixes(suffixes, ambient)):
+    for c, u in zip(coefficients, suffixes):
+        nf = normal_form(u, ambient)
         acc[nf] = acc.get(nf, 0) + c
     return RingElement({u: c for u, c in acc.items() if c}, ambient)
 
@@ -95,29 +95,23 @@ def phi_path(p: Path, weights: WeightSpec, ambient: Presentation) -> RingElement
     ``sign · weight`` is summed per raw right context first.  Every distinct
     weighted context, cancelled or not, is checked in order of first
     appearance (its letters, then the ambient's orientation), so the error
-    raised is the one the first faulty weighted edge would raise.  The
-    contexts with a nonzero net coefficient are then normalized once each,
-    as one family by ``completion.normalize_suffixes``: on a complete
-    ambient a context the cache misses starts from the normal form of its
-    longest proper suffix among them, nf(uv) = nf(u·nf(v)), which the
-    contexts ``w[k+1:]·aᵉbᵈ`` of a swap path form a chain of; on any other
-    each is normalized on its own.  The contexts are read from the path's
+    raised is the one the first faulty weighted edge would raise.  A
+    context with a nonzero net coefficient is normalized once, by
+    ``completion.normal_form``: on a complete ambient by whole-word passes,
+    which end at the one normal form a complete system gives, and on any
+    other by the leftmost strategy.  The contexts are read from the path's
     steps, and no edge is built.
     """
     net: Dict[Word, int] = {}
     for c, right in p.weighted_contexts(weights.entries):
         net[right] = net.get(right, 0) + c
-    surviving, coefficients = [], []
+    acc: Dict[Word, int] = {}
     for k, (right, c) in enumerate(net.items()):
         check_letters(right, ambient)
         if k == 0:
             check_orientation(ambient)  # the same verdict for every context
         if c:
-            surviving.append(right)
-            coefficients.append(c)
-    acc: Dict[Word, int] = {}
-    if surviving:  # most small circuits cancel every context
-        for c, nf in zip(coefficients, normalize_suffixes(surviving, ambient)):
+            nf = normal_form(right, ambient)
             acc[nf] = acc.get(nf, 0) + c
     return RingElement({w: c for w, c in acc.items() if c}, ambient)
 

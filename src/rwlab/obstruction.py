@@ -26,6 +26,7 @@ from .core import (
     is_freely_reduced,
     word_str,
 )
+from .completion import normal_form
 from .invariant import (
     LETTER_EXPONENTS,
     CtParams,
@@ -35,7 +36,6 @@ from .invariant import (
     commutator,
     swap_pair,
 )
-from .rewrite import normalize
 from .ring import RingElement, format_ring, from_word, right_mul, scale, sub, total
 
 
@@ -232,7 +232,7 @@ def phi_to_x_witness(params: CtParams, ambient: Presentation) -> Witness:
         e = LETTER_EXPONENTS[params.x][0]
         if not e:
             return _checked([], target)
-        shifted = normalize(a_pow(-e) + params.w2, ambient)
+        shifted = normal_form(a_pow(-e) + params.w2, ambient)
         return _checked(
             [
                 _x_term(shifted, params.eps, params.delta, e),

@@ -3,9 +3,10 @@
 Reduction strategy: leftmost redex, plain rules before schema matches at a
 position, ties broken by declaration order.  On a confluent system the
 normal form is strategy-independent; the fixed strategy just makes traces
-reproducible.  Termination is enforced by checking that every rule and
-schema orients lhs > rhs under the presentation's shortlex ordering; a hard
-step cap is a backstop.
+reproducible, and a caller that knows the system complete may ask
+``normalize`` for whole-word passes instead.  Termination is enforced by
+checking that every rule and schema orients lhs > rhs under the
+presentation's shortlex ordering; a hard step cap is a backstop.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import itertools
 import operator
 import re
 import sys
+from collections import deque
 from typing import Callable, Iterable, Iterator, List, Optional
 
 from .core import (
@@ -160,6 +162,7 @@ class _Matcher:
         """
         m = object.__new__(_Matcher)
         m.__dict__.update(self.__dict__)
+        m.__dict__.pop("replacements", None)  # built from the table, which changes
         plain = m.plain = dict(self.plain)
         if old is None:
             key = self.mirror(new.lhs)
@@ -295,6 +298,35 @@ class _Matcher:
                 f = _FAR
             F[k], V[k], N[k] = f, v, g
         return None
+
+    @functools.cached_property
+    def replacements(self) -> list:
+        """``(lhs string, rhs string)`` of the first declared rule of each lhs."""
+        return [(lhs, entries[0][2]) for lhs, entries in self.plain.items()]
+
+    def passes(self, s: str) -> Iterator[str]:
+        """The string after each whole-word pass over ``s`` that changes it.
+
+        A pass takes the plain rules in the order their lhs were first
+        declared and rewrites every occurrence of each lhs at once by
+        ``str.replace``; the occurrences one replace rewrites do not
+        overlap, so a pass is a rewriting sequence.  Every step shrinks the
+        string under the oriented shortlex order, so the passes end, at an
+        irreducible string; ``STEP_CAP`` passes are a backstop.  Schemas
+        are not matched and the strategy is not leftmost, so the last
+        string is the leftmost normal form only on a complete system
+        without schemas."""
+        rules = self.replacements
+        start = s
+        for _ in range(STEP_CAP):
+            t = s
+            for lhs, rhs in rules:
+                t = t.replace(lhs, rhs)
+            if t == s:
+                return
+            yield t
+            s = t
+        raise RewriteError(f"step cap exceeded while reducing {word_str(self.word(start))}")
 
     def redexes(self, w: Word) -> Iterator[Edge]:
         """Every redex of ``w``; see ``find_redexes``."""
@@ -502,14 +534,18 @@ def _spliced(w: Word, steps: Iterable[tuple]) -> Iterator[Word]:
         yield w
 
 
-def normalize(w: Word, p: Presentation) -> Word:
-    """Reduce ``w`` to an irreducible word by the leftmost-redex strategy.
+def normalize(w: Word, p: Presentation, complete: bool = False) -> Word:
+    """Reduce ``w`` to an irreducible word by the leftmost-redex strategy,
+    or by whole-word passes (``_Matcher.passes``) when the caller knows
+    ``p`` to be complete (``completion.normal_form`` does).
 
     ``w`` is cached with the result, and so is every word met on the way,
     keyed by its mirror string; the reduction stops at the first word
-    already cached.  A word with an undeclared letter mirrors to a string
-    that another word shares, so its words are keyed by their tuples.  Past
-    ``NF_CACHE_CAP`` entries the oldest are evicted.
+    already cached.  Of the passes only the last string is met, so a
+    reduction by passes caches ``w``, its mirror and the normal form's
+    string.  A word with an undeclared letter mirrors to a string that
+    another word shares, so its words are keyed by their tuples, and it is
+    reduced leftmost.  Past ``NF_CACHE_CAP`` entries the oldest are evicted.
     """
     cache = p._nf_cache
     nf = cache.get(w)
@@ -522,7 +558,8 @@ def normalize(w: Word, p: Presentation) -> Word:
     elif s in cache:  # an earlier reduction passed w
         passed, words, nf = [w], (), cache[s]
     else:
-        passed, words = [w, s], map(_target, _leftmost_steps(w, s, m))
+        passed = [w, s]
+        words = deque(m.passes(s), 1) if complete else map(_target, _leftmost_steps(w, s, m))
     for u in words:
         nf = cache.get(u)
         if nf is not None:

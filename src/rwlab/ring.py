@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable
 
 from .core import Presentation, RwlabError, Word, shortlex_key, word_str
-from .rewrite import normalize
+from .completion import normal_form
 
 
 class AmbientMismatch(RwlabError):
@@ -50,9 +50,9 @@ def check_letters(w: Word, ambient: Presentation) -> None:
 
 
 def from_word(w: Word, ambient: Presentation) -> RingElement:
-    """The single term ``1 · normalize(w)``."""
+    """The single term ``1 · normalize(w)``, through ``completion.normal_form``."""
     check_letters(w, ambient)
-    return RingElement({normalize(w, ambient): 1}, ambient)
+    return RingElement({normal_form(w, ambient): 1}, ambient)
 
 
 def add(x: RingElement, y: RingElement) -> RingElement:
@@ -64,7 +64,14 @@ def negate(x: RingElement) -> RingElement:
 
 
 def sub(x: RingElement, y: RingElement) -> RingElement:
-    return total((x, negate(y)), x.ambient)
+    """``x − y`` in one accumulation: the terms of ``x``, then those of ``y``
+    with the sign flipped, in that order; terms that cancel are dropped."""
+    if y.ambient is not x.ambient and y.ambient != x.ambient:
+        raise AmbientMismatch("ring elements live over different ambient systems")
+    acc = dict(x.terms)
+    for w, c in y.terms.items():
+        acc[w] = acc.get(w, 0) - c
+    return RingElement({w: c for w, c in acc.items() if c}, x.ambient)
 
 
 def scale(n: int, x: RingElement) -> RingElement:
@@ -84,11 +91,12 @@ def total(elements: Iterable[RingElement], ambient: Presentation) -> RingElement
 
 
 def right_mul(x: RingElement, w: Word) -> RingElement:
-    """Right action: concatenate ``w`` onto every term and renormalize."""
+    """Right action: concatenate ``w`` onto every term and renormalize,
+    through ``completion.normal_form``."""
     check_letters(w, x.ambient)
     acc: Dict[Word, int] = {}
     for u, c in x.terms.items():
-        key = normalize(u + w, x.ambient)
+        key = normal_form(u + w, x.ambient)
         acc[key] = acc.get(key, 0) + c
     return RingElement({u: c for u, c in acc.items() if c}, x.ambient)
 

@@ -1,7 +1,8 @@
 """The one-pass Φ against the former per-edge Φ, kept in ``reference_invariant``:
 the same element on every circuit family and swap path, the same element or
 the same error on random mixed paths, each distinct surviving context
-normalized exactly once, and Φ of a swap path in linear rewrite steps."""
+normalized exactly once, and, on the complete P, every context reduced by
+whole-word passes, at most |context| // 2 + 2 of them, with no leftmost step."""
 
 import dataclasses
 import functools
@@ -153,8 +154,24 @@ def test_first_weighted_edge_decides_between_the_two_errors(Q, unoriented_P):
 
 
 # ---------------------------------------------------------------------------
-# Work: each distinct surviving context is normalized once
+# Work: each distinct surviving context is normalized once, by passes
 # ---------------------------------------------------------------------------
+
+
+def counting_passes(monkeypatch):
+    """``(|string|, passes)`` of each reduction by whole-word passes from
+    now on; the pass that changes nothing counts."""
+    runs = []
+    passes = rewrite._Matcher.passes
+
+    def counted(self, s):
+        runs.append([len(s), 1])
+        for t in passes(self, s):
+            runs[-1][1] += 1
+            yield t
+
+    monkeypatch.setattr(rewrite._Matcher, "passes", counted)
+    return runs
 
 
 @pytest.mark.parametrize(
@@ -177,30 +194,33 @@ def test_each_surviving_context_is_normalized_once(monkeypatch, P, params):
     cancelled = [right for right, c in net.items() if not c]
     assert surviving and cancelled  # contexts are shared and some cancel
 
-    # on P, which is complete, a context is normalized from the normal form
-    # of its longest proper suffix among the surviving ones, if it has one
-    expected = []
-    for right in surviving:
-        cuts = [k for k in range(1, len(right)) if right[k:] in surviving]
-        k = cuts[0] if cuts else None
-        expected.append(right if k is None else right[:k] + ref_rewrite.normalize(right[k:], P))
-
     ambient = dataclasses.replace(P)  # cold caches: every context misses
     assert completion.is_complete(ambient)
     calls = []
     normalize = completion.normalize
-    monkeypatch.setattr(completion, "normalize", lambda w, p: (calls.append(w), normalize(w, p))[1])
+
+    def recorded(w, p, complete=False):
+        calls.append((w, complete))
+        return normalize(w, p, complete)
+
+    monkeypatch.setattr(completion, "normalize", recorded)
+    runs = counting_passes(monkeypatch)
     value = phi_path(circuit, CASE_STUDY_WEIGHTS, ambient)
     monkeypatch.undo()
-    assert sorted(calls) == sorted(expected)  # one call per surviving context
-    assert not set(calls) & set(cancelled)
+    # on P, which is complete, one call per surviving context, by passes
+    assert sorted(calls) == sorted((right, True) for right in surviving)
+    assert not {w for w, _ in calls} & set(cancelled)
+    assert len(runs) == len(surviving)
+    assert all(k <= n // 2 + 2 for n, k in runs)
     assert value == ref.phi_path(circuit, CASE_STUDY_WEIGHTS, P)
 
 
 @pytest.mark.parametrize("n", (0, 1, 10, 20, 40, 80))
 def test_phi_of_a_swap_path_takes_linear_steps(monkeypatch, P, n):
-    # the contexts w[k+1:]·aᵉbᵈ of a swap path each start from the normal form
-    # of the next shorter one, so a cold cache takes at most |w| + 3 steps
+    # on a cold P the contexts w[k+1:]·aᵉbᵈ of a swap path are reduced by
+    # whole-word passes, not leftmost steps, and a context of n letters
+    # takes at most n // 2 + 2 passes: each pass that changes it cancels
+    # one pair at least
     steps = rewrite._leftmost_steps
 
     def counted(*args):
@@ -216,7 +236,9 @@ def test_phi_of_a_swap_path_takes_linear_steps(monkeypatch, P, n):
         assert completion.is_complete(ambient)  # the verdict takes steps of its own
         taken = []
         monkeypatch.setattr(rewrite, "_leftmost_steps", counted)
+        runs = counting_passes(monkeypatch)
         value = phi_path(path, CASE_STUDY_WEIGHTS, ambient)
         monkeypatch.undo()
-        assert len(taken) <= n + 3
+        assert taken == []
+        assert all(k <= m // 2 + 2 for m, k in runs)
         assert value == ref.phi_path(path, CASE_STUDY_WEIGHTS, P)

@@ -1,14 +1,16 @@
-"""Suffix families normalized in one pass against per-word normalization.
+"""Normal forms by whole-word passes against leftmost normalization.
 
-``completion.normalize_suffixes`` takes a word the cache misses from the
-normal form of its longest proper suffix in the family, but only on an
-ambient that ``completion.is_complete`` knows to be complete.  Here its
-normal forms, and Φ and ∂ built on it, are compared with per-word
-``normalize`` and with ``tests/reference_*``: on P, which is complete; on
-Qbar, M4 and N4 (schemas) and Q (not confluent), which take the per-word
-fallback; on a plain non-confluent system where splicing would give a
-different word; and on an unoriented ambient and foreign letters, where the
-error must be the reference's.
+``completion.normal_form`` reduces a word the cache misses by whole-word
+passes (``_Matcher.passes``: every occurrence of each rule rewritten at
+once), but only on an ambient that ``completion.is_complete`` knows to be
+complete; ``normalize`` called alone stays leftmost.  Here its normal forms,
+and Φ and ∂ built on it, are compared with leftmost ``normalize`` and with
+``tests/reference_*``: on P, which is complete; on Qbar, M4 and N4
+(schemas) and Q (not confluent), which take the leftmost path; on a plain
+non-confluent system where passes would give a different word; and on an
+unoriented ambient and foreign letters, where the error must be the
+reference's.  The file keeps the name of the suffix families that the
+passes replaced, so that its test ids stay the same.
 """
 
 import dataclasses
@@ -54,15 +56,30 @@ def outcome(f, *args):
 
 
 def recording(monkeypatch):
-    """The words passed to ``normalize`` by the pass, from now on."""
+    """The ``(word, complete)`` of each call the entry point makes to
+    ``normalize``, from now on."""
     calls = []
     normalize = completion.normalize
-    monkeypatch.setattr(completion, "normalize", lambda w, p: (calls.append(w), normalize(w, p))[1])
+
+    def recorded(w, p, complete=False):
+        calls.append((w, complete))
+        return normalize(w, p, complete)
+
+    monkeypatch.setattr(completion, "normalize", recorded)
     return calls
 
 
+def no_passes(monkeypatch):
+    """Make any whole-word pass fail the test."""
+
+    def fail(self, s):
+        raise AssertionError(f"passes over {s!r}")
+
+    monkeypatch.setattr(rewrite._Matcher, "passes", fail)
+
+
 # ---------------------------------------------------------------------------
-# P: complete, so words start from their suffixes
+# P: complete, so words are reduced by whole-word passes
 # ---------------------------------------------------------------------------
 
 
@@ -81,20 +98,63 @@ def test_the_verdict_is_taken_once(monkeypatch):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    w=st.lists(st.sampled_from(A_LETTERS), max_size=40).map(tuple),
-    data=st.data(),
+    words=st.lists(st.lists(st.sampled_from(A_LETTERS), max_size=80).map(tuple), max_size=6),
+    warm=st.lists(st.integers(0, 5), max_size=3),
 )
-def test_drawn_suffix_families_on_P_match_per_word_normalize(w, data):
-    cuts = data.draw(st.lists(st.integers(0, len(w)), max_size=len(w) + 1))
-    family = [w[k:] for k in cuts]
-    warm = data.draw(st.lists(st.integers(0, len(w)), max_size=3))
+def test_drawn_words_on_P_match_leftmost_normalize(words, warm):
     p, oracle = fresh("P"), fresh("P")
-    for k in warm:  # some members may be cached already
-        rewrite.normalize(w[k:], p)
-    got = completion.normalize_suffixes(family, p)
-    assert got == [rewrite.normalize(u, oracle) for u in family]
-    assert got == [ref_rewrite.normalize(u, oracle) for u in family]
-    assert all(p._nf_cache[u] == nf for u, nf in zip(family, got))  # each word is kept
+    for k in warm:  # some words may be cached already
+        if k < len(words):
+            rewrite.normalize(words[k], p)
+    got = [completion.normal_form(w, p) for w in words]
+    assert got == [rewrite.normalize(w, oracle) for w in words]
+    assert got == [ref_rewrite.normalize(w, oracle) for w in words]
+    assert all(p._nf_cache[w] == nf for w, nf in zip(words, got))  # each word is kept
+    assert_cache_whole(p)
+
+
+def test_a_nested_cancellation_takes_one_pass_per_level():
+    p = fresh("P")
+    m = rewrite.check_orientation(p)
+    s = m.mirror(word("a b b' a'"))
+    assert [m.word(t) for t in m.passes(s)] == [word("a a'"), ()]
+    assert completion.normal_form(word("a b b' a'"), p) == ()
+
+
+def test_a_derived_matcher_passes_by_its_own_rules():
+    p = fresh("P")
+    assert rewrite._matcher(p).replacements  # built before the derivations
+    for i, new in ((0, None), (len(p.rules), Rule("S", ("a", "b"), ("b", "a")))):
+        q = rewrite._derived(p, i, new)
+        assert dict(rewrite._matcher(q).replacements) == dict(rewrite._Matcher(q).replacements)
+
+
+def test_passes_store_only_the_final_string():
+    p = fresh("P")
+    m = rewrite.check_orientation(p)
+    w, v = word("a b b' a' b"), word("b' b b")  # both normalize to b
+    assert completion.normal_form(w, p) == word("b")
+    assert list(p._nf_order) == [w, m.mirror(w), m.mirror(word("b"))]
+    assert completion.normal_form(v, p) == word("b")  # its final string was stored
+    assert list(p._nf_order)[3:] == [v, m.mirror(v)]
+    assert p._nf_cache[v] is p._nf_cache[w]
+    assert_cache_whole(p)
+
+
+def test_normalize_alone_stays_leftmost(monkeypatch):
+    p = fresh("P")
+    assert completion.is_complete(p)
+    no_passes(monkeypatch)
+    w = word("a b b' a' b a")
+    assert rewrite.normalize(w, p) == ref_rewrite.normalize(w, p)
+
+
+def test_undeclared_letters_keep_the_tuple_path(monkeypatch):
+    p = fresh("P")
+    w = word("a b h b' a' h a a'")  # h is no letter of P
+    no_passes(monkeypatch)
+    assert completion.normal_form(w, p) == ref_rewrite.normalize(w, fresh("P"))
+    assert all(isinstance(key, tuple) for key in p._nf_cache)
     assert_cache_whole(p)
 
 
@@ -104,10 +164,10 @@ def test_eviction_keeps_the_cache_whole(monkeypatch):
     p = fresh("P")
     for n in range(0, 60, 3):
         w = rand_word(rng, n)
-        family = [w[k:] for k in range(len(w) + 1)]
-        rng.shuffle(family)
-        got = completion.normalize_suffixes(family, p)
-        assert got == [ref_rewrite.normalize(u, p) for u in family]
+        words = [w[k:] for k in range(len(w) + 1)] + [rand_word(rng, n // 2) for _ in range(3)]
+        rng.shuffle(words)
+        got = [completion.normal_form(u, p) for u in words]
+        assert got == [ref_rewrite.normalize(u, p) for u in words]
         assert len(p._nf_order) <= 7
         assert_cache_whole(p)
 
@@ -115,10 +175,11 @@ def test_eviction_keeps_the_cache_whole(monkeypatch):
 def test_a_cached_word_costs_one_lookup(monkeypatch):
     p = fresh("P")
     w = word("a b a' b' a a b")
-    family = [w[k:] for k in range(len(w))]
-    first = completion.normalize_suffixes(family, p)
+    words = [w[k:] for k in range(len(w))]
+    first = [completion.normal_form(u, p) for u in words]
     calls = recording(monkeypatch)
-    assert completion.normalize_suffixes(family, p) == first
+    monkeypatch.setattr(completion, "is_complete", None)  # reading the verdict would raise
+    assert [completion.normal_form(u, p) for u in words] == first
     assert calls == []
 
 
@@ -164,7 +225,7 @@ def test_derivations_on_P_match_the_reference(P, n):
 
 
 # ---------------------------------------------------------------------------
-# The fallback: no known complete ambient, each word on its own
+# The fallback: no known complete ambient, each word reduced leftmost
 # ---------------------------------------------------------------------------
 
 
@@ -174,13 +235,14 @@ def test_other_presets_take_the_per_word_fallback(monkeypatch, name):
     letters = preset(name).alphabet.letters
     for n in (3, 12, 30):
         w = ("h",) + rand_word(rng, n, letters)
-        family = [w[k:] for k in range(len(w) + 1)]
+        words = [w[k:] for k in range(len(w) + 1)]
         p, oracle = fresh(name), fresh(name)
         calls = recording(monkeypatch)
-        got = completion.normalize_suffixes(family, p)
+        no_passes(monkeypatch)
+        got = [completion.normal_form(u, p) for u in words]
         monkeypatch.undo()
-        assert calls == family  # a cold cache: every word is normalized as it is
-        assert got == [ref_rewrite.normalize(u, oracle) for u in family]
+        assert calls == [(u, False) for u in words]  # a cold cache: each word leftmost
+        assert got == [ref_rewrite.normalize(u, oracle) for u in words]
 
 
 @pytest.mark.parametrize("name", ["Q", "Qbar", "M4", "N4"])
@@ -198,7 +260,8 @@ def test_phi_and_derivation_on_other_presets_match_the_reference(name):
 
 
 # ab -> z and xa -> y overlap in x a b, which the two sides leave as y b and
-# x z: the system is not confluent, and nf(x·nf(ab)) = xz is not nf(xab) = yb
+# x z: the system is not confluent, and a pass that rewrites a b first gives
+# x z where the leftmost strategy gives y b
 NON_CONFLUENT = Presentation(
     Alphabet(("a", "b", "x", "y", "z")),
     (Rule("r", ("a", "b"), ("z",)), Rule("s", ("x", "a"), ("y",))),
@@ -207,7 +270,7 @@ NON_CONFLUENT = Presentation(
 
 # the same overlap over the letters of ∂: a b -> b' and a' a -> b leave
 # a' a b as b b and a' b', so ∂(a a' a b) would change if its suffix a' a b
-# started from nf(a b) = b'
+# were reduced by passes
 NON_CONFLUENT_FREE = Presentation(
     Alphabet(A_LETTERS),
     (Rule("r", ("a", "b"), ("b'",)), Rule("s", ("a'", "a"), ("b",))),
@@ -218,17 +281,20 @@ NON_CONFLUENT_FREE = Presentation(
 def test_a_non_confluent_system_takes_the_fallback(monkeypatch):
     p = dataclasses.replace(NON_CONFLUENT)
     assert not completion.is_complete(p)
-    family = [word("x a b"), word("a b")]
+    words = [word("x a b"), word("a b")]
     calls = recording(monkeypatch)
-    assert completion.normalize_suffixes(family, p) == [word("y b"), word("z")]
-    assert calls == family
+    assert [completion.normal_form(u, p) for u in words] == [word("y b"), word("z")]
+    assert calls == [(u, False) for u in words]
 
 
-def test_splicing_on_the_non_confluent_system_would_be_wrong(monkeypatch):
-    # what the pass would give there, were the verdict wrong
+def test_passes_on_the_non_confluent_system_would_be_wrong(monkeypatch):
+    # what the passes would give there, were the verdict wrong
+    p = dataclasses.replace(NON_CONFLUENT)
+    m = rewrite.check_orientation(p)
+    assert [m.word(t) for t in m.passes(m.mirror(word("x a b")))] == [word("x z")]
     monkeypatch.setattr(completion, "is_complete", lambda p: True)
-    got = completion.normalize_suffixes([word("x a b"), word("a b")], dataclasses.replace(NON_CONFLUENT))
-    assert got == [word("x z"), word("z")]
+    assert completion.normal_form(word("x a b"), p) == word("x z")
+    assert ref_rewrite.normalize(word("x a b"), dataclasses.replace(NON_CONFLUENT)) == word("y b")
 
 
 def test_derivation_on_a_non_confluent_system_matches_the_reference():
