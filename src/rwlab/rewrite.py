@@ -25,6 +25,7 @@ from .core import (
     Rule,
     RuleSchema,
     RwlabError,
+    ValidationError,
     Word,
     instantiate_schema,
     shortlex_key,
@@ -56,16 +57,13 @@ def compare_shortlex(u: Word, v: Word, ordering: OrderingSpec) -> int:
     return (ku > kv) - (ku < kv)
 
 
-class _Mirror(dict):
-    """Letter -> character; a letter outside the alphabet gets a character
-    that no rule or schema uses."""
-
-    def __missing__(self, letter):
-        return "\0"
-
-
-def _mirror(chars: _Mirror, w: Word) -> str:
-    return "".join(map(chars.__getitem__, w))
+def _mirror(chars: dict, w: Word) -> str:
+    """The string of ``w``, one character per letter; ``ValidationError``
+    naming the first letter of ``w`` that ``chars`` does not declare."""
+    try:
+        return "".join(map(chars.__getitem__, w))
+    except KeyError as exc:
+        raise ValidationError(f"undeclared letter {exc.args[0]}") from None
 
 
 _declared = operator.itemgetter(0)  # the declaration index of a table entry
@@ -84,7 +82,7 @@ def _range_class(rng: str) -> str:
 def _schema_part(letters: tuple, schemas: tuple) -> tuple:
     """The letter mirror and the schema matching data of a presentation:
     the same for every presentation that completion rebuilds from it."""
-    chars = _Mirror((x, chr(0x41 + k)) for k, x in enumerate(letters))
+    chars = {x: chr(0x41 + k) for k, x in enumerate(letters)}
     mirror = functools.partial(_mirror, chars)
     # (declaration index, schema, rhs prefix string, rhs suffix string, keeps its prefix)
     entries = []
@@ -189,7 +187,7 @@ class _Matcher:
         return _mirror(self.chars, w)
 
     def word(self, s: str) -> Word:
-        """The word a mirror without undeclared letters stands for."""
+        """The word a mirror string stands for."""
         return tuple(map(self.letters.__getitem__, s))
 
     def leftmost(self, s: str, plain_from: int = 0, schema_from: int = 0):
@@ -526,14 +524,6 @@ def _leftmost_steps(w: Word, s: str, m: _Matcher) -> Iterator[tuple]:
     raise RewriteError(f"step cap exceeded while reducing {word_str(w)}")
 
 
-def _spliced(w: Word, steps: Iterable[tuple]) -> Iterator[Word]:
-    """The word after each step, spliced from ``w``."""
-    for _, i, j, a, b, x in steps:
-        rhs = x.rhs if isinstance(x, Rule) else x.rhs_prefix + w[a:b] + x.rhs_suffix
-        w = w[:i] + rhs + w[j:]
-        yield w
-
-
 def normalize(w: Word, p: Presentation, complete: bool = False) -> Word:
     """Reduce ``w`` to an irreducible word by the leftmost-redex strategy,
     or by whole-word passes (``_Matcher.passes``) when the caller knows
@@ -543,9 +533,9 @@ def normalize(w: Word, p: Presentation, complete: bool = False) -> Word:
     keyed by its mirror string; the reduction stops at the first word
     already cached.  Of the passes only the last string is met, so a
     reduction by passes caches ``w``, its mirror and the normal form's
-    string.  A word with an undeclared letter mirrors to a string that
-    another word shares, so its words are keyed by their tuples, and it is
-    reduced leftmost.  Past ``NF_CACHE_CAP`` entries the oldest are evicted.
+    string.  Past ``NF_CACHE_CAP`` entries the oldest are evicted.
+    ``ValidationError`` for a word with an undeclared letter, which leaves
+    the cache as it was.
     """
     cache = p._nf_cache
     nf = cache.get(w)
@@ -553,9 +543,7 @@ def normalize(w: Word, p: Presentation, complete: bool = False) -> Word:
         return nf
     m = check_orientation(p)
     s = _mirror(m.chars, w)
-    if "\0" in s:
-        passed, words = [w], _spliced(w, _leftmost_steps(w, s, m))
-    elif s in cache:  # an earlier reduction passed w
+    if s in cache:  # an earlier reduction passed w
         passed, words, nf = [w], (), cache[s]
     else:
         passed = [w, s]
@@ -566,9 +554,7 @@ def normalize(w: Word, p: Presentation, complete: bool = False) -> Word:
             break
         passed.append(u)
     if nf is None:  # no word on the way was cached: the last one is the normal form
-        nf = passed[-1]
-        if isinstance(nf, str):
-            nf = w if nf is s else m.word(nf)
+        nf = w if passed[-1] is s else m.word(passed[-1])
     _store(p, passed, nf)
     return nf
 
@@ -592,26 +578,25 @@ def reduction_path(w: Word, p: Presentation) -> Path:
     ``(step, next_cell)``: its next step ``(i, j, rule, 1)`` rewrites
     ``[i:j]`` by ``rule`` into the word whose cell is ``next_cell``; a
     normal form's cell is ``(nf,)``, and so every chain ends in its normal
-    form.  Keys are as for ``normalize``: the mirror string, or the tuple
-    for a word with an undeclared letter.  The caller's ``w`` is looked up
-    but not stored.  The search records each step's positions and rule and
-    stops at the first cached word, whose cell continues the chain with no
-    redex search; each step takes the leftmost redex of the current word
-    alone, so the cells give the steps the search would find.  The schema
-    instances that cells use are shared, one per schema and variable.  Past
-    ``NF_CACHE_CAP`` entries, words and instances together, the oldest are
-    evicted.
+    form.  Keys are mirror strings, as for ``normalize``.  The caller's
+    ``w`` is looked up but not stored.  The search records each step's
+    positions and rule and stops at the first cached word, whose cell
+    continues the chain with no redex search; each step takes the leftmost
+    redex of the current word alone, so the cells give the steps the search
+    would find.  The schema instances that cells use are shared, one per
+    schema and variable.  Past ``NF_CACHE_CAP`` entries, words and instances
+    together, the oldest are evicted.
 
     The path keeps ``w``, the chain's steps, the very tuples of its cells,
     and its normal form, is positive without a walk of its steps, and
     builds no edge.  A chain longer than ``STEP_CAP`` steps raises here,
-    served or not.
+    served or not.  ``ValidationError`` for a word with an undeclared
+    letter, which leaves the caches as they were.
     """
     m = check_orientation(p)
     cache, rules, order = p._path_cache, p._path_rules, p._path_order
     s = _mirror(m.chars, w)
-    known = "\0" not in s
-    head = cache.get(s if known else w)
+    head = cache.get(s)
     if head is None:
         steps, stored = [], []  # steps: (key of the word stepped from, i, j, rule); w's key is None
         source, prev, key = w, s, None
@@ -628,7 +613,7 @@ def reduction_path(w: Word, p: Presentation) -> Path:
                         order.append(shared)
             steps.append((key, i, j, rule))
             source = source[:i] + rule.rhs + source[j:]
-            key, prev = t if known else source, t
+            key = prev = t
             head = cache.get(key)
             if head is not None:
                 break
@@ -645,8 +630,8 @@ def reduction_path(w: Word, p: Presentation) -> Path:
         stored.reverse()
         cache.update(stored)
         order.extend(key for key, _ in stored)
-        # a key in the order stands for one entry under it in either dict (a
-        # word key may equal an instance key), so each pop frees one entry
+        # word keys are strings and instance keys tuples, so a key in the
+        # order stands for the one entry under it in one of the dicts
         while len(order) > NF_CACHE_CAP:
             key = order.popleft()
             if cache.pop(key, None) is None:

@@ -20,7 +20,7 @@ import reference_rewrite as ref
 from rwlab import rewrite
 from rwlab.casestudy import PRESETS, preset
 from rwlab.completion import CriticalCircuit, critical_peaks, resolve_peak
-from rwlab.core import OrderingSpec, Presentation, Rule, RwlabError, word
+from rwlab.core import OrderingSpec, Presentation, Rule, RwlabError, ValidationError, word
 from rwlab.squier import Edge, Path
 from test_peaks_differential import plain_presentations
 from test_rewrite_differential import MIXED
@@ -80,17 +80,17 @@ def test_drawn_presentations_match_the_reference(p, data):
     )
     p = Presentation(p.alphabet, rules, (), ordering)
     assert rewrite._matcher(p).unoriented is None
-    letters = st.sampled_from(p.alphabet.letters + ("q",))  # q is undeclared
+    letters = st.sampled_from(p.alphabet.letters)
     words = data.draw(st.lists(st.lists(letters, max_size=8).map(tuple), max_size=8))
     assert_paths_match(words + words, p)
 
 
-def test_words_with_undeclared_letters_match_the_reference(Qbar):
-    # every undeclared letter mirrors to "\0", so these words take tuple keys
+def test_words_with_undeclared_letters_are_rejected(Qbar):
     p = fresh(Qbar)
-    words = [word(w) for w in ("q a h b", "x a h b", "q a h b", "a q h b a", "a x h b a", "q")]
-    assert_paths_match(words, p)
-    assert all(isinstance(key, tuple) for key in p._path_cache)
+    for w, letter in (("q a h b", "q"), ("x a h b", "x"), ("a q h b a", "q"), ("q", "q")):
+        with pytest.raises(ValidationError, match=f"^undeclared letter {letter}$"):
+            rewrite.reduction_path(word(w), p)
+    assert not p._path_cache and not p._path_rules and not p._path_order
 
 
 def test_paths_read_after_their_cells_were_evicted(Qbar, monkeypatch):

@@ -50,6 +50,7 @@ from rwlab.structure import HClass
 from test_circuit_pin import CIRCUITS_DIGEST, circuits_digest
 from test_completion_differential import _duplicated_rewrite, _outcome, reference_knuth_bendix
 from test_completion_live import certificates_hold, derivations_match, live_lists_match
+from test_declared_letters import assert_rejects
 from test_rewrite import UNORIENTED
 from test_rewrite_differential import assert_same
 from test_squier_differential import assert_valid
@@ -239,6 +240,17 @@ def normalize_skips_the_orientation_check(monkeypatch):
     _patch_everywhere(monkeypatch, rewrite, "normalize", fault)
 
 
+def undeclared_letter_mirrors_to_a_shared_character(monkeypatch):
+    # the former mirror, which gave every undeclared letter the character "\0"
+    fault = _mutated(
+        rewrite,
+        "_mirror",
+        '"".join(map(chars.__getitem__, w))',
+        '"".join(chars.get(x, "\\0") for x in w)',
+    )
+    _patch_everywhere(monkeypatch, rewrite, "_mirror", fault)
+
+
 def a_pass_stops_after_its_first_round(monkeypatch):
     fault = _mutated(rewrite._Matcher, "passes", "s = t", "return")
     monkeypatch.setattr(rewrite._Matcher, "passes", fault)
@@ -351,6 +363,11 @@ def normalize_rejects(case):
     return check
 
 
+def rejects_the_undeclared_letter(entry, w, letter):
+    # a fresh Qbar each time: what the faulty run stores must not reach a later check
+    return passes(lambda: assert_rejects(entry, word(w), dataclasses.replace(preset("Qbar")), letter))
+
+
 def normal_forms_match_the_reference(p, words):
     # a fresh copy each time: a wrong normal form must not stay in p's cache
     def check():
@@ -448,6 +465,11 @@ KILL_MATRIX = {
     "normalize skips the orientation check": (
         normalize_skips_the_orientation_check,
         normalize_rejects(UNORIENTED[0]),
+    ),
+    # the former mirror gives h a q x b a path where the error belongs
+    "an undeclared letter mirrors to a shared character": (
+        undeclared_letter_mirrors_to_a_shared_character,
+        rejects_the_undeclared_letter(rewrite.reduction_path, "h a q x b", "q"),
     ),
     "a schema matches one letter too far": (
         schema_matches_one_letter_too_far,

@@ -16,7 +16,7 @@ import reference_rewrite as ref
 from rwlab import rewrite
 from rwlab.casestudy import preset
 from rwlab.completion import CriticalCircuit, critical_peaks, resolve_peak
-from rwlab.core import Presentation, word
+from rwlab.core import Presentation, ValidationError, word
 
 COMPLETE_PRESETS = ("Qbar", "M4", "N4")
 
@@ -77,14 +77,12 @@ def test_a_reduction_past_the_cap_keeps_its_last_words(Qbar, monkeypatch):
 
 
 def test_two_undeclared_letters_do_not_share_an_entry(Qbar):
-    # every undeclared letter mirrors to "\0", so these words share a mirror
-    p, oracle = fresh(Qbar), fresh(Qbar)
-    words = [word(w) for w in ("q a h b", "x a h b", "q a h b", "a q h b a", "a x h b a")]
-    for w in words:
-        assert rewrite.reduction_path(w, p) == ref.reduction_path(w, oracle)
-    # a mirror key would serve the x words from the q words' entries
-    assert all(isinstance(key, tuple) for key in p._path_cache)
-    assert any("q" in key for key in p._path_cache) and any("x" in key for key in p._path_cache)
+    # neither word takes an entry: each is rejected, naming its own letter
+    p = fresh(Qbar)
+    for w, letter in (("q a h b", "q"), ("x a h b", "x"), ("a q h b a", "q"), ("a x h b a", "x")):
+        with pytest.raises(ValidationError, match=f"^undeclared letter {letter}$"):
+            rewrite.reduction_path(word(w), p)
+    assert not p._path_cache and not p._path_rules and not p._path_order
 
 
 def test_a_served_path_takes_no_redex_search(Qbar, monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import reference_rewrite as ref
 from rwlab import rewrite
 from rwlab.casestudy import preset
-from rwlab.core import Presentation, parse_presentation, word
+from rwlab.core import Presentation, ValidationError, parse_presentation, word
 from rwlab.rewrite import RewriteError
 
 # Plain lhs of lengths 2 and 3 that match at one position, with the longer
@@ -142,7 +142,10 @@ def test_search_resumes_early_enough_after_a_deletion(w, first, second):
     assert_same(word(w), MIXED)
 
 
-def test_words_with_undeclared_letters_match_the_reference():
+def test_words_with_undeclared_letters_are_rejected():
     p = preset("Qbar")
+    entries = (rewrite.reduction_path, rewrite.normalize, rewrite.find_redexes, rewrite.is_irreducible)
     for w in ("q h a b", "h a q b", "a a' q", "h q"):
-        assert_same(word(w), p)
+        for reduce in entries:
+            with pytest.raises(ValidationError, match="^undeclared letter q$"):
+                reduce(word(w), p)

@@ -9,8 +9,9 @@ and Φ and ∂ built on it, are compared with leftmost ``normalize`` and with
 (schemas) and Q (not confluent), which take the leftmost path; on a plain
 non-confluent system where passes would give a different word; and on an
 unoriented ambient and foreign letters, where the error must be the
-reference's.  The file keeps the name of the suffix families that the
-passes replaced, so that its test ids stay the same.
+reference's.  A word with a letter P does not declare is rejected before
+any pass.  The file is named after the suffix families that the passes
+replaced; the name stays so that its test ids stay the same.
 """
 
 import dataclasses
@@ -24,7 +25,7 @@ import reference_invariant as ref
 import reference_rewrite as ref_rewrite
 from rwlab import completion, rewrite
 from rwlab.casestudy import build_C_path, build_ct_circuit, preset
-from rwlab.core import Alphabet, OrderingSpec, Presentation, Rule, RwlabError, word
+from rwlab.core import Alphabet, OrderingSpec, Presentation, Rule, RwlabError, ValidationError, word
 from rwlab.invariant import A_LETTERS, CASE_STUDY_WEIGHTS, CtParams, partial_derivation, phi_path
 from rwlab.ring import format_ring
 
@@ -149,13 +150,12 @@ def test_normalize_alone_stays_leftmost(monkeypatch):
     assert rewrite.normalize(w, p) == ref_rewrite.normalize(w, p)
 
 
-def test_undeclared_letters_keep_the_tuple_path(monkeypatch):
+def test_undeclared_letters_are_rejected():
     p = fresh("P")
     w = word("a b h b' a' h a a'")  # h is no letter of P
-    no_passes(monkeypatch)
-    assert completion.normal_form(w, p) == ref_rewrite.normalize(w, fresh("P"))
-    assert all(isinstance(key, tuple) for key in p._nf_cache)
-    assert_cache_whole(p)
+    with pytest.raises(ValidationError, match="^undeclared letter h$"):
+        completion.normal_form(w, p)
+    assert not p._nf_cache and not p._nf_order
 
 
 def test_eviction_keeps_the_cache_whole(monkeypatch):
