@@ -35,7 +35,7 @@ from .core import (
 from .squier import Edge, Path
 
 STEP_CAP = 10**6
-NF_CACHE_CAP = 2**17  # normal-form cache entries per presentation
+NF_CACHE_CAP = 2**17  # entries per cache of a presentation; one normalize stores at most 2·|w| + 2
 ENUMERATION_CAP = 10**6  # words, schema instances, peaks, sweep instances or pairs a call may take
 
 
@@ -529,11 +529,18 @@ def normalize(w: Word, p: Presentation, complete: bool = False) -> Word:
     or by whole-word passes (``_Matcher.passes``) when the caller knows
     ``p`` to be complete (``completion.normal_form`` does).
 
-    ``w`` is cached with the result, and so is every word met on the way,
-    keyed by its mirror string; the reduction stops at the first word
-    already cached.  Of the passes only the last string is met, so a
-    reduction by passes caches ``w``, its mirror and the normal form's
-    string.  Past ``NF_CACHE_CAP`` entries the oldest are evicted.
+    ``w`` is cached with the result, and so is its mirror string; the
+    reduction looks up every word it meets, keyed by its mirror, and stops
+    at the first one already cached.  A reduction of at most ``2·|w|``
+    steps caches every word it passes: other calls' inputs meet them, as a
+    Cayley ball's successor ``u·g`` meets ``u``'s, and ``u·h`` takes up to
+    about ``2·|u|`` steps, as h crosses ``u`` and the letters it crossed
+    are sorted.  A longer one caches only its ends, ``w``, its mirror and
+    the normal form's string: the Θ(|w|²) swap steps of Qbar's h·w to
+    h·bʲ·aᵏ would cost Θ(|w|³) letters together.  Steps never lengthen a
+    word, so a call stores at most ``(2·|w| + 2)·|w|`` letters.  Of the
+    passes only the last string is met, so a reduction by passes caches
+    its ends too.  Past ``NF_CACHE_CAP`` entries the oldest are evicted.
     ``ValidationError`` for a word with an undeclared letter, which leaves
     the cache as it was.
     """
@@ -543,25 +550,35 @@ def normalize(w: Word, p: Presentation, complete: bool = False) -> Word:
         return nf
     m = check_orientation(p)
     s = _mirror(m.chars, w)
-    if s in cache:  # an earlier reduction passed w
-        passed, words, nf = [w], (), cache[s]
-    else:
-        passed = [w, s]
-        words = deque(m.passes(s), 1) if complete else map(_target, _leftmost_steps(w, s, m))
-    for u in words:
-        nf = cache.get(u)
+    nf = cache.get(s)
+    if nf is not None:  # an earlier reduction passed w
+        _store(p, [w], nf)
+        return nf
+    passed = [w, s]
+    words = deque(m.passes(s), 1) if complete else map(_target, _leftmost_steps(w, s, m))
+    last, cap = s, 2 * len(w) + 2  # the last word reached; the most keys a reduction keeps
+    for last in words:
+        nf = cache.get(last)
         if nf is not None:
             break
-        passed.append(u)
+        if len(passed) < cap:
+            passed.append(last)
+        elif cap:  # a long reduction: keep its ends alone
+            del passed[2:]
+            cap = 0
     if nf is None:  # no word on the way was cached: the last one is the normal form
-        nf = w if passed[-1] is s else m.word(passed[-1])
+        nf = w if last is s else m.word(last)
+        if not cap:
+            passed.append(last)
     _store(p, passed, nf)
     return nf
 
 
 def _store(p: Presentation, keys: List, nf: Word) -> None:
     """Cache ``nf`` under each of ``keys``, none of them cached yet, and
-    evict the oldest entries past ``NF_CACHE_CAP``."""
+    evict the oldest entries past ``NF_CACHE_CAP``.  ``normalize`` passes
+    its input, its mirror and the words a short reduction passed, or the
+    normal form's string for a long one."""
     cache = p._nf_cache
     for u in keys:
         cache[u] = nf

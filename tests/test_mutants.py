@@ -240,6 +240,16 @@ def normalize_skips_the_orientation_check(monkeypatch):
     _patch_everywhere(monkeypatch, rewrite, "normalize", fault)
 
 
+def a_long_reduction_reads_its_normal_form_from_the_kept_words(monkeypatch):
+    fault = _mutated(
+        rewrite,
+        "normalize",
+        "nf = w if last is s else m.word(last)",
+        "nf = w if passed[-1] is s else m.word(passed[-1])",
+    )
+    _patch_everywhere(monkeypatch, rewrite, "normalize", fault)
+
+
 def undeclared_letter_mirrors_to_a_shared_character(monkeypatch):
     # the former mirror, which gave every undeclared letter the character "\0"
     fault = _mutated(
@@ -465,6 +475,12 @@ KILL_MATRIX = {
     "normalize skips the orientation check": (
         normalize_skips_the_orientation_check,
         normalize_rejects(UNORIENTED[0]),
+    ),
+    # a a b h h takes 11 steps, one more than twice its letters, so the
+    # reduction keeps only its input and its mirror
+    "a long reduction reads its normal form from the kept words": (
+        a_long_reduction_reads_its_normal_form_from_the_kept_words,
+        same_reduction_on_a_fresh_qbar("a a b h h"),
     ),
     # the former mirror gives h a q x b a path where the error belongs
     "an undeclared letter mirrors to a shared character": (

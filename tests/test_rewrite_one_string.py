@@ -2,9 +2,13 @@
 replaced, kept in ``reference_rewrite`` as ``compiled_leftmost_steps`` and
 ``compiled_normalize``: the same steps and normal forms, with the schema
 search resumed after a schema rewrite; the string keys of the normal-form
-cache; and ``reduction_path`` built without the validating walk."""
+cache, which keeps every word a short reduction passes but only the ends of
+a long one, and never changes a normal form by what it keeps; and
+``reduction_path`` built without the validating walk."""
 
+import functools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +26,12 @@ from rwlab.core import (
     RwlabError,
     ValidationError,
     parse_presentation,
+    shortlex_key,
     word,
 )
 from rwlab.squier import Path
 from test_rewrite_differential import MIXED, NAMES, long_word, presentation
+from test_suffix_families import NON_CONFLUENT
 
 
 def fresh(p):
@@ -197,26 +203,149 @@ def test_undeclared_letters_do_not_share_a_cache_key():
     assert not p._nf_cache and not p._nf_order
 
 
-def test_cache_keys_passed_words_by_their_mirror(monkeypatch):
+def no_reduction(*args):
+    raise AssertionError("a cached word was reduced again")
+
+
+def test_a_long_reduction_caches_its_ends_alone():
     rng = random.Random(200)
     w = ("h",) + tuple(rng.choice(("a", "a'", "b", "b'")) for _ in range(200)) + ("a", "b")
     p = fresh(preset("Qbar"))
     nf = rewrite.normalize(w, p)
-    cache, order = p._nf_cache, p._nf_order
-    assert w in cache  # the input keeps its tuple key: a repeat is one lookup
-    assert all(isinstance(key, str) for key in cache if key is not w)
-    assert list(cache) == list(order)
-    assert len(set(order)) == len(order)  # a duplicate would make eviction raise
-    keys = [key for key in cache if isinstance(key, str)]
-    assert len(keys) > 1000 and set(cache.values()) == {nf}
-    midway = rewrite.check_orientation(p).word(keys[len(keys) // 2])
+    m = rewrite.check_orientation(p)
+    assert nf == ref.normalize(w, p)
+    # the input keeps its tuple key (a repeat is one lookup), then its mirror
+    # and the normal form's, each mapped to the one normal form tuple
+    assert list(p._nf_cache) == list(p._nf_order) == [w, m.mirror(w), m.mirror(nf)]
+    assert all(value is nf for value in p._nf_cache.values())
+    assert rewrite.normalize(nf, p) is nf  # served by the normal form's string
 
-    def no_reduction(*args):
-        raise AssertionError("a cached word was reduced again")
 
+@pytest.mark.parametrize(
+    "w, steps",
+    [("a a h b h", 10), ("a a b h h", 11), ("h a' b' a b b", 7), ("h a b", 1), ("h b a", 0)],
+)
+def test_a_reduction_of_at_most_twice_its_length_in_steps_caches_every_word(
+    w, steps, monkeypatch
+):
+    w = word(w)
+    p = fresh(preset("Qbar"))
+    m = rewrite.check_orientation(p)
+    passed = [e.target for e in ref.leftmost_steps(w, p)]
+    assert len(passed) == steps
+    nf = rewrite.normalize(w, p)
+    assert nf == (passed[-1] if passed else w)
+    kept = passed if steps <= 2 * len(w) else passed[-1:]
+    assert list(p._nf_order) == [w, m.mirror(w), *map(m.mirror, kept)]
     monkeypatch.setattr(rewrite, "_leftmost_steps", no_reduction)
-    assert rewrite.normalize(midway, p) == nf
-    assert list(cache)[-1] == midway and list(cache) == list(order)
+    for u in kept:
+        assert rewrite.normalize(u, p) == nf
+    assert list(p._nf_cache) == list(p._nf_order)
+    assert list(p._nf_order)[len(p._nf_order) - len(kept) :] == kept
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_a_call_caches_at_most_twice_its_length_squared_letters(name):
+    rng = random.Random(41)
+    q = presentation(name)
+    letters = q.alphabet.letters
+    words = [tuple(rng.choice(letters) for _ in range(rng.randint(0, 30))) for _ in range(40)]
+    if name in ("Qbar", "M4", "N4"):
+        words += [long_word(rng, "hwab", n) for n in (20, 60, 120)]
+    for w in words:
+        p = fresh(q)
+        rewrite.normalize(w, p)
+        assert sum(map(len, p._nf_cache)) <= (2 * len(w) + 2) * len(w)
+
+
+def test_a_long_reduction_stops_at_an_earlier_input(monkeypatch):
+    rng = random.Random(4)
+    w = long_word(rng, "hwab", 80)
+    p = fresh(preset("Qbar"))
+    m = rewrite.check_orientation(p)
+    passed = [e.target for e in ref.leftmost_steps(w, p)]
+    assert len(passed) > 2 * len(w)
+    k = len(passed) // 2
+    nf = rewrite.normalize(passed[k], p)
+    steps = rewrite._leftmost_steps
+    taken = []
+
+    def counted(*args):
+        for step in steps(*args):
+            taken.append(step)
+            yield step
+
+    monkeypatch.setattr(rewrite, "_leftmost_steps", counted)
+    assert rewrite.normalize(w, p) == nf == ref.normalize(w, p)
+    assert len(taken) == k + 1  # the step that reached the earlier input was the last
+    assert list(p._nf_order)[3:] == [w, m.mirror(w)]
+
+
+def oriented_rules(data, letters, count):
+    """The swap ``a b -> b a`` and up to ``count`` more plain rules, each a
+    two- or three-letter lhs against its reverse or a shorter word, every
+    rule oriented shortlex-greater to smaller.  The swaps give reductions
+    longer than twice their word, and many sets overlap without resolving,
+    so many systems are not confluent."""
+    ordering = OrderingSpec(letters)
+    pairs = [(("a", "b"), ("b", "a"))]
+    for _ in range(data.draw(st.integers(0, count))):
+        u = tuple(data.draw(st.lists(st.sampled_from(letters), min_size=2, max_size=3)))
+        shorter = st.lists(st.sampled_from(letters), max_size=len(u) - 1).map(tuple)
+        v = data.draw(st.one_of(st.just(u[::-1]), shorter))
+        if u != v:
+            pairs.append((u, v))
+    key = functools.partial(shortlex_key, ordering=ordering)
+    rules = [Rule(f"r{k}", *sorted(pair, key=key, reverse=True)) for k, pair in enumerate(pairs)]
+    return Presentation(Alphabet(letters), tuple(rules), ordering=ordering)
+
+
+def oriented_schema_presentation(seed):
+    """The first oriented ``random_presentation`` from ``seed`` on."""
+    rng = random.Random(seed)
+    while True:
+        p = random_presentation(rng)
+        if p is not None and rewrite._matcher(p).unoriented is None:
+            return p
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_the_cache_policy_never_changes_a_normal_form(data):
+    # calls in a random order over one shared cache, with the words their
+    # reductions pass among them, each against a cold cache and the reference
+    kind = data.draw(st.sampled_from(("mixed", "non-confluent", "Qbar", "plain", "schemas")))
+    if kind in ("mixed", "Qbar"):
+        p = presentation(kind)
+    elif kind == "non-confluent":
+        p = NON_CONFLUENT
+    elif kind == "plain":
+        p = oriented_rules(data, ("a", "b", "c"), 3)
+    else:
+        p = oriented_schema_presentation(data.draw(st.integers(0, 10**6)))
+    letters = st.sampled_from(p.alphabet.letters)
+    # a run of a before a run of b takes a quadratic number of steps under
+    # the drawn swaps and on Qbar after an h; a drawn word is preceded by
+    # an h, where there is one, half the time
+    head = ("h",) if "h" in p.alphabet.letters else ()
+    k = data.draw(st.integers(1, 8))
+    words = data.draw(st.lists(st.lists(letters, max_size=24).map(tuple), max_size=3))
+    words.append(("a",) * k + ("b",) * k)
+    calls = []
+    for w in words:
+        w = head + w if head and data.draw(st.booleans()) else w
+        calls.append(w)
+        passed = [e.target for e in ref.leftmost_steps(w, p)]
+        if passed:
+            calls += data.draw(st.lists(st.sampled_from(passed), max_size=3))
+    calls = data.draw(st.permutations(calls))
+    cap = data.draw(st.sampled_from((rewrite.NF_CACHE_CAP, 2, 7)))
+    shared = fresh(p)
+    with mock.patch.object(rewrite, "NF_CACHE_CAP", cap):
+        got = [rewrite.normalize(w, shared) for w in calls]
+        assert len(shared._nf_cache) <= cap
+    assert got == [rewrite.normalize(w, fresh(p)) for w in calls]
+    assert got == [ref.normalize(w, p) for w in calls]
 
 
 def test_reduction_path_skips_the_validating_walk(monkeypatch):
