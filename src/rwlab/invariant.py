@@ -20,7 +20,7 @@ from typing import Dict, Mapping, Optional, Tuple
 from .core import EMPTY, Presentation, RwlabError, Word, word_str
 from .completion import normal_form
 from .rewrite import check_orientation
-from .ring import RingElement, check_letters, from_word, right_mul, scale, sub, zero
+from .ring import RingElement, check_letters, from_word, scale, sub, zero
 from .squier import Edge, Path
 
 A_LETTERS = ("a", "a'", "b", "b'")
@@ -212,9 +212,19 @@ def swap_pair(eps: int, delta: int) -> Tuple[Word, Word]:
 
 
 def commutator(x: RingElement, w: Word, eps: int, delta: int) -> RingElement:
-    """x · w · (b^δ a^ε − a^ε b^δ), expanded through the right action."""
+    """x · w · (b^δ a^ε − a^ε b^δ) in one accumulation over both tails, with
+    the error and term order of ``right_mul(x, w·b^δa^ε) − right_mul(x,
+    w·a^εb^δ)``: the first tail's letters are checked, and zeros are dropped
+    after each tail."""
     ab, ba = swap_pair(eps, delta)
-    return sub(right_mul(x, w + ba), right_mul(x, w + ab))
+    check_letters(w + ba, x.ambient)
+    acc: Dict[Word, int] = {}
+    for tail, sign in ((w + ba, 1), (w + ab, -1)):
+        for u, c in x.terms.items():
+            nf = normal_form(u + tail, x.ambient)
+            acc[nf] = acc.get(nf, 0) + sign * c
+        acc = {u: c for u, c in acc.items() if c}
+    return RingElement(acc, x.ambient)
 
 
 def closed_form_ct(params: CtParams, ambient: Presentation) -> RingElement:

@@ -15,7 +15,7 @@ sound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Union
+from typing import Dict, List, Union
 
 from .core import (
     EMPTY,
@@ -36,7 +36,7 @@ from .invariant import (
     commutator,
     swap_pair,
 )
-from .ring import RingElement, format_ring, from_word, right_mul, scale, sub, total
+from .ring import RingElement, format_ring, from_word, right_mul, sub
 
 
 class WitnessError(RwlabError):
@@ -150,13 +150,11 @@ class Witness:
 
     def evaluate(self) -> RingElement:
         ambient = self.target.ambient
-        return total(
-            (
-                scale(t.sign, right_mul(source_value(t.source, ambient), t.multiplier))
-                for t in self.terms
-            ),
-            ambient,
-        )
+        acc: Dict[Word, int] = {}
+        for t in self.terms:
+            for u, c in right_mul(source_value(t.source, ambient), t.multiplier).terms.items():
+                acc[u] = acc.get(u, 0) + t.sign * c
+        return RingElement({u: c for u, c in acc.items() if c}, ambient)
 
     def verified(self) -> bool:
         return self.evaluate() == self.target
@@ -218,34 +216,18 @@ def phi_to_x_witness(params: CtParams, ambient: Presentation) -> Witness:
     """Express a family's closed-form image over the X generators."""
     target = closed_form_ct(params, ambient)
     f = params.family
-    if f in ("CT2", "CT3", "CT5"):
+    e = LETTER_EXPONENTS[params.x][0] if params.x else None  # the a-exponent of x
+    if f in ("CT2", "CT3", "CT5") or e == 0:
         return _checked([], target)
     if f == "CT4":
         return _checked([_x_term(EMPTY, params.eps, params.delta, -params.eps)], target)
     if f == "CT6":
-        e = LETTER_EXPONENTS[params.x][0]
-        if not e:
-            return _checked([], target)
-        mult = ("a'",) if e == 1 else EMPTY
-        return _checked([WitnessTerm(ONE_MINUS_A, mult, 1)], target)
+        return _checked([WitnessTerm(ONE_MINUS_A, ("a'",) if e == 1 else EMPTY, 1)], target)
     if f == "CT1":
-        e = LETTER_EXPONENTS[params.x][0]
-        if not e:
-            return _checked([], target)
-        shifted = normal_form(a_pow(-e) + params.w2, ambient)
-        return _checked(
-            [
-                _x_term(shifted, params.eps, params.delta, e),
-                _x_term(params.w2, params.eps, params.delta, -e),
-            ],
-            target,
-        )
-    # CT7
-    shifted = b_pow(params.delta1) + params.w2
-    return _checked(
-        [
-            _x_term(shifted, params.eps2, params.delta2, params.eps1),
-            _x_term(params.w2, params.eps2, params.delta2, -params.eps1),
-        ],
-        target,
-    )
+        shifted, sign = normal_form(a_pow(-e) + params.w2, ambient), e
+        eps, delta = params.eps, params.delta
+    else:  # CT7
+        shifted, sign = b_pow(params.delta1) + params.w2, params.eps1
+        eps, delta = params.eps2, params.delta2
+    terms = [_x_term(shifted, eps, delta, sign), _x_term(params.w2, eps, delta, -sign)]
+    return _checked(terms, target)

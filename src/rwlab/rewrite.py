@@ -16,7 +16,6 @@ import itertools
 import operator
 import re
 import sys
-from collections import deque
 from typing import Callable, Iterable, Iterator, List, Optional
 
 from .core import (
@@ -552,23 +551,27 @@ def normalize(w: Word, p: Presentation, complete: bool = False) -> Word:
     s = _mirror(m.chars, w)
     nf = cache.get(s)
     if nf is not None:  # an earlier reduction passed w
-        _store(p, [w], nf)
+        _store(p, [nf if nf == w else w], nf)  # an irreducible w shares nf's tuple, no copy
         return nf
-    passed = [w, s]
-    words = deque(m.passes(s), 1) if complete else map(_target, _leftmost_steps(w, s, m))
-    last, cap = s, 2 * len(w) + 2  # the last word reached; the most keys a reduction keeps
-    for last in words:
-        nf = cache.get(last)
-        if nf is not None:
-            break
-        if len(passed) < cap:
-            passed.append(last)
-        elif cap:  # a long reduction: keep its ends alone
-            del passed[2:]
-            cap = 0
+    passed, last = [w, s], s  # the keys to store; the last word reached
+    if complete:  # of the passes only the last string is met: keep the ends
+        for last in m.passes(s):
+            pass
+        nf, cap = cache.get(last), 0
+    else:
+        cap = 2 * len(w) + 2  # the most keys a reduction keeps
+        for last in map(_target, _leftmost_steps(w, s, m)):
+            nf = cache.get(last)
+            if nf is not None:
+                break
+            if len(passed) < cap:
+                passed.append(last)
+            elif cap:  # a long reduction: keep its ends alone
+                del passed[2:]
+                cap = 0
     if nf is None:  # no word on the way was cached: the last one is the normal form
         nf = w if last is s else m.word(last)
-        if not cap:
+        if not cap and last is not s:
             passed.append(last)
     _store(p, passed, nf)
     return nf

@@ -92,8 +92,10 @@ def total(elements: Iterable[RingElement], ambient: Presentation) -> RingElement
 
 def right_mul(x: RingElement, w: Word) -> RingElement:
     """Right action: concatenate ``w`` onto every term and renormalize,
-    through ``completion.normal_form``."""
+    through ``completion.normal_form``; ``x`` itself for an empty ``w``."""
     check_letters(w, x.ambient)
+    if not w:
+        return x
     acc: Dict[Word, int] = {}
     for u, c in x.terms.items():
         key = normal_form(u + w, x.ambient)

@@ -25,7 +25,7 @@ import pytest
 import reference_completion as ref
 import reference_rewrite as ref_rewrite
 import rwlab
-from rwlab import casestudy, completion, invariant, rewrite, squier, structure
+from rwlab import casestudy, completion, invariant, obstruction, rewrite, squier, structure
 from rwlab.casestudy import (
     build_C_path,
     m4_uncompleted,
@@ -35,6 +35,7 @@ from rwlab.casestudy import (
     verify_prop31,
 )
 from rwlab.core import (
+    EMPTY,
     Alphabet,
     OrderingSpec,
     Presentation,
@@ -43,6 +44,7 @@ from rwlab.core import (
     RwlabError,
     word,
 )
+from rwlab.invariant import CtParams
 from rwlab.rewrite import OrientationError
 from rwlab.ring import from_word, scale, sub, total
 from rwlab.squier import Path
@@ -55,6 +57,7 @@ from test_rewrite import UNORIENTED
 from test_rewrite_differential import assert_same
 from test_squier_differential import assert_valid
 from test_suffix_families import NON_CONFLUENT
+from test_witness_differential import commutator_cases_match
 
 
 def _patch_everywhere(monkeypatch, module, name, fault):
@@ -103,6 +106,21 @@ def commutator_on_the_wrong_side(monkeypatch):
         return sub(left_mul(x, w + ba), left_mul(x, w + ab))
 
     _patch_everywhere(monkeypatch, invariant, "commutator", fault)
+
+
+def commutator_keeps_a_zero_coefficient(monkeypatch):
+    fault = _mutated(invariant, "commutator", "acc.items() if c}", "acc.items()}")
+    _patch_everywhere(monkeypatch, invariant, "commutator", fault)
+
+
+def evaluate_ignores_the_multiplier(monkeypatch):
+    fault = _mutated(
+        obstruction.Witness,
+        "evaluate",
+        "right_mul(source_value(t.source, ambient), t.multiplier)",
+        "source_value(t.source, ambient)",
+    )
+    monkeypatch.setattr(obstruction.Witness, "evaluate", fault)
 
 
 def swap_path_flips_delta(monkeypatch):
@@ -301,6 +319,10 @@ def passes(assertion):
     return check
 
 
+def phi_to_x_witness_holds(params):
+    return passes(lambda: obstruction.phi_to_x_witness(params, preset("P")))
+
+
 def figure2(bound):
     return lambda: verify_figure2(bound, bound, samples=0).passed
 
@@ -418,6 +440,16 @@ KILL_MATRIX = {
     "a pass stops after its first round": (
         a_pass_stops_after_its_first_round,
         normal_forms_match_the_reference(preset("P"), [word("a b b' a'")]),
+    ),
+    # 1 + b a b' a' times b a - a b: the b a of the two tails cancels
+    "commutator keeps a zero coefficient": (
+        commutator_keeps_a_zero_coefficient,
+        commutator_cases_match,
+    ),
+    # both X terms of a CT1 with x = a carry a non-empty multiplier, w·bᵈaᵉ
+    "evaluate ignores a non-empty multiplier": (
+        evaluate_ignores_the_multiplier,
+        phi_to_x_witness_holds(CtParams("CT1", x="a", w1=EMPTY, w2=word("b a"), eps=1, delta=-1)),
     ),
     "the swap path flips delta": (swap_path_flips_delta, figure2(0)),
     "the swap path loses its reverse steps' sign": (swap_path_loses_its_reverse_signs, figure2(0)),
