@@ -34,6 +34,7 @@ from .core import (
     words_over,
 )
 from .rewrite import (
+    _cached,
     _derived,
     _leftmost_steps,
     _matcher,
@@ -350,16 +351,17 @@ def _complete(p: Presentation) -> bool:
 def normal_form(w: Word, p: Presentation) -> Word:
     """``normalize(w, p)``, by whole-word passes when ``p`` is known complete.
 
-    A word the cache holds costs one lookup.  For a word it misses,
-    ``is_complete(p)`` is read and passed down to ``normalize``.  On a known
-    complete ``p`` every word has one normal form, whatever order its
-    redexes are rewritten in, so passes that rewrite every occurrence of
-    each rule at once (``_Matcher.passes``) end at the very word the
-    leftmost strategy reaches.  On any other ``p`` the word is reduced
-    leftmost, as ``normalize`` alone does.
+    A hit costs one lookup: of its mirror once ``p`` is known complete, else
+    of its tuple.  A miss passes ``is_complete(p)`` to ``normalize``.  On a
+    known complete ``p`` every word has one normal form, whatever order its
+    redexes are rewritten in, so passes that rewrite every occurrence of each
+    rule at once (``_Matcher.passes``) end at the very word the leftmost
+    strategy reaches.  On any other ``p`` the word is reduced leftmost, as
+    ``normalize`` alone does.
     """
-    nf = p._nf_cache.get(w)
-    return normalize(w, p, is_complete(p)) if nf is None else nf
+    complete = p.__dict__.get("_complete")  # the kept verdict, if taken yet
+    nf = _cached(w, p) if complete else p._nf_cache.get(w)
+    return normalize(w, p, complete or is_complete(p)) if nf is None else nf
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,7 @@ class _Matcher:
 
     def __init__(self, p: Presentation):
         self.unoriented = _orientation_error(p)  # None, or why reducing raises
+        self.mirrored = (None, "")  # the last word ``_cached`` missed, and its mirror
         self.top = len(p.rules) - 1  # the highest declaration rank
         (
             self.chars,
@@ -523,37 +524,44 @@ def _leftmost_steps(w: Word, s: str, m: _Matcher) -> Iterator[tuple]:
     raise RewriteError(f"step cap exceeded while reducing {word_str(w)}")
 
 
+def _cached(w: Word, p: Presentation) -> Optional[Word]:
+    """The normal form cached under ``w``'s mirror on a known-complete ``p``, or None."""
+    m = p.__dict__["_matcher"]  # built when the verdict was taken
+    nf = p._nf_cache.get(s := _mirror(m.chars, w))
+    if nf is None:
+        m.mirrored = w, s
+    return nf
+
+
 def normalize(w: Word, p: Presentation, complete: bool = False) -> Word:
     """Reduce ``w`` to an irreducible word by the leftmost-redex strategy,
     or by whole-word passes (``_Matcher.passes``) when the caller knows
     ``p`` to be complete (``completion.normal_form`` does).
 
-    ``w`` is cached with the result, and so is its mirror string; the
-    reduction looks up every word it meets, keyed by its mirror, and stops
-    at the first one already cached.  A reduction of at most ``2·|w|``
-    steps caches every word it passes: other calls' inputs meet them, as a
-    Cayley ball's successor ``u·g`` meets ``u``'s, and ``u·h`` takes up to
-    about ``2·|u|`` steps, as h crosses ``u`` and the letters it crossed
-    are sorted.  A longer one caches only its ends, ``w``, its mirror and
-    the normal form's string: the Θ(|w|²) swap steps of Qbar's h·w to
-    h·bʲ·aᵏ would cost Θ(|w|³) letters together.  Steps never lengthen a
-    word, so a call stores at most ``(2·|w| + 2)·|w|`` letters.  Of the
-    passes only the last string is met, so a reduction by passes caches
-    its ends too.  Past ``NF_CACHE_CAP`` entries the oldest are evicted.
-    ``ValidationError`` for a word with an undeclared letter, which leaves
-    the cache as it was.
+    Leftmost, ``w`` is cached with the result, and so is its mirror string;
+    the reduction looks up every word it meets, keyed by its mirror, and stops
+    at the first one already cached.  A reduction of at most ``2·|w|`` steps
+    caches every word it passes: other calls' inputs meet them, as a Cayley
+    ball's successor ``u·g`` meets ``u``'s, and ``u·h`` takes up to about
+    ``2·|u|`` steps, as h crosses ``u`` and the letters it crossed are sorted.
+    A longer one caches only its ends, ``w``, its mirror and the normal form's
+    string: the Θ(|w|²) swap steps of Qbar's h·w to h·bʲ·aᵏ would cost Θ(|w|³)
+    letters together.  Steps never lengthen a word, so a call stores at most
+    ``(2·|w| + 2)·|w|`` letters.  Passes key both ends by their mirrors alone.
+    Past ``NF_CACHE_CAP`` entries the oldest are evicted.  ``ValidationError``
+    for a word with an undeclared letter, which leaves the cache as it was.
     """
     cache = p._nf_cache
-    nf = cache.get(w)
+    nf = None if complete else cache.get(w)
     if nf is not None:
         return nf
     m = check_orientation(p)
-    s = _mirror(m.chars, w)
+    s = m.mirrored[1] if m.mirrored[0] is w else _mirror(m.chars, w)  # _cached's miss
     nf = cache.get(s)
-    if nf is not None:  # an earlier reduction passed w
-        _store(p, [nf if nf == w else w], nf)  # an irreducible w shares nf's tuple, no copy
+    if nf is not None:  # an earlier reduction passed w; an irreducible w shares nf's tuple
+        _store(p, [] if complete else [nf if nf == w else w], nf)
         return nf
-    passed, last = [w, s], s  # the keys to store; the last word reached
+    passed, last = [s] if complete else [w, s], s  # the keys to store; the last word reached
     if complete:  # of the passes only the last string is met: keep the ends
         for last in m.passes(s):
             pass
@@ -581,7 +589,7 @@ def _store(p: Presentation, keys: List, nf: Word) -> None:
     """Cache ``nf`` under each of ``keys``, none of them cached yet, and
     evict the oldest entries past ``NF_CACHE_CAP``.  ``normalize`` passes
     its input, its mirror and the words a short reduction passed, or the
-    normal form's string for a long one."""
+    normal form's string for a long one; passes store no tuple."""
     cache = p._nf_cache
     for u in keys:
         cache[u] = nf

@@ -25,6 +25,7 @@ import pytest
 import reference_completion as ref
 import reference_rewrite as ref_rewrite
 import rwlab
+import test_suffix_families as suffix
 from rwlab import casestudy, completion, invariant, obstruction, rewrite, squier, structure
 from rwlab.casestudy import (
     build_C_path,
@@ -268,6 +269,16 @@ def a_long_reduction_reads_its_normal_form_from_the_kept_words(monkeypatch):
     _patch_everywhere(monkeypatch, rewrite, "normalize", fault)
 
 
+def the_complete_branch_keeps_no_key_for_its_input(monkeypatch):
+    fault = _mutated(rewrite, "normalize", "[s] if complete else [w, s]", "[] if complete else [w, s]")
+    _patch_everywhere(monkeypatch, rewrite, "normalize", fault)
+
+
+def the_complete_branch_keys_its_input_tuple_again(monkeypatch):
+    fault = _mutated(rewrite, "normalize", "[s] if complete else [w, s]", "[w, s]")
+    _patch_everywhere(monkeypatch, rewrite, "normalize", fault)
+
+
 def undeclared_letter_mirrors_to_a_shared_character(monkeypatch):
     # the former mirror, which gave every undeclared letter the character "\0"
     fault = _mutated(
@@ -395,6 +406,16 @@ def normalize_rejects(case):
     return check
 
 
+def a_cached_word_costs_one_lookup():
+    # the test patches is_complete to None, so a repeated word that misses raises TypeError
+    with pytest.MonkeyPatch.context() as patched:
+        try:
+            suffix.test_a_cached_word_costs_one_lookup(patched)
+        except (AssertionError, TypeError):
+            return False
+    return True
+
+
 def rejects_the_undeclared_letter(entry, w, letter):
     # a fresh Qbar each time: what the faulty run stores must not reach a later check
     return passes(lambda: assert_rejects(entry, word(w), dataclasses.replace(preset("Qbar")), letter))
@@ -513,6 +534,15 @@ KILL_MATRIX = {
     "a long reduction reads its normal form from the kept words": (
         a_long_reduction_reads_its_normal_form_from_the_kept_words,
         same_reduction_on_a_fresh_qbar("a a b h h"),
+    ),
+    # the suffixes of a b a' b' a a b again, with the verdict unreadable
+    "the complete branch keeps no key for its input": (
+        the_complete_branch_keeps_no_key_for_its_input,
+        a_cached_word_costs_one_lookup,
+    ),
+    "the complete branch keys its input tuple again": (
+        the_complete_branch_keys_its_input_tuple_again,
+        passes(suffix.test_passes_key_words_by_their_mirror_alone),
     ),
     # the former mirror gives h a q x b a path where the error belongs
     "an undeclared letter mirrors to a shared character": (

@@ -110,7 +110,8 @@ def test_drawn_words_on_P_match_leftmost_normalize(words, warm):
     got = [completion.normal_form(w, p) for w in words]
     assert got == [rewrite.normalize(w, oracle) for w in words]
     assert got == [ref_rewrite.normalize(w, oracle) for w in words]
-    assert all(p._nf_cache[w] == nf for w, nf in zip(words, got))  # each word is kept
+    m = rewrite._matcher(p)
+    assert all(p._nf_cache[m.mirror(w)] == nf for w, nf in zip(words, got))  # each word is kept
     assert_cache_whole(p)
 
 
@@ -135,11 +136,52 @@ def test_passes_store_only_the_final_string():
     m = rewrite.check_orientation(p)
     w, v = word("a b b' a' b"), word("b' b b")  # both normalize to b
     assert completion.normal_form(w, p) == word("b")
-    assert list(p._nf_order) == [w, m.mirror(w), m.mirror(word("b"))]
+    assert list(p._nf_order) == [m.mirror(w), m.mirror(word("b"))]
     assert completion.normal_form(v, p) == word("b")  # its final string was stored
-    assert list(p._nf_order)[3:] == [v, m.mirror(v)]
-    assert p._nf_cache[v] is p._nf_cache[w]
+    assert list(p._nf_order)[2:] == [m.mirror(v)]
+    assert p._nf_cache[m.mirror(v)] is p._nf_cache[m.mirror(w)]
     assert_cache_whole(p)
+
+
+def test_passes_key_words_by_their_mirror_alone():
+    p = fresh("P")
+    rng = random.Random(29)
+    words = [rand_word(rng, n) for n in (0, 1, 2, 5, 12, 30, 60) for _ in range(4)]
+    words += [word("a b b' a' b"), word("b' b b"), word("b")]  # both normalize to b, which is new
+    added = []
+    for w in words + words[::3]:  # some words again, as hits
+        before = len(p._nf_cache)
+        assert completion.normal_form(w, p) == ref_rewrite.normalize(w, fresh("P"))
+        added.append(len(p._nf_cache) - before)
+    assert max(added) == 2 and 0 in added  # at most the input's mirror and the new normal form
+    assert not any(isinstance(k, tuple) for k in p._nf_cache)
+    assert_cache_whole(p)
+    for w in (words[-1], word("a a b' a b b'")):  # met by the passes, and new
+        assert rewrite.normalize(w, p) == ref_rewrite.normalize(w, fresh("P"))
+        assert w in p._nf_cache  # the leftmost branch still keys its input tuple
+    assert_cache_whole(p)
+
+
+@pytest.mark.parametrize("cap", [2, 7, 2**17])
+@settings(max_examples=100, deadline=None)
+@given(
+    pool=st.lists(st.lists(st.sampled_from(A_LETTERS), max_size=60).map(tuple), min_size=1, max_size=5),
+    calls=st.lists(st.tuples(st.booleans(), st.integers(0, 4)), max_size=12),
+)
+def test_interleaved_passes_and_leftmost_calls_match_the_reference(cap, pool, calls):
+    p, oracle = fresh("P"), fresh("P")
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(rewrite, "NF_CACHE_CAP", cap)
+        for by_passes, k in calls:
+            w = pool[k % len(pool)]
+            got = completion.normal_form(w, p) if by_passes else rewrite.normalize(w, p)
+            assert got == ref_rewrite.normalize(w, oracle)
+            assert_cache_whole(p)
+            if by_passes:  # the same input again runs no pass
+                with pytest.MonkeyPatch.context() as again:
+                    no_passes(again)
+                    assert completion.normal_form(w, p) == got
+                assert_cache_whole(p)
 
 
 def test_normalize_alone_stays_leftmost(monkeypatch):
