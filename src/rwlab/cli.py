@@ -15,7 +15,6 @@ from pathlib import Path as FsPath
 from . import casestudy, completion, invariant, obstruction, rewrite, ring, structure
 from .core import (
     EMPTY,
-    ParseError,
     Presentation,
     RwlabError,
     ValidationError,
@@ -322,10 +321,7 @@ def run(argv) -> int:
 def main(argv=None) -> int:
     try:
         code = run(sys.argv[1:] if argv is None else argv)
-    except ParseError as exc:
-        print(f"rwlab: {exc}", file=sys.stderr)
-        return 2
-    except RwlabError as exc:
+    except RwlabError as exc:  # ParseError too
         print(f"rwlab: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

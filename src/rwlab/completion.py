@@ -34,7 +34,6 @@ from .core import (
     words_over,
 )
 from .rewrite import (
-    _cached,
     _derived,
     _leftmost_steps,
     _matcher,
@@ -44,6 +43,7 @@ from .rewrite import (
     compare_shortlex,
     find_redexes,
     normalize,
+    normalize_by_passes,
     reduction_path,
 )
 from .squier import Edge, Path, compose, invert
@@ -349,19 +349,20 @@ def _complete(p: Presentation) -> bool:
 
 
 def normal_form(w: Word, p: Presentation) -> Word:
-    """``normalize(w, p)``, by whole-word passes when ``p`` is known complete.
+    """The normal form of ``w`` in ``p``: ``normalize_by_passes(w, p)`` when
+    ``p`` is known complete, else ``normalize(w, p)``.
 
-    A hit costs one lookup: of its mirror once ``p`` is known complete, else
-    of its tuple.  A miss passes ``is_complete(p)`` to ``normalize``.  On a
-    known complete ``p`` every word has one normal form, whatever order its
-    redexes are rewritten in, so passes that rewrite every occurrence of each
-    rule at once (``_Matcher.passes``) end at the very word the leftmost
-    strategy reaches.  On any other ``p`` the word is reduced leftmost, as
-    ``normalize`` alone does.
+    The verdict is read from ``p`` once it is kept, and ``is_complete(p)``
+    takes it before.  On a known complete ``p`` every word has one normal
+    form, whatever order its redexes are rewritten in, so passes that
+    rewrite every occurrence of each rule at once (``_Matcher.passes``) end
+    at the very word the leftmost strategy reaches.  On any other ``p`` the
+    word is reduced leftmost.
     """
     complete = p.__dict__.get("_complete")  # the kept verdict, if taken yet
-    nf = _cached(w, p) if complete else p._nf_cache.get(w)
-    return normalize(w, p, complete or is_complete(p)) if nf is None else nf
+    if complete is None:
+        complete = is_complete(p)
+    return normalize_by_passes(w, p) if complete else normalize(w, p)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 Reduction strategy: leftmost redex, plain rules before schema matches at a
 position, ties broken by declaration order.  On a confluent system the
 normal form is strategy-independent; the fixed strategy just makes traces
-reproducible, and a caller that knows the system complete may ask
-``normalize`` for whole-word passes instead.  Termination is enforced by
+reproducible.  Whole-word passes, which reach the same normal form only on
+a complete system, are a function of their own, ``normalize_by_passes``,
+that ``completion.normal_form`` alone calls.  Termination is enforced by
 checking that every rule and schema orients lhs > rhs under the
 presentation's shortlex ordering; a hard step cap is a backstop.
 """
@@ -120,7 +121,6 @@ class _Matcher:
 
     def __init__(self, p: Presentation):
         self.unoriented = _orientation_error(p)  # None, or why reducing raises
-        self.mirrored = (None, "")  # the last word ``_cached`` missed, and its mirror
         self.top = len(p.rules) - 1  # the highest declaration rank
         (
             self.chars,
@@ -524,22 +524,11 @@ def _leftmost_steps(w: Word, s: str, m: _Matcher) -> Iterator[tuple]:
     raise RewriteError(f"step cap exceeded while reducing {word_str(w)}")
 
 
-def _cached(w: Word, p: Presentation) -> Optional[Word]:
-    """The normal form cached under ``w``'s mirror on a known-complete ``p``, or None."""
-    m = p.__dict__["_matcher"]  # built when the verdict was taken
-    nf = p._nf_cache.get(s := _mirror(m.chars, w))
-    if nf is None:
-        m.mirrored = w, s
-    return nf
+def normalize(w: Word, p: Presentation) -> Word:
+    """Reduce ``w`` to an irreducible word by the leftmost-redex strategy.
 
-
-def normalize(w: Word, p: Presentation, complete: bool = False) -> Word:
-    """Reduce ``w`` to an irreducible word by the leftmost-redex strategy,
-    or by whole-word passes (``_Matcher.passes``) when the caller knows
-    ``p`` to be complete (``completion.normal_form`` does).
-
-    Leftmost, ``w`` is cached with the result, and so is its mirror string;
-    the reduction looks up every word it meets, keyed by its mirror, and stops
+    ``w`` is cached with the result, and so is its mirror string; the
+    reduction looks up every word it meets, keyed by its mirror, and stops
     at the first one already cached.  A reduction of at most ``2·|w|`` steps
     caches every word it passes: other calls' inputs meet them, as a Cayley
     ball's successor ``u·g`` meets ``u``'s, and ``u·h`` takes up to about
@@ -547,36 +536,31 @@ def normalize(w: Word, p: Presentation, complete: bool = False) -> Word:
     A longer one caches only its ends, ``w``, its mirror and the normal form's
     string: the Θ(|w|²) swap steps of Qbar's h·w to h·bʲ·aᵏ would cost Θ(|w|³)
     letters together.  Steps never lengthen a word, so a call stores at most
-    ``(2·|w| + 2)·|w|`` letters.  Passes key both ends by their mirrors alone.
-    Past ``NF_CACHE_CAP`` entries the oldest are evicted.  ``ValidationError``
-    for a word with an undeclared letter, which leaves the cache as it was.
+    ``(2·|w| + 2)·|w|`` letters.  Past ``NF_CACHE_CAP`` entries the oldest
+    are evicted.  ``ValidationError`` for a word with an undeclared letter,
+    which leaves the cache as it was.
     """
     cache = p._nf_cache
-    nf = None if complete else cache.get(w)
+    nf = cache.get(w)
     if nf is not None:
         return nf
     m = check_orientation(p)
-    s = m.mirrored[1] if m.mirrored[0] is w else _mirror(m.chars, w)  # _cached's miss
+    s = _mirror(m.chars, w)
     nf = cache.get(s)
     if nf is not None:  # an earlier reduction passed w; an irreducible w shares nf's tuple
-        _store(p, [] if complete else [nf if nf == w else w], nf)
+        _store(p, [nf if nf == w else w], nf)
         return nf
-    passed, last = [s] if complete else [w, s], s  # the keys to store; the last word reached
-    if complete:  # of the passes only the last string is met: keep the ends
-        for last in m.passes(s):
-            pass
-        nf, cap = cache.get(last), 0
-    else:
-        cap = 2 * len(w) + 2  # the most keys a reduction keeps
-        for last in map(_target, _leftmost_steps(w, s, m)):
-            nf = cache.get(last)
-            if nf is not None:
-                break
-            if len(passed) < cap:
-                passed.append(last)
-            elif cap:  # a long reduction: keep its ends alone
-                del passed[2:]
-                cap = 0
+    passed, last = [w, s], s  # the keys to store; the last word reached
+    cap = 2 * len(w) + 2  # the most keys a reduction keeps
+    for last in map(_target, _leftmost_steps(w, s, m)):
+        nf = cache.get(last)
+        if nf is not None:
+            break
+        if len(passed) < cap:
+            passed.append(last)
+        elif cap:  # a long reduction: keep its ends alone
+            del passed[2:]
+            cap = 0
     if nf is None:  # no word on the way was cached: the last one is the normal form
         nf = w if last is s else m.word(last)
         if not cap and last is not s:
@@ -585,11 +569,34 @@ def normalize(w: Word, p: Presentation, complete: bool = False) -> Word:
     return nf
 
 
+def normalize_by_passes(w: Word, p: Presentation) -> Word:
+    """Reduce ``w`` by whole-word passes (``_Matcher.passes``), which reach
+    ``normalize``'s normal form only on a complete ``p``.  Only their ends
+    are met, so only they are kept, keyed by their mirrors alone: ``w``'s,
+    and the last string's unless an earlier call reached it.  Eviction and
+    ``ValidationError`` as for ``normalize``."""
+    m = check_orientation(p)
+    cache = p._nf_cache
+    nf = cache.get(s := _mirror(m.chars, w))
+    if nf is not None:
+        return nf
+    last = s
+    for last in m.passes(s):
+        pass
+    nf = w if last is s else cache.get(last)  # an irreducible w, or a form reached before
+    keys = [s] if nf is not None else [s, last]
+    if nf is None:
+        nf = m.word(last)
+    _store(p, keys, nf)
+    return nf
+
+
 def _store(p: Presentation, keys: List, nf: Word) -> None:
     """Cache ``nf`` under each of ``keys``, none of them cached yet, and
     evict the oldest entries past ``NF_CACHE_CAP``.  ``normalize`` passes
     its input, its mirror and the words a short reduction passed, or the
-    normal form's string for a long one; passes store no tuple."""
+    normal form's string for a long one; ``normalize_by_passes`` stores no
+    tuple."""
     cache = p._nf_cache
     for u in keys:
         cache[u] = nf

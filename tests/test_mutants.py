@@ -25,6 +25,7 @@ import pytest
 import reference_completion as ref
 import reference_rewrite as ref_rewrite
 import rwlab
+import test_phi_differential as phi
 import test_suffix_families as suffix
 from rwlab import casestudy, completion, invariant, obstruction, rewrite, squier, structure
 from rwlab.casestudy import (
@@ -270,13 +271,33 @@ def a_long_reduction_reads_its_normal_form_from_the_kept_words(monkeypatch):
 
 
 def the_complete_branch_keeps_no_key_for_its_input(monkeypatch):
-    fault = _mutated(rewrite, "normalize", "[s] if complete else [w, s]", "[] if complete else [w, s]")
-    _patch_everywhere(monkeypatch, rewrite, "normalize", fault)
+    fault = _mutated(
+        rewrite,
+        "normalize_by_passes",
+        "[s] if nf is not None else [s, last]",
+        "[] if nf is not None else [last]",
+    )
+    _patch_everywhere(monkeypatch, rewrite, "normalize_by_passes", fault)
 
 
 def the_complete_branch_keys_its_input_tuple_again(monkeypatch):
-    fault = _mutated(rewrite, "normalize", "[s] if complete else [w, s]", "[w, s]")
-    _patch_everywhere(monkeypatch, rewrite, "normalize", fault)
+    fault = _mutated(
+        rewrite,
+        "normalize_by_passes",
+        "[s] if nf is not None else [s, last]",
+        "[w, s] if nf is not None else [w, s, last]",
+    )
+    _patch_everywhere(monkeypatch, rewrite, "normalize_by_passes", fault)
+
+
+def normal_form_reduces_leftmost_on_a_complete_ambient(monkeypatch):
+    fault = _mutated(
+        completion,
+        "normal_form",
+        "normalize_by_passes(w, p) if complete else normalize(w, p)",
+        "normalize(w, p)",
+    )
+    _patch_everywhere(monkeypatch, completion, "normal_form", fault)
 
 
 def undeclared_letter_mirrors_to_a_shared_character(monkeypatch):
@@ -416,6 +437,14 @@ def a_cached_word_costs_one_lookup():
     return True
 
 
+def swap_paths_take_no_leftmost_step(n):
+    def check():
+        with pytest.MonkeyPatch.context() as patched:
+            phi.test_phi_of_a_swap_path_takes_linear_steps(patched, preset("P"), n)
+
+    return passes(check)
+
+
 def rejects_the_undeclared_letter(entry, w, letter):
     # a fresh Qbar each time: what the faulty run stores must not reach a later check
     return passes(lambda: assert_rejects(entry, word(w), dataclasses.replace(preset("Qbar")), letter))
@@ -543,6 +572,12 @@ KILL_MATRIX = {
     "the complete branch keys its input tuple again": (
         the_complete_branch_keys_its_input_tuple_again,
         passes(suffix.test_passes_key_words_by_their_mirror_alone),
+    ),
+    # the contexts of the swap paths of 10 letters on a cold P take leftmost
+    # steps; at 1 letter every context is irreducible
+    "normal_form reduces leftmost on a complete ambient": (
+        normal_form_reduces_leftmost_on_a_complete_ambient,
+        swap_paths_take_no_leftmost_step(10),
     ),
     # the former mirror gives h a q x b a path where the error belongs
     "an undeclared letter mirrors to a shared character": (

@@ -21,6 +21,7 @@ from rwlab.invariant import A_LETTERS, CASE_STUDY_WEIGHTS, CtParams, WeightSpec,
 from rwlab.rewrite import OrientationError
 from rwlab.ring import AmbientMismatch, format_ring
 from rwlab.squier import Edge, Path, act, compose, invert
+from test_suffix_families import recording
 from tests_helpers_paths import random_mixed_path
 
 
@@ -196,14 +197,7 @@ def test_each_surviving_context_is_normalized_once(monkeypatch, P, params):
 
     ambient = dataclasses.replace(P)  # cold caches: every context misses
     assert completion.is_complete(ambient)
-    calls = []
-    normalize = completion.normalize
-
-    def recorded(w, p, complete=False):
-        calls.append((w, complete))
-        return normalize(w, p, complete)
-
-    monkeypatch.setattr(completion, "normalize", recorded)
+    calls = recording(monkeypatch)
     runs = counting_passes(monkeypatch)
     value = phi_path(circuit, CASE_STUDY_WEIGHTS, ambient)
     monkeypatch.undo()

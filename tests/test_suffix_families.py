@@ -57,16 +57,21 @@ def outcome(f, *args):
 
 
 def recording(monkeypatch):
-    """The ``(word, complete)`` of each call the entry point makes to
-    ``normalize``, from now on."""
+    """The ``(word, by_passes)`` of each call ``completion`` makes to
+    ``normalize`` (False) or ``normalize_by_passes`` (True), from now on."""
     calls = []
-    normalize = completion.normalize
 
-    def recorded(w, p, complete=False):
-        calls.append((w, complete))
-        return normalize(w, p, complete)
+    def record(name, by_passes):
+        f = getattr(completion, name)
 
-    monkeypatch.setattr(completion, "normalize", recorded)
+        def recorded(w, p):
+            calls.append((w, by_passes))
+            return f(w, p)
+
+        monkeypatch.setattr(completion, name, recorded)
+
+    record("normalize", False)
+    record("normalize_by_passes", True)
     return calls
 
 
@@ -219,10 +224,34 @@ def test_a_cached_word_costs_one_lookup(monkeypatch):
     w = word("a b a' b' a a b")
     words = [w[k:] for k in range(len(w))]
     first = [completion.normal_form(u, p) for u in words]
-    calls = recording(monkeypatch)
-    monkeypatch.setattr(completion, "is_complete", None)  # reading the verdict would raise
+    no_passes(monkeypatch)
+    monkeypatch.setattr(rewrite, "_leftmost_steps", None)  # a leftmost step would raise
+    monkeypatch.setattr(completion, "is_complete", None)  # taking the verdict again would raise
     assert [completion.normal_form(u, p) for u in words] == first
-    assert calls == []
+
+
+def test_a_complete_ambient_mirrors_a_word_once_and_keeps_the_matcher(monkeypatch):
+    p = fresh("P")
+    assert completion.is_complete(p)
+    completion.normal_form(word("a b"), p)  # warm-up: builds the matcher's pass table
+    w = word("a b b' a' b a")
+    want = ref_rewrite.normalize(w, fresh("P"))
+    m = rewrite._matcher(p)
+    state = dict(vars(m))
+    mirrors = []
+    mirror = rewrite._mirror
+
+    def counted(chars, w):
+        mirrors.append(w)
+        return mirror(chars, w)
+
+    monkeypatch.setattr(rewrite, "_mirror", counted)
+    assert completion.normal_form(w, p) == want  # a miss
+    assert mirrors == [w]
+    mirrors.clear()
+    assert completion.normal_form(w, p) == want  # a hit
+    assert mirrors == [w]
+    assert vars(m) == state
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 10, 20, 40, 60, 80])
