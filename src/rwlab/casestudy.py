@@ -75,8 +75,8 @@ from .obstruction import (
     source_value,
 )
 from .rewrite import check_budget, enumerate_normal_forms, normalize
-from .ring import RingElement, from_word, negate, scale, sub
-from .squier import Edge, Path, act, compose, invert
+from .ring import RingElement, from_word, identity, negate, scale, sub
+from .squier import Edge, Path
 from .structure import isometry_check
 
 _EXP = {1: "p", -1: "m"}
@@ -205,23 +205,24 @@ def _swap_rules(eps: int, delta: int) -> tuple:
     return swap_pair(eps, delta), q.rule_named(f"C_{_EXP[eps]}{_EXP[delta]}"), k_rules
 
 
-def _swap_steps(w: Word, eps: int, delta: int) -> tuple:
+def _swap_steps(w: Word, eps: int, delta: int, at: int = 0, sign: int = 1) -> list:
     """The steps ``(i, j, rule, sign)`` of the swap path from ``h w aᵉ bᵈ``
-    to ``h w bᵈ aᵉ`` over Q.
+    to ``h w bᵈ aᵉ`` over Q, with h at ``at``, backwards for ``sign`` −1.
 
     Each letter of w is carried out in front of h by a reverse commutation
     step, the bare pair swap happens in the middle, and the letters are
     carried back; 2|w| + 1 steps in total, each starting where the one
-    before it ends.  Every swap path's Φ and edges are read from here.
+    before it ends.  The rules' sides have equal lengths and the carrying
+    steps are symmetric, so backwards only the pair swap's sign flips.
+    Every swap path, alone or in a circuit, is written here.
     """
     _, c_rule, k_rules = _swap_rules(eps, delta)
-    front, back = [], []
-    for i, x in enumerate(w):
-        k_rule = k_rules[x]  # x h -> h x: both sides have two letters
-        front.append((i, i + 2, k_rule, -1))
-        back.append((i, i + 2, k_rule, 1))
-    front.append((len(w), len(w) + 3, c_rule, 1))  # h aᵉ bᵈ -> h bᵈ aᵉ
-    return tuple(front + back[::-1])
+    k = [k_rules[x] for x in w]  # x h -> h x: both sides have two letters
+    n = len(k)
+    steps = [(at + i, at + i + 2, k[i], -1) for i in range(n)]
+    steps.append((at + n, at + n + 3, c_rule, sign))  # h aᵉ bᵈ -> h bᵈ aᵉ
+    steps += [(at + i, at + i + 2, k[i], 1) for i in range(n - 1, -1, -1)]
+    return steps
 
 
 def build_C_path(w: Word, eps: int, delta: int) -> Path:
@@ -232,7 +233,7 @@ def build_C_path(w: Word, eps: int, delta: int) -> Path:
     are built only when read."""
     (tail_l, tail_r), _, _ = _swap_rules(eps, delta)
     hw = ("h",) + w
-    return Path._of_steps(hw + tail_l, _swap_steps(w, eps, delta), hw + tail_r)
+    return Path._of_steps(hw + tail_l, tuple(_swap_steps(w, eps, delta)), hw + tail_r)
 
 
 def build_ct_circuit(params: CtParams) -> Path:
@@ -241,70 +242,62 @@ def build_ct_circuit(params: CtParams) -> Path:
 
     The circuit starts at the peak source, descends the right-hand side of
     the diagram, and climbs back up the left-hand side, which is the left
-    descent inverted.  A descent is a list of paths, each a swap path or one
-    Q rule in its outer contexts; they chain by construction, so no walk
-    validates them, and no edge is built until a caller reads the edges.
+    descent inverted.  A descent lists pieces at their offsets in the word:
+    ``(v, eps, delta, at)`` for the swap path of ``v`` with h at ``at``,
+    ``(name, at)`` for one Q rule.  One loop writes the steps of the whole
+    circuit into one list: the right descent's pieces in order, then the
+    left descent's last first, each backwards, a rule as ``(at, at + |rhs|,
+    rule, −1)``.  The pieces chain by construction, so no walk validates
+    them, and no edge is built until a caller reads the edges.
     """
-    q = preset("Q")
-
-    # each returns a one-path list, so that a descent is a sum of lists
-    def swap(v: Word, eps: int, delta: int, left: Word = EMPTY, right: Word = EMPTY) -> list:
-        return [act(left, build_C_path(v, eps, delta), right)]
-
-    def step(name: str, left: Word, right: Word = EMPTY) -> list:
-        rule = q.rule_named(name)
-        at = (len(left), len(left) + len(rule.lhs), rule, 1)
-        return [Path._of_steps(left + rule.lhs + right, (at,), left + rule.rhs + right)]
-
-    f, x = params.family, params.x
+    f, x, xinv = params.family, params.x, _A_ALPHABET.involution.get(params.x)
     w, w1, w2, eps, delta = params.w, params.w1, params.w2, params.eps, params.delta
     if f == "CT1":
-        tail_l, tail_r = swap_pair(eps, delta)
-        i_x = f"I_{x}"
-        xx = (x, _A_ALPHABET.involution[x])
-        right = swap(w1 + xx + w2, eps, delta) + step(i_x, ("h",) + w1, w2 + tail_r)
-        left = step(i_x, ("h",) + w1, w2 + tail_l) + swap(w1 + w2, eps, delta)
-    elif f in ("CT2", "CT6"):
-        xinv = _A_ALPHABET.involution[x]
-        if f == "CT2":
-            right = step(f"I_{xinv}", (x,))
-            left = step(f"I_{x}", EMPTY, (x,))
-        else:
-            right = (
-                step(f"K_{xinv}", (x,))
-                + step(f"K_{x}", EMPTY, (xinv,))
-                + step(f"I_{x}", ("h",))
-            )
-            left = step(f"I_{x}", EMPTY, ("h",))
+        tail_l, _ = swap_pair(eps, delta)
+        i_x, at = f"I_{x}", 1 + len(w1)
+        start = ("h",) + w1 + (x, xinv) + w2 + tail_l
+        right = [(w1 + (x, xinv) + w2, eps, delta, 0), (i_x, at)]
+        left = [(i_x, at), (w1 + w2, eps, delta, 0)]
+    elif f == "CT2":
+        start, right, left = (x, xinv, x), [(f"I_{xinv}", 1)], [(f"I_{x}", 0)]
+    elif f == "CT6":
+        start = (x, xinv, "h")
+        right = [(f"K_{xinv}", 1), (f"K_{x}", 0), (f"I_{x}", 1)]
+        left = [(f"I_{x}", 0)]
     elif f == "CT3":
-        i_b = "I_b" if delta == 1 else "I_b'"
-        right = (
-            swap(w, eps, delta, right=b_pow(-delta))
-            + swap(w + b_pow(delta), eps, -delta)
-            + step(i_b, ("h",) + w, a_pow(eps))
-        )
-        left = step(i_b, ("h",) + w + a_pow(eps))
+        i_b, n = "I_b" if delta == 1 else "I_b'", 1 + len(w)
+        start = ("h",) + w + a_pow(eps) + b_pow(delta) + b_pow(-delta)
+        right = [(w, eps, delta, 0), (w + b_pow(delta), eps, -delta, 0), (i_b, n)]
+        left = [(i_b, n + 1)]
     elif f == "CT4":
-        i_a = "I_a" if eps == -1 else "I_a'"
-        right = (
-            swap(w + a_pow(-eps), eps, delta)
-            + swap(w, -eps, delta, right=a_pow(eps))
-            + step(i_a, ("h",) + w + b_pow(delta))
-        )
-        left = step(i_a, ("h",) + w, b_pow(delta))
+        i_a, n = "I_a" if eps == -1 else "I_a'", 1 + len(w)
+        start = ("h",) + w + a_pow(-eps) + a_pow(eps) + b_pow(delta)
+        right = [(w + a_pow(-eps), eps, delta, 0), (w, -eps, delta, 0), (i_a, n + 1)]
+        left = [(i_a, n)]
     elif f == "CT5":
-        tail_l, tail_r = swap_pair(eps, delta)
-        right = step(f"K_{x}", EMPTY, w + tail_l) + swap((x,) + w, eps, delta)
-        left = swap(w, eps, delta, left=(x,)) + step(f"K_{x}", EMPTY, w + tail_r)
+        tail_l, _ = swap_pair(eps, delta)
+        start = (x, "h") + w + tail_l
+        right = [(f"K_{x}", 0), ((x,) + w, eps, delta, 0)]
+        left = [(w, eps, delta, 1), (f"K_{x}", 0)]
     elif f == "CT7":
         e1, d1, e2, d2 = params.eps1, params.delta1, params.eps2, params.delta2
         t1l, t1r = swap_pair(e1, d1)
-        t2l, t2r = swap_pair(e2, d2)
-        right = swap(w1 + t1l + w2, e2, d2) + swap(w1, e1, d1, right=w2 + t2r)
-        left = swap(w1, e1, d1, right=w2 + t2l) + swap(w1 + t1r + w2, e2, d2)
+        t2l, _ = swap_pair(e2, d2)
+        start = ("h",) + w1 + t1l + w2 + t2l
+        right = [(w1 + t1l + w2, e2, d2, 0), (w1, e1, d1, 0)]
+        left = [(w1, e1, d1, 0), (w1 + t1r + w2, e2, d2, 0)]
     else:
         raise RwlabError(f"unknown circuit family {f}")
-    return compose(*right, invert(compose(*left)))
+    rule_named, steps = preset("Q").rule_named, []
+    for sign, pieces in ((1, right), (-1, left[::-1])):
+        for piece in pieces:
+            if len(piece) == 2:
+                name, at = piece
+                rule = rule_named(name)
+                steps.append((at, at + len(rule.lhs if sign == 1 else rule.rhs), rule, sign))
+            else:
+                steps += _swap_steps(*piece, sign)
+    return Path._of_steps(start, tuple(steps), start)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +537,6 @@ def verify_identities(exhaust_len: int = 5, samples: int = 1000) -> Report:
         lambda cap: f"identities sweep at bound {exhaust_len}: more than {cap} instances",
     )
     ambient = preset("P")
-    one = from_word(EMPTY, ambient)
     signs = list(itertools.product(SIGNS, repeat=2))
     rng = random.Random(7)
     draws = [  # w1, w2, x, eps, delta, drawn in that order
@@ -578,7 +570,7 @@ def verify_identities(exhaust_len: int = 5, samples: int = 1000) -> Report:
         return phi_swap(w, eps, delta) == image
 
     def letter_prefix(x: str, w: Word, eps: int, delta: int) -> bool:
-        shift = scale(-LETTER_EXPONENTS[x][0], commutator(one, w, eps, delta))
+        shift = scale(-LETTER_EXPONENTS[x][0], commutator(identity(ambient), w, eps, delta))
         return phi_swap((x,) + w, eps, delta) == sub(phi_swap(w, eps, delta), shift)
 
     def word_prefix(w1: Word, w2: Word, eps: int, delta: int) -> bool:
@@ -632,7 +624,6 @@ def verify_obstruction(
     ring-verified as it is built, so an instance holds when it can be built."""
     ambient = preset("P")
     signs = list(itertools.product(SIGNS, repeat=2))
-    one = from_word(EMPTY, ambient)
 
     def ring_verified(n: int, failed: int) -> str:
         return f"{n - failed} ring-verified"
@@ -659,7 +650,7 @@ def verify_obstruction(
         lambda n, failed: f"(1-a) and {n - 1} X generators",
     )
     vectors = {
-        basepoint_apply(sub(one, from_word(("b",) * k, ambient)))
+        basepoint_apply(sub(identity(ambient), from_word(("b",) * k, ambient)))
         for k in range(1, coset_powers + 1)
     }
     report.add(

@@ -20,7 +20,7 @@ from typing import Dict, Mapping, Optional, Tuple
 from .core import EMPTY, Presentation, RwlabError, Word, word_str
 from .completion import normal_form
 from .rewrite import check_orientation
-from .ring import RingElement, check_letters, from_word, scale, sub, zero
+from .ring import RingElement, check_letters, from_word, identity, scale, sub, zero
 from .squier import Edge, Path
 
 A_LETTERS = ("a", "a'", "b", "b'")
@@ -90,21 +90,26 @@ def phi_edge(e: Edge, weights: WeightSpec, ambient: Presentation) -> RingElement
 
 
 def phi_path(p: Path, weights: WeightSpec, ambient: Presentation) -> RingElement:
-    """The sum of ``phi_edge`` over the edges of ``p``, in one pass.
+    """The sum of ``phi_edge`` over the edges of ``p``, in one pass: one
+    loop splices the path's words in one list and sums ``sign · weight``
+    per raw right context ``u[j:]`` of each weighted step, building no edge.
 
-    ``sign · weight`` is summed per raw right context first.  Every distinct
-    weighted context, cancelled or not, is checked in order of first
-    appearance (its letters, then the ambient's orientation), so the error
-    raised is the one the first faulty weighted edge would raise.  A
-    context with a nonzero net coefficient is normalized once, by
-    ``completion.normal_form``: on a complete ambient by whole-word passes,
-    which end at the one normal form a complete system gives, and on any
-    other by the leftmost strategy.  The contexts are read from the path's
-    steps, and no edge is built.
+    Every distinct weighted context, cancelled or not, is checked in order
+    of first appearance (its letters, then the ambient's orientation), so
+    the error raised is the one the first faulty weighted edge would raise.
+    A context with a nonzero net coefficient is normalized once, by
+    ``completion.normal_form``: by whole-word passes on a complete ambient,
+    where they end at its one normal form, else by the leftmost strategy.
     """
+    weight = weights.entries.get
     net: Dict[Word, int] = {}
-    for c, right in p.weighted_contexts(weights.entries):
-        net[right] = net.get(right, 0) + c
+    u = list(p.start)
+    for i, j, rule, sign in p.steps:
+        wt = weight(rule.name)
+        if wt:
+            right = tuple(u[j:])
+            net[right] = net.get(right, 0) + sign * wt
+        u[i:j] = rule.rhs if sign == 1 else rule.lhs
     acc: Dict[Word, int] = {}
     for k, (right, c) in enumerate(net.items()):
         check_letters(right, ambient)
@@ -228,21 +233,27 @@ def commutator(x: RingElement, w: Word, eps: int, delta: int) -> RingElement:
 
 
 def closed_form_ct(params: CtParams, ambient: Presentation) -> RingElement:
-    """The Φ-image of a family instance as a closed-form ring expression."""
+    """The Φ-image of a family instance as a closed-form ring expression; its
+    identity and units are kept per ambient, built on first use in its order."""
     f = params.family
     if f in ("CT2", "CT3", "CT5"):
         return zero(ambient)
-    one = from_word(EMPTY, ambient)
+    one = identity(ambient)
     if f == "CT4":
         return scale(-params.eps, commutator(one, EMPTY, params.eps, params.delta))
+    if f == "CT7":  # the unit b^δ1 − 1
+        letter, e = b_pow(params.delta1), 1
+    else:  # CT1 and CT6: the unit a^(−e) − 1 of x's a-exponent e, scaled by e
+        e = LETTER_EXPONENTS[params.x][0]
+        if not e:
+            return zero(ambient)
+        letter = a_pow(-e)
+    units = ambient.__dict__.setdefault("_units", {})
+    unit = units.get(letter)
+    if unit is None:
+        unit = units[letter] = scale(e, sub(from_word(letter, ambient), one))
     if f == "CT7":
-        unit = sub(from_word(b_pow(params.delta1), ambient), one)
         return scale(params.eps1, commutator(unit, params.w2, params.eps2, params.delta2))
-    # CT1 and CT6 scale the unit a^(−e) − 1 of the letter x's a-exponent e
-    e = LETTER_EXPONENTS[params.x][0]
-    if not e:
-        return zero(ambient)
-    unit = scale(e, sub(from_word(a_pow(-e), ambient), one))
     if f == "CT6":
         return unit
     return commutator(unit, params.w2, params.eps, params.delta)

@@ -36,7 +36,7 @@ from .invariant import (
     commutator,
     swap_pair,
 )
-from .ring import RingElement, format_ring, from_word, right_mul, sub
+from .ring import RingElement, format_ring, from_word, identity, right_mul, sub
 
 
 class WitnessError(RwlabError):
@@ -93,12 +93,12 @@ def x_generator(w: Word, eps: int, delta: int, ambient: Presentation) -> RingEle
         + b_pow(-delta)
         + formal_inverse(w, ambient.alphabet)
     )
-    return sub(from_word(EMPTY, ambient), from_word(conj, ambient))
+    return sub(identity(ambient), from_word(conj, ambient))
 
 
 def x_generator_a(ambient: Presentation) -> RingElement:
     """The distinguished generator 1 − a."""
-    return sub(from_word(EMPTY, ambient), from_word(("a",), ambient))
+    return sub(identity(ambient), from_word(("a",), ambient))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +187,7 @@ def commutator_witness(w: Word, eps: int, delta: int, ambient: Presentation) -> 
     """
     if not is_freely_reduced(w, ambient.alphabet):
         raise WitnessError("commutator_witness requires a reduced word")
-    target = commutator(from_word(EMPTY, ambient), w, eps, delta)
+    target = commutator(identity(ambient), w, eps, delta)
     terms: List[WitnessTerm] = []
     u = w
     while u:

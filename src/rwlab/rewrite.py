@@ -106,6 +106,10 @@ def _schema_part(letters: tuple, schemas: tuple) -> tuple:
     return chars, back, tuple(entries), tuple(alts), tuple(patterns), pattern, tuple(runs), lastout
 
 
+# the matcher attributes _schema_part builds, which derived matchers share
+_SCHEMA_PART = ("chars", "letters", "schemas", "alts", "patterns", "pattern", "runs", "lastout")
+
+
 class _Matcher:
     """The leftmost-redex search of one presentation, over a string that
     mirrors the word one character per letter.
@@ -119,25 +123,26 @@ class _Matcher:
     nothing new.
     """
 
+    # set one by one by __init__ and _derived: a matcher has no __dict__
+    __slots__ = _SCHEMA_PART + ("unoriented", "top", "plain", "lengths", "maxlhs", "replacements")
+
     def __init__(self, p: Presentation):
         self.unoriented = _orientation_error(p)  # None, or why reducing raises
         self.top = len(p.rules) - 1  # the highest declaration rank
-        (
-            self.chars,
-            self.letters,
-            self.schemas,
-            self.alts,
-            self.patterns,
-            self.pattern,
-            self.runs,
-            self.lastout,
-        ) = _schema_part(p.alphabet.letters, p.schemas)
+        for name, value in zip(_SCHEMA_PART, _schema_part(p.alphabet.letters, p.schemas)):
+            setattr(self, name, value)
         self.plain: dict = {}  # lhs string -> [entry], by rank
         for k, r in enumerate(p.rules):
             if r.lhs:
                 self.plain.setdefault(self.mirror(r.lhs), []).append(self._entry(k, r))
-        self.lengths = sorted({len(lhs) for lhs in self.plain})
+        self._index()
+
+    def _index(self) -> None:
+        """Sets the lhs lengths, the longest, and each lhs's first rhs (passes)."""
+        plain = self.plain
+        self.lengths = sorted({len(lhs) for lhs in plain})
         self.maxlhs = max(self.lengths, default=0)
+        self.replacements = [(lhs, entries[0][2]) for lhs, entries in plain.items()]
 
     def _entry(self, rank: int, r: Rule) -> tuple:
         """The table entry of ``r``: its declaration rank, the rule, its rhs
@@ -159,9 +164,10 @@ class _Matcher:
         for orientation, the schema part is shared.
         """
         m = object.__new__(_Matcher)
-        m.__dict__.update(self.__dict__)
-        m.__dict__.pop("replacements", None)  # built from the table, which changes
+        for name in _SCHEMA_PART:
+            setattr(m, name, getattr(self, name))
         plain = m.plain = dict(self.plain)
+        m.top = self.top
         if old is None:
             key = self.mirror(new.lhs)
             entries = plain.get(key, [])
@@ -178,8 +184,7 @@ class _Matcher:
             plain[key] = entries
         else:
             del plain[key]
-        m.lengths = sorted({len(lhs) for lhs in plain})
-        m.maxlhs = max(m.lengths, default=0)
+        m._index()
         m.unoriented = None if new is None else _rule_orientation_error(new, ordering)
         return m
 
@@ -296,11 +301,6 @@ class _Matcher:
                 f = _FAR
             F[k], V[k], N[k] = f, v, g
         return None
-
-    @functools.cached_property
-    def replacements(self) -> list:
-        """``(lhs string, rhs string)`` of the first declared rule of each lhs."""
-        return [(lhs, entries[0][2]) for lhs, entries in self.plain.items()]
 
     def passes(self, s: str) -> Iterator[str]:
         """The string after each whole-word pass over ``s`` that changes it.

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable
 
-from .core import Presentation, RwlabError, Word, shortlex_key, word_str
+from .core import EMPTY, Presentation, RwlabError, Word, shortlex_key, word_str
 from .completion import normal_form
 
 
@@ -53,6 +53,14 @@ def from_word(w: Word, ambient: Presentation) -> RingElement:
     """The single term ``1 · normalize(w)``, through ``completion.normal_form``."""
     check_letters(w, ambient)
     return RingElement({normal_form(w, ambient): 1}, ambient)
+
+
+def identity(ambient: Presentation) -> RingElement:
+    """``from_word(EMPTY, ambient)``, kept in ``ambient.__dict__`` once built."""
+    kept = ambient.__dict__
+    if "_identity" not in kept:
+        kept["_identity"] = from_word(EMPTY, ambient)
+    return kept["_identity"]
 
 
 def add(x: RingElement, y: RingElement) -> RingElement:

@@ -6,8 +6,9 @@ rhs for sign −1, and its target swaps the two sides.  A path is a start
 word, a tuple of steps ``(i, j, rule, sign)`` and an end word, so the empty
 path at a word is well-typed.  The operations on paths move steps and splice
 no word; the words a path passes are spliced from its start by one walk,
-``Path._walk``, which its edges, Φ, printing and traces read.  Everything
-here is immutable and pure.
+``Path._walk``, which its edges, printing and traces read, while Φ
+(``invariant.phi_path``) splices them in its own loop over the steps.
+Everything here is immutable and pure.
 
 Homotopy of paths is not decided anywhere in this package; this module only
 constructs paths and the generating moves (interchange squares, pp⁻¹
@@ -19,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Mapping, Optional, Tuple
+from typing import Callable, Iterator, Optional
 
 from .core import Rule, RwlabError, Word, word_str
 
@@ -138,7 +139,7 @@ class Path:
 
     def _walk(self) -> Iterator[list]:
         """``start``, then the word after each step: the one walk that
-        edges, Φ, printing and traces read.  It yields one list, spliced in
+        edges, printing and traces read.  It yields one list, spliced in
         place at each step, so a reader takes what it needs of a word before
         it asks for the next."""
         u = list(self.start)
@@ -146,17 +147,6 @@ class Path:
         for i, j, rule, sign in self.steps:
             u[i:j] = rule.rhs if sign == 1 else rule.lhs
             yield u
-
-    def weighted_contexts(self, weights: Mapping[str, int]) -> Iterator[Tuple[int, Word]]:
-        """``(sign · weight, right context)`` of each step whose rule has a
-        nonzero weight in ``weights`` (by rule name), in path order.  The
-        right context is cut from the word before the step only when its
-        rule has a weight, and no edge is built."""
-        weight = weights.get
-        for (i, j, rule, sign), u in zip(self.steps, self._walk()):
-            wt = weight(rule.name, 0)
-            if wt:
-                yield sign * wt, tuple(u[j:])
 
     @property
     def iota(self) -> Word:

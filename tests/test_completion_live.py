@@ -88,10 +88,11 @@ def certificates_hold(p, args) -> bool:
 def _table(m) -> tuple:
     """What a matcher's search reads of its plain rules: each lhs's entries
     without their ranks, in their order, and the rules ranked across the
-    table; with ``lengths``, ``maxlhs`` and ``unoriented``."""
+    table; with ``lengths``, ``maxlhs``, ``unoriented`` and the rhs string
+    each lhs is replaced by in a pass."""
     by_lhs = {lhs: [e[1:] for e in entries] for lhs, entries in m.plain.items()}
     ranked = [e[1] for e in sorted(e for entries in m.plain.values() for e in entries)]
-    return by_lhs, ranked, m.lengths, m.maxlhs, m.unoriented
+    return by_lhs, ranked, m.lengths, m.maxlhs, m.unoriented, dict(m.replacements)
 
 
 def _snapshot(p) -> tuple:
@@ -221,6 +222,19 @@ def test_drawn_systems_match_scratch_and_the_reference(p, bound):
 @given(p=small_systems(), bound=st.integers(0, 2))
 def test_drawn_systems_derive_the_systems_from_scratch(p, bound):
     assert derived_run(p, (6, 5, bound))[1] == 0
+
+
+def test_derived_matchers_set_every_attribute_a_fresh_one_sets(monkeypatch):
+    # along an M4 replay; derived_run compares what the attributes hold
+    seen, original = [], rewrite._Matcher._derived
+    monkeypatch.setattr(
+        rewrite._Matcher, "_derived", lambda m, *args: seen.append(original(m, *args)) or seen[-1]
+    )
+    outcome, bad, kinds = derived_run(m4_uncompleted(), (40, 8, 1))
+    assert bad == 0 and kinds == {"drop", "append"} and len(seen) > 10
+    for m in seen + [rewrite._Matcher(preset("M4"))]:
+        assert not hasattr(m, "__dict__")
+        assert all(hasattr(m, name) for name in rewrite._Matcher.__slots__)
 
 
 def test_one_matcher_is_built_from_scratch_per_run(monkeypatch):

@@ -27,7 +27,7 @@ import reference_rewrite as ref_rewrite
 import rwlab
 import test_phi_differential as phi
 import test_suffix_families as suffix
-from rwlab import casestudy, completion, invariant, obstruction, rewrite, squier, structure
+from rwlab import casestudy, completion, invariant, obstruction, rewrite, ring, squier, structure
 from rwlab.casestudy import (
     build_C_path,
     m4_uncompleted,
@@ -59,7 +59,7 @@ from test_rewrite import UNORIENTED
 from test_rewrite_differential import assert_same
 from test_squier_differential import assert_valid
 from test_suffix_families import NON_CONFLUENT
-from test_witness_differential import commutator_cases_match
+from test_witness_differential import commutator_cases_match, constants_stay_with_their_ambient
 
 
 def _patch_everywhere(monkeypatch, module, name, fault):
@@ -125,11 +125,14 @@ def evaluate_ignores_the_multiplier(monkeypatch):
     monkeypatch.setattr(obstruction.Witness, "evaluate", fault)
 
 
+# the swap paths of build_C_path and of every circuit are written by _swap_steps
+
+
 def swap_path_flips_delta(monkeypatch):
     swap_steps = casestudy._swap_steps
 
-    def fault(w, eps, delta):
-        return swap_steps(w, eps, -delta)
+    def fault(w, eps, delta, *placed):
+        return swap_steps(w, eps, -delta, *placed)
 
     _patch_everywhere(monkeypatch, casestudy, "_swap_steps", fault)
 
@@ -137,15 +140,32 @@ def swap_path_flips_delta(monkeypatch):
 def swap_path_loses_its_reverse_signs(monkeypatch):
     swap_steps = casestudy._swap_steps
 
-    def fault(w, eps, delta):
-        return tuple((i, j, rule, 1) for i, j, rule, _ in swap_steps(w, eps, delta))
+    def fault(*args):
+        return [(i, j, rule, 1) for i, j, rule, _ in swap_steps(*args)]
 
     _patch_everywhere(monkeypatch, casestudy, "_swap_steps", fault)
 
 
+def left_descent_goes_in_first_piece_first(monkeypatch):
+    fault = _mutated(casestudy, "build_ct_circuit", "(-1, left[::-1])", "(-1, left)")
+    _patch_everywhere(monkeypatch, casestudy, "build_ct_circuit", fault)
+
+
 def phi_context_is_cut_short(monkeypatch):
-    fault = _mutated(squier.Path, "weighted_contexts", "tuple(u[j:])", "tuple(u[j:-1])")
-    monkeypatch.setattr(squier.Path, "weighted_contexts", fault)
+    fault = _mutated(invariant, "phi_path", "tuple(u[j:])", "tuple(u[j:-1])")
+    _patch_everywhere(monkeypatch, invariant, "phi_path", fault)
+
+
+def the_identity_is_kept_for_every_ambient_at_once(monkeypatch):
+    fault = _mutated(ring, "identity", "kept = ambient.__dict__", "kept = identity.__dict__")
+    _patch_everywhere(monkeypatch, ring, "identity", fault)
+
+
+def the_units_are_kept_for_every_ambient_at_once(monkeypatch):
+    fault = _mutated(
+        invariant, "closed_form_ct", "units = ambient.__dict__", "units = closed_form_ct.__dict__"
+    )
+    _patch_everywhere(monkeypatch, invariant, "closed_form_ct", fault)
 
 
 def edges_drop_the_first_letter_of_the_left_context(monkeypatch):
@@ -408,6 +428,11 @@ def inverse_walks(p):
     return passes(lambda: assert_valid(squier.invert(p)))
 
 
+def acted_walks(x, p, y):
+    # the reference walk of the former ``Path`` constructor
+    return passes(lambda: assert_valid(squier.act(x, p, y)))
+
+
 def same_reduction_on_a_fresh_qbar(w):
     # a fresh presentation, so that no cache serves what the intact run stored
     return passes(lambda: assert_same(word(w), dataclasses.replace(preset("Qbar"))))
@@ -503,14 +528,24 @@ KILL_MATRIX = {
     ),
     "the swap path flips delta": (swap_path_flips_delta, figure2(0)),
     "the swap path loses its reverse steps' sign": (swap_path_loses_its_reverse_signs, figure2(0)),
+    "a left descent goes in first piece first": (left_descent_goes_in_first_piece_first, figure2(0)),
     "phi's right context is cut short": (phi_context_is_cut_short, figure2(0)),
+    "the identity is kept for every ambient at once": (
+        the_identity_is_kept_for_every_ambient_at_once,
+        constants_stay_with_their_ambient,
+    ),
+    "the units are kept for every ambient at once": (
+        the_units_are_kept_for_every_ambient_at_once,
+        constants_stay_with_their_ambient,
+    ),
     "built-on-demand edges drop the first letter of the left context": (
         edges_drop_the_first_letter_of_the_left_context,
         lambda: circuits_digest() == CIRCUITS_DIGEST,
     ),
+    # circuits do not call act, so the check walks an acted swap path
     "act leaves the positions of the steps unshifted": (
         act_leaves_positions_unshifted,
-        lambda: circuits_digest() == CIRCUITS_DIGEST,
+        acted_walks(word("a"), build_C_path(word("a b"), 1, 1), word("b")),
     ),
     "the closure forgets rule I_a": (closure_forgets_I_a, prop31(4)),
     "a reduction path drops its last step": (

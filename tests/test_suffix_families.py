@@ -237,7 +237,7 @@ def test_a_complete_ambient_mirrors_a_word_once_and_keeps_the_matcher(monkeypatc
     w = word("a b b' a' b a")
     want = ref_rewrite.normalize(w, fresh("P"))
     m = rewrite._matcher(p)
-    state = dict(vars(m))
+    state = {name: getattr(m, name) for name in m.__slots__}  # a matcher has no __dict__
     mirrors = []
     mirror = rewrite._mirror
 
@@ -251,7 +251,7 @@ def test_a_complete_ambient_mirrors_a_word_once_and_keeps_the_matcher(monkeypatc
     mirrors.clear()
     assert completion.normal_form(w, p) == want  # a hit
     assert mirrors == [w]
-    assert vars(m) == state
+    assert {name: getattr(m, name) for name in m.__slots__} == state
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 10, 20, 40, 60, 80])

@@ -3,14 +3,18 @@ right action by the empty word, against their former code, kept in
 ``reference_invariant``: the same terms in the same order from
 ``commutator`` and ``right_mul``, an equal value from ``evaluate``, and the
 same error class and message on an ambient missing a letter and on an
-unoriented one."""
+unoriented one.  The identity and the units of ``closed_form_ct``, kept
+once per ambient, must raise there as the former per-call ones did, on the
+first call and on every later one, and stay with their own ambient."""
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_invariant as ref
-from rwlab import invariant, ring
+from rwlab import invariant, obstruction, ring
 from rwlab.casestudy import ct_parameter_sweep, preset
 from rwlab.completion import normal_form
 from rwlab.core import (
@@ -214,3 +218,59 @@ def test_an_unoriented_ambient_raises_like_the_reference(data):
             assert got == []
     witness = Witness(tuple(data.draw(WITNESS_TERMS)), ring.zero(UNORIENTED_P))
     assert value_of(witness.evaluate) == value_of(ref.evaluate, witness)
+
+
+# ---------------------------------------------------------------------------
+# The identity and the closed-form units, kept once per ambient
+# ---------------------------------------------------------------------------
+
+
+def former_target(w, eps, delta, ambient):
+    """The target the former ``commutator_witness`` built first, from an
+    identity built on each call."""
+    return ref.commutator(ring.from_word(EMPTY, ambient), w, eps, delta)
+
+
+@pytest.mark.parametrize("ambient", (A_ONLY, UNORIENTED_P), ids=("lacking b", "unoriented"))
+def test_kept_constants_raise_like_the_reference_on_every_call(ambient):
+    # a fresh copy for each instance, so that its first call is the first
+    # on the ambient, and one copy for the whole sweep
+    sweep, oracle = dataclasses.replace(ambient), dataclasses.replace(ambient)
+    raised = 0
+    for params in ct_parameter_sweep(1, 1):
+        want = value_of(ref.closed_form_ct, params, oracle)
+        raised += isinstance(want, tuple)
+        for fresh in (dataclasses.replace(ambient), sweep):
+            for _ in range(2):  # the first call, then a repeated one
+                assert value_of(invariant.closed_form_ct, params, fresh) == want
+    assert raised
+    for w in (EMPTY, word("a"), word("a' a'")):
+        for eps, delta in PAIRS:
+            want = value_of(former_target, w, eps, delta, oracle)
+            assert isinstance(want, tuple)  # every target has b in it
+            fresh = dataclasses.replace(ambient)
+            for _ in range(2):
+                assert value_of(obstruction.commutator_witness, w, eps, delta, fresh) == want
+
+
+def constants_stay_with_their_ambient():
+    """Whether ``closed_form_ct`` over P and over MERGING, called in
+    alternation on the same instances, gives each ambient the reference's
+    value on it, over that ambient, and keeps each ambient's identity."""
+    p, merging = dataclasses.replace(P), dataclasses.replace(MERGING)
+    oracles = ((p, dataclasses.replace(P)), (merging, dataclasses.replace(MERGING)))
+    for params in ct_parameter_sweep(1, 1):
+        for ambient, oracle in oracles:
+            got = value_of(invariant.closed_form_ct, params, ambient)
+            if got != ref.closed_form_ct(params, oracle) or got.ambient is not ambient:
+                return False
+    return ring.identity(p).ambient is p and ring.identity(merging).ambient is merging
+
+
+def test_two_ambients_in_alternation_share_no_constant():
+    assert constants_stay_with_their_ambient()
+    p = dataclasses.replace(P)
+    assert ring.identity(p) is ring.identity(p)  # built once
+    assert invariant.closed_form_ct(CtParams("CT6", x="a"), p) is invariant.closed_form_ct(
+        CtParams("CT6", x="a"), p
+    )
