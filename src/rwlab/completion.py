@@ -328,11 +328,11 @@ def is_confluent_bounded(p: Presentation, schema_var_bound: int = 0) -> Confluen
 
 def is_complete(p: Presentation) -> bool:
     """Whether ``p`` is known complete: it has no schemas, it is oriented,
-    and ``is_confluent_bounded(p, 0)`` resolves every critical peak, so that
-    it terminates and is locally confluent, hence confluent (Newman).  A
+    and ``resolve_peaks(p, 0)`` resolves every critical peak, so that it
+    terminates and is locally confluent, hence confluent (Newman).  A
     peak budget exceeded (``RwlabError``) leaves it not known complete.
-    The verdict is kept in ``p.__dict__``, as the orientation verdict is
-    (presentations are immutable)."""
+    The verdict stops at the first unresolved peak, and is kept in
+    ``p.__dict__`` as the orientation verdict is (presentations are immutable)."""
     verdict = p.__dict__.get("_complete")
     if verdict is None:
         verdict = p.__dict__["_complete"] = _complete(p)
@@ -343,7 +343,7 @@ def _complete(p: Presentation) -> bool:
     if p.schemas or _matcher(p).unoriented is not None:
         return False
     try:
-        return is_confluent_bounded(p, 0).confluent
+        return all(isinstance(res, CriticalCircuit) for _, res in resolve_peaks(p, 0))
     except RwlabError:
         return False
 
@@ -639,15 +639,19 @@ def knuth_bendix(
 
     - **One live system.**  Each dropped, rewritten or added rule derives
       the next system and its matcher from the last one
-      (``rewrite._derived``), checking only the changed rule: its name,
-      letters and anti-symmetry against the running sets, and its
-      orientation.  This is exact: the first system is ``p``, validated
-      on construction and oriented by the check above, every later one
-      is derived from an oriented, validated one, dropping a rule can
-      fail no check, and an added or rewritten rule is oriented by
+      (``rewrite._derived``).  The derived matcher checks the changed
+      rule's orientation, which guards termination, and rejects an
+      undeclared letter as it mirrors the rule's sides; the presentation
+      checks nothing.  The first system is ``p``, validated on
+      construction and oriented by the check above.  Dropping a rule can
+      fail no check.  An added or rewritten rule is oriented by
       construction (``lhs`` is the shortlex-greater side, a new rhs a
-      normal form of the old one).  The matcher's table is copied, never
-      written, so ``p`` and its matcher end the call as they began it.
+      normal form of the old one), so no system holds a rule and its
+      reverse; ``names`` skips every name of ``p`` and a rewritten rule
+      keeps its own, so no name repeats.  ``tests/test_completion_live.py``
+      rebuilds every derived system through ``Presentation``, which runs
+      every check.  The matcher's table is copied, never written, so
+      ``p`` and its matcher end the call as they began it.
     - **One live peak index** (``_LivePeaks``) for the whole call.  Each
       search still gets its list from ``critical_peaks``, which brings the
       index up to the current system: an added rule brings only the peaks

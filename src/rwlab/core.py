@@ -10,7 +10,7 @@ function.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
@@ -201,26 +201,6 @@ def instantiate_schema(schema: RuleSchema, v: Word) -> Rule:
     )
 
 
-def _check_name(name: str, taken) -> None:
-    if name in taken:
-        raise ValidationError(f"duplicate rule/schema name: {name}")
-
-
-def _check_letters(r: Rule, alphabet: Alphabet) -> None:
-    letters = alphabet._letter_set
-    if not (letters.issuperset(r.lhs) and letters.issuperset(r.rhs)):
-        bad = next(x for x in r.lhs + r.rhs if x not in letters)
-        raise ValidationError(f"rule {r.name}: undeclared letter {bad}")
-
-
-def _check_antisymmetric(r: Rule, pairs) -> None:
-    """``pairs`` holds the ``(lhs, rhs)`` of the rules, ``r``'s included or not."""
-    if (r.rhs, r.lhs) in pairs:
-        raise ValidationError(
-            f"rule set is not anti-symmetric: {word_str(r.lhs)} <-> {word_str(r.rhs)}"
-        )
-
-
 @dataclass(frozen=True)
 class Presentation:
     """A monoid presentation: alphabet, oriented rules, schemas, ordering."""
@@ -234,11 +214,14 @@ class Presentation:
         taken: set = set()
         # in sorted order the first name already taken is the least duplicate
         for name in sorted([r.name for r in self.rules] + [s.name for s in self.schemas]):
-            _check_name(name, taken)
+            if name in taken:
+                raise ValidationError(f"duplicate rule/schema name: {name}")
             taken.add(name)
-        for r in self.rules:
-            _check_letters(r, self.alphabet)
         letters = self.alphabet._letter_set
+        for r in self.rules:
+            if not (letters.issuperset(r.lhs) and letters.issuperset(r.rhs)):
+                bad = next(x for x in r.lhs + r.rhs if x not in letters)
+                raise ValidationError(f"rule {r.name}: undeclared letter {bad}")
         for s in self.schemas:
             fixed = s.lhs_prefix + s.lhs_suffix + s.rhs_prefix + s.rhs_suffix
             if not letters.issuperset(fixed):
@@ -249,7 +232,10 @@ class Presentation:
                 raise ValidationError(f"schema {s.name}: range letter {bad} undeclared")
         pairs = {(r.lhs, r.rhs) for r in self.rules}
         for r in self.rules:
-            _check_antisymmetric(r, pairs)
+            if (r.rhs, r.lhs) in pairs:
+                raise ValidationError(
+                    f"rule set is not anti-symmetric: {word_str(r.lhs)} <-> {word_str(r.rhs)}"
+                )
         if self.ordering is not None:
             if set(self.ordering.precedence) != set(self.alphabet.letters):
                 raise ValidationError("ordering precedence must list every letter exactly once")
@@ -258,26 +244,13 @@ class Presentation:
         """This presentation with rule ``i`` dropped (``new`` None) or
         replaced by ``new``, or with ``new`` appended (``i == len(rules)``).
 
-        Only ``new`` is checked, by the checks of ``__post_init__`` in their
-        order: its name against the running set ``_names``, its letters, and
-        its anti-symmetry against the running multiset ``_pairs``.  Every
-        other rule passed them already, and dropping a rule can fail none.
-        The running sets are copied, never changed, and the caches start
-        empty.
+        Nothing is checked, and the caches start empty.  The caller builds
+        ``new`` valid: ``completion.knuth_bendix`` names an added rule apart
+        from every name of its input and a rewritten one keeps its own name,
+        and orients each rule it builds, so that no rule meets its reverse.
+        The derived matcher (``rewrite._derived``) checks ``new``'s
+        orientation and rejects an undeclared letter of ``new``.
         """
-        old = self.rules[i] if i < len(self.rules) else None
-        names, pairs = set(self._names), self._pairs.copy()
-        if old is not None:
-            names.discard(old.name)
-            pairs[old.lhs, old.rhs] -= 1
-            if not pairs[old.lhs, old.rhs]:
-                del pairs[old.lhs, old.rhs]
-        if new is not None:
-            _check_name(new.name, names)
-            _check_letters(new, self.alphabet)
-            _check_antisymmetric(new, pairs)
-            names.add(new.name)
-            pairs[new.lhs, new.rhs] += 1
         put = () if new is None else (new,)
         q = object.__new__(Presentation)  # the fields as __init__ sets them, unchecked
         q.__dict__.update(
@@ -285,18 +258,8 @@ class Presentation:
             rules=self.rules[:i] + put + self.rules[i + 1 :],
             schemas=self.schemas,
             ordering=self.ordering,
-            _names=names,
-            _pairs=pairs,
         )
         return q
-
-    @cached_property
-    def _names(self) -> set:
-        return {r.name for r in self.rules} | {s.name for s in self.schemas}
-
-    @cached_property
-    def _pairs(self) -> Counter:
-        return Counter((r.lhs, r.rhs) for r in self.rules)
 
     # -- caches shared by the rewriting machinery (not part of equality);
     # rewrite._matcher keeps the compiled matcher beside them, as "_matcher" --

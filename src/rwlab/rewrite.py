@@ -160,8 +160,10 @@ class _Matcher:
         the list of the changed lhs is built anew, so this one's table is
         never written.  An entry keeps its declaration rank and a rule put
         in ``old``'s place takes its rank; an appended rule ranks above all
-        others, so ties still break in list order.  Only ``new`` is checked
-        for orientation, the schema part is shared.
+        others, so ties still break in list order.  The schema part is
+        shared.  ``new`` is the one rule checked: its orientation, which
+        guards termination, becomes ``unoriented``, and mirroring its sides
+        raises ``ValidationError`` on an undeclared letter.
         """
         m = object.__new__(_Matcher)
         for name in _SCHEMA_PART:
@@ -363,7 +365,8 @@ def _matcher(p: Presentation) -> _Matcher:
 
 def _derived(p: Presentation, i: int, new: Optional[Rule] = None) -> Presentation:
     """``p._derived(i, new)``, with its matcher derived from the matcher of
-    ``p``, which must be oriented."""
+    ``p``, which must be oriented.  The presentation checks nothing; the
+    matcher checks ``new``'s orientation and letters."""
     q = p._derived(i, new)
     old = p.rules[i] if i < len(p.rules) else None
     q.__dict__["_matcher"] = _matcher(p)._derived(old, new, p.ordering)

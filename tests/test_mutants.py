@@ -57,6 +57,7 @@ from test_completion_live import certificates_hold, derivations_match, live_list
 from test_declared_letters import assert_rejects
 from test_rewrite import UNORIENTED
 from test_rewrite_differential import assert_same
+from test_rewrite_one_string import CUT_RUN, CUT_RUN_WORD
 from test_squier_differential import assert_valid
 from test_suffix_families import NON_CONFLUENT
 from test_witness_differential import commutator_cases_match, constants_stay_with_their_ambient
@@ -220,6 +221,18 @@ def dropped_equations_pushed_in_order(monkeypatch):
     _patch_everywhere(monkeypatch, completion, "knuth_bendix", fault)
 
 
+def added_rule_takes_a_name_already_held(monkeypatch):
+    fault = _mutated(completion, "knuth_bendix", " if name not in taken)", ")")
+    _patch_everywhere(monkeypatch, completion, "knuth_bendix", fault)
+
+
+def added_rule_oriented_the_wrong_way(monkeypatch):
+    fault = _mutated(
+        completion, "knuth_bendix", "(u, v) if c > 0 else (v, u)", "(v, u) if c > 0 else (u, v)"
+    )
+    _patch_everywhere(monkeypatch, completion, "knuth_bendix", fault)
+
+
 def peaks_drop_the_empty_factor(monkeypatch):
     fault = _mutated(
         completion,
@@ -331,6 +344,11 @@ def undeclared_letter_mirrors_to_a_shared_character(monkeypatch):
     _patch_everywhere(monkeypatch, rewrite, "_mirror", fault)
 
 
+def a_failed_alternative_keeps_its_frontiers(monkeypatch):
+    fault = _mutated(rewrite._Matcher, "_resume", "v = out.start()", "v = out.start(); continue")
+    monkeypatch.setattr(rewrite._Matcher, "_resume", fault)
+
+
 def a_pass_stops_after_its_first_round(monkeypatch):
     fault = _mutated(rewrite._Matcher, "passes", "s = t", "return")
     monkeypatch.setattr(rewrite._Matcher, "passes", fault)
@@ -400,6 +418,15 @@ SMALL = Presentation(
     (Rule("r0", ("a", "b"), ()),),
     (RuleSchema("s", "X", ("a",), (), ("a", "a"), (), ("a",)),),
     OrderingSpec(("b", "a", "c")),
+)
+
+
+# The fighting pair with its first rule named kb1: a run adds kb2 and kb3.
+HOLDS_KB1 = Presentation(
+    Alphabet(("x", "y")),
+    (Rule("kb1", word("x y"), word("x")), Rule("r2", word("y x"), word("y"))),
+    (),
+    OrderingSpec(("x", "y")),
 )
 
 
@@ -560,6 +587,16 @@ KILL_MATRIX = {
         dropped_equations_pushed_in_order,
         completes_like_the_reference(m4_uncompleted, 40, 8, 1),
     ),
+    # Presentation rejects the rebuilt rule list, with two rules named kb1
+    "knuth_bendix names an added rule with a name the input holds": (
+        added_rule_takes_a_name_already_held,
+        lambda: derivations_match(HOLDS_KB1, (20, 6)),
+    ),
+    # the derived matcher keeps the unoriented rule, and the next reduction raises
+    "knuth_bendix orients an added rule the wrong way": (
+        added_rule_oriented_the_wrong_way,
+        lambda: derivations_match(_duplicated_rewrite(), (10, 6)),
+    ),
     "critical_peaks drops the empty factor": (
         peaks_drop_the_empty_factor,
         peaks_match_the_reference(EMPTY_LHS),
@@ -618,6 +655,11 @@ KILL_MATRIX = {
     "an undeclared letter mirrors to a shared character": (
         undeclared_letter_mirrors_to_a_shared_character,
         rejects_the_undeclared_letter(rewrite.reduction_path, "h a q x b", "q"),
+    ),
+    # s0 fails on the e that s1 wrote into its run, then s2 cuts past it
+    "a failed alternative keeps its frontiers from before the rewrite": (
+        a_failed_alternative_keeps_its_frontiers,
+        normal_forms_match_the_reference(CUT_RUN, [CUT_RUN_WORD]),
     ),
     "a schema matches one letter too far": (
         schema_matches_one_letter_too_far,

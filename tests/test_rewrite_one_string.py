@@ -194,6 +194,31 @@ def test_a_long_plain_rule_made_by_a_resumed_step_wins():
     assert_same_as_compiled(w, p)
 
 
+# s0 rewrites h a¹⁶ b b a¹⁶ c at 0, and the resumed search goes on at 0:
+# s0 meets d before its next c and fails, and s1 writes e into s0's run.
+# Resumed again, s0 meets that e, which is outside its range, and s2, whose
+# range holds e, rewrites with its variable end past it.  A run of s0 kept
+# past the e would let s0 rewrite h a¹⁶ e a¹⁶ c, where no rule applies.
+CUT_RUN = parse_presentation(
+    """
+    letters h a b c d e
+    order h a b c d e
+    schema s0 ( v : a b ) : h v c -> h v
+    schema s1 ( v : a b ) : h v b b -> h v e
+    schema s2 ( v : a e ) : h v d -> h v
+    """
+)
+CUT_RUN_WORD = word("h " + "a " * 16 + "b b " + "a " * 16 + "c d c")
+
+
+def test_a_run_cut_by_a_later_alternative_stays_cut():
+    w = CUT_RUN_WORD
+    steps = [(i, name) for i, _, name, _ in new_steps(w, CUT_RUN)]
+    assert steps == [(0, "s0"), (0, "s1"), (0, "s2")]
+    assert rewrite.normalize(w, fresh(CUT_RUN)) == word("h " + "a " * 16 + "e " + "a " * 16 + "c")
+    assert_same_as_compiled(w, CUT_RUN)
+
+
 def test_undeclared_letters_do_not_share_a_cache_key():
     # no word takes a key: each is rejected, naming its own letter
     p = fresh(preset("Qbar"))

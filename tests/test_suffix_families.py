@@ -98,8 +98,20 @@ def test_the_verdicts_of_the_presets():
 def test_the_verdict_is_taken_once(monkeypatch):
     p = fresh("P")
     assert completion.is_complete(p)
-    monkeypatch.setattr(completion, "is_confluent_bounded", None)  # a second call would raise
+    monkeypatch.setattr(completion, "resolve_peaks", None)  # a second call would raise
     assert completion.is_complete(p)
+
+
+def test_the_verdict_stops_at_the_first_unresolved_peak(monkeypatch):
+    p = fresh("Q")
+    resolved = []
+    resolve_peak = completion.resolve_peak
+    monkeypatch.setattr(
+        completion, "resolve_peak", lambda peak, q: resolved.append(peak) or resolve_peak(peak, q)
+    )
+    assert not completion.is_complete(p)
+    assert 0 < len(resolved) < len(completion.critical_peaks(fresh("Q")))
+    assert isinstance(resolve_peak(resolved[-1], fresh("Q")), completion.UnresolvedPeak)
 
 
 @settings(max_examples=150, deadline=None)
