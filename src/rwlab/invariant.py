@@ -14,6 +14,7 @@ ever produce free-group contexts.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -161,24 +162,30 @@ class CtParams:
     delta2: Optional[int] = None
 
     def __post_init__(self):
-        if self.family not in CT_FAMILIES:
-            raise RwlabError(f"unknown circuit family {self.family}")
-        required = REQUIRED_SLOTS[self.family]
-        for slot in required:
-            if getattr(self, slot) is None:
-                raise RwlabError(f"{self.family} requires parameter {slot}")
-        for slot in SLOTS:
-            if slot not in required and getattr(self, slot) is not None:
-                raise RwlabError(f"{self.family} does not take parameter {slot}")
-        if self.x is not None and self.x not in A_LETTERS:
+        """Reads each slot once, then checks: the family; its required slots
+        set, in its order; no other slot set, in ``SLOTS`` order; then x, the
+        exponents and the words, each in ``SLOTS`` order.  Once the first
+        two checks pass, the set slots are the family's, so the last three
+        visit those alone."""
+        family = self.family
+        if family not in CT_FAMILIES:
+            raise RwlabError(f"unknown circuit family {family}")
+        values = _slot_values(self)
+        required, others, exponents, words = _CHECKED[family]
+        for slot, k in required:
+            if values[k] is None:
+                raise RwlabError(f"{family} requires parameter {slot}")
+        for slot, k in others:
+            if values[k] is not None:
+                raise RwlabError(f"{family} does not take parameter {slot}")
+        x = values[0]  # SLOTS starts with x
+        if x is not None and x not in A_LETTERS:
             raise RwlabError(f"x must be one of {A_LETTERS}")
-        for slot in EXPONENT_SLOTS:
-            val = getattr(self, slot)
-            if val is not None and val not in (1, -1):
+        for slot, k in exponents:
+            if values[k] not in (1, -1):
                 raise RwlabError(f"{slot} must be +1 or -1")
-        for slot in WORD_SLOTS:
-            val = getattr(self, slot)
-            if val is not None and any(l not in A_LETTERS for l in val):
+        for slot, k in words:
+            if not all(map(A_LETTERS.__contains__, values[k])):
                 raise RwlabError(f"{slot} must be a word over a, a', b, b'")
 
     def describe(self) -> str:
@@ -201,6 +208,24 @@ class CtParams:
 SLOTS = tuple(f.name for f in fields(CtParams) if f.name != "family")
 WORD_SLOTS = tuple(s for s in SLOTS if s.startswith("w"))
 EXPONENT_SLOTS = tuple(s for s in SLOTS if s.startswith(("eps", "delta")))
+_slot_values = operator.attrgetter(*SLOTS)
+
+
+def _checked_slots(family: str) -> tuple:
+    """``(slot, position in SLOTS)`` pairs of the slots ``CtParams`` checks
+    for ``family``: its required ones in its order, the others, and its
+    exponents and its words in ``SLOTS`` order."""
+    required = REQUIRED_SLOTS[family]
+    at = {s: k for k, s in enumerate(SLOTS)}
+    return (
+        tuple((s, at[s]) for s in required),
+        tuple((s, k) for k, s in enumerate(SLOTS) if s not in required),
+        tuple((s, at[s]) for s in EXPONENT_SLOTS if s in required),
+        tuple((s, at[s]) for s in WORD_SLOTS if s in required),
+    )
+
+
+_CHECKED = {f: _checked_slots(f) for f in CT_FAMILIES}
 
 
 def a_pow(eps: int) -> Word:

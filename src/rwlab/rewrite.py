@@ -71,6 +71,10 @@ _target = operator.itemgetter(0)  # the string a step leads to
 _UNKNOWN = 0  # a frontier that knows nothing: ``_resume`` lifts it to the variable start
 _FAR = sys.maxsize  # a position past the end of every string
 _RESUME_MIN = 16  # a shorter variable is found again faster by the full search
+# positions the table scan covers per plain lhs before a matcher compiles its
+# lhs: compiling costs 6-10 µs per lhs and the scan 0.4-0.56 µs per position
+# (Qbar, M4, N4; CPython 3.11), so 16 is the break-even
+_COMPILE_AFTER = 16
 
 
 def _range_class(rng: str) -> str:
@@ -114,17 +118,23 @@ class _Matcher:
     """The leftmost-redex search of one presentation, over a string that
     mirrors the word one character per letter.
 
-    Plain rules sit in a table keyed by lhs.  Schemas share one compiled
-    alternation ``lhs_prefix([range]*?)lhs_suffix``: the lazy repeat gives
-    each schema's shortest instantiation, and the order of the alternatives
-    gives declaration order.  Only the schemas are compiled: completion,
-    which changes one rule at a time and keeps the schemas, derives each
-    system's matcher from the last one's (``_derived``) and compiles
-    nothing new.
+    Plain rules sit in a table keyed by lhs, which the search scans
+    position by position until it has covered ``_COMPILE_AFTER`` positions
+    per lhs; then the lhs are compiled into one ``re`` alternation, ranked
+    by their first rules, and searched in one call (``_plain``).  Schemas
+    share one compiled alternation ``lhs_prefix([range]*?)lhs_suffix``: the
+    lazy repeat gives each schema's shortest instantiation, and the order
+    of the alternatives gives declaration order.  Completion, which changes
+    one rule at a time and keeps the schemas, derives each system's matcher
+    from the last one's (``_derived``): the schema part is shared, and the
+    derived matcher scans its table from a count of its own, so only the
+    matchers that search much compile their lhs.
     """
 
     # set one by one by __init__ and _derived: a matcher has no __dict__
-    __slots__ = _SCHEMA_PART + ("unoriented", "top", "plain", "lengths", "maxlhs", "replacements")
+    __slots__ = _SCHEMA_PART + (
+        "unoriented", "top", "plain", "lengths", "maxlhs", "replacements", "scanned", "search"
+    )
 
     def __init__(self, p: Presentation):
         self.unoriented = _orientation_error(p)  # None, or why reducing raises
@@ -138,11 +148,24 @@ class _Matcher:
         self._index()
 
     def _index(self) -> None:
-        """Sets the lhs lengths, the longest, and each lhs's first rhs (passes)."""
+        """Sets the lhs lengths, the longest, and each lhs's first rhs
+        (passes); the table is not compiled, and no position scanned."""
         plain = self.plain
         self.lengths = sorted({len(lhs) for lhs in plain})
         self.maxlhs = max(self.lengths, default=0)
         self.replacements = [(lhs, entries[0][2]) for lhs, entries in plain.items()]
+        self.scanned, self.search = 0, None
+
+    def ranked(self) -> List[str]:
+        """The plain lhs by the rank of their first rules: at a position, the
+        first of them that matches is the first declared rule."""
+        plain = self.plain
+        return sorted(plain, key=lambda lhs: plain[lhs][0][0])
+
+    def _compile(self) -> None:
+        """Compiles the ranked lhs into the one alternation ``_plain``
+        searches; with no plain rule, into a pattern that never matches."""
+        self.search = re.compile("|".join(map(re.escape, self.ranked())) or "(?!)").search
 
     def _entry(self, rank: int, r: Rule) -> tuple:
         """The table entry of ``r``: its declaration rank, the rule, its rhs
@@ -217,8 +240,23 @@ class _Matcher:
 
     def _plain(self, s: str, lo: int, hi: int):
         """The first plain redex starting in ``[lo, hi)``, as ``leftmost``
-        gives it."""
+        gives it.
+
+        A compiled matcher searches its ranked alternation over
+        ``s[lo:hi + maxlhs - 1]``, where every lhs starting before ``hi``
+        ends; the search gives the leftmost start and there the first
+        ranked lhs.  Otherwise the table is probed at each position for
+        each lhs length, and the positions probed are counted: the table is
+        compiled once they reach ``_COMPILE_AFTER`` per lhs."""
+        search = self.search
+        if search is not None:
+            m = search(s, lo, hi + self.maxlhs - 1)
+            if m is None or m.start() >= hi:
+                return None
+            i, j = m.span()
+            return i, j, j, j, self.plain[m.group()][0]
         n, plain, lengths = len(s), self.plain, self.lengths
+        found, end = None, hi
         for i in range(lo, hi):
             best = j = None
             for length in lengths:
@@ -228,8 +266,13 @@ class _Matcher:
                 if hit is not None and (best is None or hit[0][0] < best[0]):
                     best, j = hit[0], i + length
             if best is not None:
-                return i, j, j, j, best
-        return None
+                found, end = (i, j, j, j, best), i + 1
+                break
+        if end > lo:
+            self.scanned += end - lo
+            if self.scanned >= _COMPILE_AFTER * len(plain):
+                self._compile()
+        return found
 
     def _front(self, k: int, b: int) -> tuple:
         """The frontiers ``(F, V, N, Q)`` of the schema alternatives at the

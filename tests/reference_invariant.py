@@ -12,6 +12,9 @@ renormalizes every term, also for an empty word; the commutator is the
 difference of two right actions; a witness is the ``total`` of its scaled,
 right-multiplied source values, which come from the former commutator
 through ``closed_form_ct`` and ``source_value`` below.
+
+``validate_ct_params`` is the former ``CtParams.__post_init__``, which
+read a slot by ``getattr`` for each check.
 """
 
 from __future__ import annotations
@@ -20,7 +23,20 @@ from typing import Dict
 
 from rwlab.completion import normal_form
 from rwlab.core import EMPTY, Presentation, RwlabError, Word
-from rwlab.invariant import LETTER_EXPONENTS, CtParams, WeightSpec, a_pow, b_pow, swap_pair
+from rwlab.invariant import (
+    A_LETTERS,
+    CT_FAMILIES,
+    EXPONENT_SLOTS,
+    LETTER_EXPONENTS,
+    REQUIRED_SLOTS,
+    SLOTS,
+    WORD_SLOTS,
+    CtParams,
+    WeightSpec,
+    a_pow,
+    b_pow,
+    swap_pair,
+)
 from rwlab.obstruction import (
     ONE_MINUS_A,
     Witness,
@@ -31,6 +47,30 @@ from rwlab.obstruction import (
 )
 from rwlab.ring import RingElement, check_letters, from_word, scale, sub, total, zero
 from rwlab.squier import Edge, Path
+
+
+def validate_ct_params(self) -> None:
+    """Raise ``RwlabError`` unless ``self``, anything with a ``family``
+    and every slot of ``SLOTS`` as attributes, holds valid parameters."""
+    if self.family not in CT_FAMILIES:
+        raise RwlabError(f"unknown circuit family {self.family}")
+    required = REQUIRED_SLOTS[self.family]
+    for slot in required:
+        if getattr(self, slot) is None:
+            raise RwlabError(f"{self.family} requires parameter {slot}")
+    for slot in SLOTS:
+        if slot not in required and getattr(self, slot) is not None:
+            raise RwlabError(f"{self.family} does not take parameter {slot}")
+    if self.x is not None and self.x not in A_LETTERS:
+        raise RwlabError(f"x must be one of {A_LETTERS}")
+    for slot in EXPONENT_SLOTS:
+        val = getattr(self, slot)
+        if val is not None and val not in (1, -1):
+            raise RwlabError(f"{slot} must be +1 or -1")
+    for slot in WORD_SLOTS:
+        val = getattr(self, slot)
+        if val is not None and any(l not in A_LETTERS for l in val):
+            raise RwlabError(f"{slot} must be a word over a, a', b, b'")
 
 
 def phi_edge(e: Edge, weights: WeightSpec, ambient: Presentation) -> RingElement:

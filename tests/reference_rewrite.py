@@ -8,6 +8,10 @@ and probes every schema letter by letter at every position.
 
 ``compiled_leftmost_steps`` and ``compiled_normalize`` are the compiled loop
 that replaced it, before the normalizer ran on one mirror string.
+
+``table_scan`` is the plain-rule search of ``rwlab.rewrite._Matcher._plain``
+before it compiled the lhs into one alternation: it probes the table at
+each position for each lhs length, and counts nothing.
 """
 
 from __future__ import annotations
@@ -235,3 +239,21 @@ def compiled_normalize(w: Word, p: Presentation) -> Word:
     while len(m.order) > rewrite.NF_CACHE_CAP:
         del cache[m.order.popleft()]
     return nf
+
+
+def table_scan(m, s: str, lo: int, hi: int):
+    """The first plain redex of ``s`` starting in ``[lo, hi)`` under the
+    matcher ``m``, as ``(i, j, j, j, entry)``: at a position, the lhs whose
+    first entry has the lowest rank."""
+    n, plain, lengths = len(s), m.plain, m.lengths
+    for i in range(lo, hi):
+        best = j = None
+        for length in lengths:
+            if i + length > n:
+                break
+            hit = plain.get(s[i : i + length])
+            if hit is not None and (best is None or hit[0][0] < best[0]):
+                best, j = hit[0], i + length
+        if best is not None:
+            return i, j, j, j, best
+    return None

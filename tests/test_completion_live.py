@@ -95,12 +95,13 @@ def certificates_hold(p, args) -> bool:
 
 def _table(m) -> tuple:
     """What a matcher's search reads of its plain rules: each lhs's entries
-    without their ranks, in their order, and the rules ranked across the
-    table; with ``lengths``, ``maxlhs``, ``unoriented`` and the rhs string
-    each lhs is replaced by in a pass."""
+    without their ranks, in their order, the rules ranked across the table,
+    and the lhs in the order the compiled search tries them; with
+    ``lengths``, ``maxlhs``, ``unoriented`` and the rhs string each lhs is
+    replaced by in a pass."""
     by_lhs = {lhs: [e[1:] for e in entries] for lhs, entries in m.plain.items()}
     ranked = [e[1] for e in sorted(e for entries in m.plain.values() for e in entries)]
-    return by_lhs, ranked, m.lengths, m.maxlhs, m.unoriented, dict(m.replacements)
+    return by_lhs, ranked, m.ranked(), m.lengths, m.maxlhs, m.unoriented, dict(m.replacements)
 
 
 def _snapshot(p) -> tuple:

@@ -1,7 +1,12 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_invariant as ref
 
 from rwlab.casestudy import (
     build_C_path,
@@ -13,7 +18,10 @@ from rwlab.casestudy import (
 from rwlab.core import EMPTY, RwlabError, word, words_over
 from rwlab.invariant import (
     A_LETTERS,
+    CT_FAMILIES,
+    REQUIRED_SLOTS,
     SLOTS,
+    WORD_SLOTS,
     CtParams,
     CASE_STUDY_WEIGHTS,
     WeightSpec,
@@ -111,6 +119,59 @@ def test_ct_params_validation():
         CtParams("CT2", x="a", w=EMPTY)  # extraneous slot
     with pytest.raises(RwlabError):
         CtParams("CT4", w=EMPTY, eps=2, delta=1)
+
+
+ANY_VALUE = st.one_of(
+    st.sampled_from(("a", "a'", "b", "b'", "h", "", 1, -1, 0, 2, True)),
+    st.lists(st.sampled_from(("a", "a'", "b", "b'", "h", "z")), max_size=3).map(tuple),
+    st.lists(st.sampled_from(("a", "b", 1)), max_size=2),
+)
+
+
+def _slot_value(slot):
+    """Most often a value that ``slot`` takes, else one near it or any
+    value, so that every check is reached and fails now and then."""
+    if slot == "x":
+        valid, near = st.sampled_from(A_LETTERS), st.sampled_from(("h", "", "a b", "A"))
+    elif slot in WORD_SLOTS:
+        valid = st.lists(st.sampled_from(A_LETTERS), max_size=3).map(tuple)
+        near = st.lists(st.sampled_from(A_LETTERS + ("h",)), min_size=1, max_size=3).map(tuple)
+    else:
+        valid, near = st.sampled_from((1, -1)), st.one_of(st.integers(-2, 2), st.booleans())
+    return st.one_of(valid, valid, near, ANY_VALUE)
+
+
+@st.composite
+def slot_assignments(draw):
+    """A family name, most often a real one, and the slots set for it:
+    mostly the ones it requires, now and then one missing or one more."""
+    family = draw(st.sampled_from(CT_FAMILIES * 3 + ("CT8", "")))
+    required = REQUIRED_SLOTS.get(family, ())
+    slots = {}
+    for slot in SLOTS:
+        if (slot in required) != (draw(st.integers(0, 29)) == 0):
+            slots[slot] = draw(_slot_value(slot))
+    return family, slots
+
+
+def _raised(make):
+    """The type and message of what ``make()`` raises, or None."""
+    try:
+        make()
+    except Exception as exc:  # noqa: BLE001  (the two validators must raise alike)
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=slot_assignments())
+def test_ct_params_raise_what_the_former_validator_raises(case):
+    family, slots = case
+    # the former validator reads the drawn slots off a namespace, unset ones None
+    former = SimpleNamespace(family=family, **{**dict.fromkeys(SLOTS), **slots})
+    assert _raised(lambda: CtParams(family, **slots)) == _raised(
+        lambda: ref.validate_ct_params(former)
+    )
 
 
 def test_ct_params_slots_and_describe():

@@ -25,6 +25,7 @@ import pytest
 import reference_completion as ref
 import reference_rewrite as ref_rewrite
 import rwlab
+import test_compiled_search as compiled_search
 import test_phi_differential as phi
 import test_suffix_families as suffix
 from rwlab import casestudy, completion, invariant, obstruction, rewrite, ring, squier, structure
@@ -283,6 +284,32 @@ def derivation_splices_the_base_lists(monkeypatch):
     monkeypatch.setattr(rewrite._Matcher, "_derived", fault)
 
 
+def the_alternation_is_in_table_order(monkeypatch):
+    fault = _mutated(
+        rewrite._Matcher, "ranked", "sorted(plain, key=lambda lhs: plain[lhs][0][0])", "list(plain)"
+    )
+    monkeypatch.setattr(rewrite._Matcher, "ranked", fault)
+
+
+def the_alternation_is_in_lexicographic_order(monkeypatch):
+    fault = _mutated(
+        rewrite._Matcher, "ranked", "sorted(plain, key=lambda lhs: plain[lhs][0][0])", "sorted(plain)"
+    )
+    monkeypatch.setattr(rewrite._Matcher, "ranked", fault)
+
+
+def the_compiled_search_accepts_a_match_at_hi(monkeypatch):
+    fault = _mutated(rewrite._Matcher, "_plain", "m.start() >= hi", "m.start() > hi")
+    monkeypatch.setattr(rewrite._Matcher, "_plain", fault)
+
+
+def a_derived_matcher_inherits_its_parents_count(monkeypatch):
+    fault = _mutated(
+        rewrite._Matcher, "_derived", "m._index()", "m._index(); m.scanned = self.scanned"
+    )
+    monkeypatch.setattr(rewrite._Matcher, "_derived", fault)
+
+
 def invert_keeps_the_edge_order(monkeypatch):
     fault = _mutated(squier, "invert", "in reversed(p.steps)", "in p.steps")
     _patch_everywhere(monkeypatch, squier, "invert", fault)
@@ -520,6 +547,11 @@ def isometry_counts_pairs(radius, pairs):
     return lambda: structure.isometry_check(preset("M4"), preset("N4"), radius).pair_count == pairs
 
 
+def few_compiles_in_a_q_run():
+    with pytest.MonkeyPatch.context() as patched:
+        return len(compiled_search.q_run_compiles(patched, (20, 8))) <= 3
+
+
 def completes_like_the_reference(make, *args):
     def check():
         p = make()
@@ -621,6 +653,27 @@ KILL_MATRIX = {
     "a derivation splices the base's lists in place, changing the caller's presentation": (
         derivation_splices_the_base_lists,
         lambda: derivations_match(_duplicated_rewrite(), (10, 6)),
+    ),
+    # at a b c the first ranked lhs is a b before r0 is dropped, a b c after
+    "the plain alternation is in table order": (
+        the_alternation_is_in_table_order,
+        compiled_search.compiled_search_matches_the_table_scan,
+    ),
+    # a sorts before a b and a b c, and its rule is declared last
+    "the plain alternation is in lexicographic order": (
+        the_alternation_is_in_lexicographic_order,
+        compiled_search.compiled_search_matches_the_table_scan,
+    ),
+    # c a b c has a b at 1, outside the window [0, 1)
+    "the compiled search accepts a match that starts at hi": (
+        the_compiled_search_accepts_a_match_at_hi,
+        compiled_search.compiled_search_matches_the_table_scan,
+    ),
+    # Q's matcher has scanned 72 positions when the run derives its first
+    # matcher; carried along, the count compiles 11 of the run's 20
+    "a derived matcher inherits its parent's count": (
+        a_derived_matcher_inherits_its_parents_count,
+        few_compiles_in_a_q_run,
     ),
     "invert keeps the edge order": (
         invert_keeps_the_edge_order,
