@@ -92,8 +92,6 @@ def _schema_part(letters: tuple, schemas: tuple) -> tuple:
     entries = []
     alts = []  # (lhs prefix string, |lhs prefix|, lhs suffix string, |lhs suffix|, outside the range)
     patterns = []
-    ranges = {}  # range characters -> (index, a match up to the last character outside them)
-    runs = set()  # (|lhs prefix|, |lhs suffix|, range index)
     for k, s in enumerate(schemas):
         rng = "".join(sorted(set(mirror(s.variable_range))))
         var = f"([{re.escape(rng)}]*?)" if rng else "()"
@@ -102,16 +100,13 @@ def _schema_part(letters: tuple, schemas: tuple) -> tuple:
         keep = s.lhs_prefix == s.rhs_prefix
         entries.append((k, s, mirror(s.rhs_prefix), mirror(s.rhs_suffix), keep))
         alts.append((pre, len(pre), suf, len(suf), re.compile(_range_class(rng))))
-        r = ranges.setdefault(rng, (len(ranges), re.compile(f"(?s:.)*{_range_class(rng)}")))[0]
-        runs.add((len(pre), len(suf), r))
     pattern = re.compile("|".join(pat.pattern for pat in patterns)) if patterns else None
-    lastout = tuple(last for _, last in ranges.values())
     back = {c: x for x, c in chars.items()}  # the mirror read back
-    return chars, back, tuple(entries), tuple(alts), tuple(patterns), pattern, tuple(runs), lastout
+    return chars, back, tuple(entries), tuple(alts), tuple(patterns), pattern
 
 
 # the matcher attributes _schema_part builds, which derived matchers share
-_SCHEMA_PART = ("chars", "letters", "schemas", "alts", "patterns", "pattern", "runs", "lastout")
+_SCHEMA_PART = ("chars", "letters", "schemas", "alts", "patterns", "pattern")
 
 
 class _Matcher:
@@ -120,11 +115,12 @@ class _Matcher:
 
     Plain rules sit in a table keyed by lhs, which the search scans
     position by position until it has covered ``_COMPILE_AFTER`` positions
-    per lhs; then the lhs are compiled into one ``re`` alternation, ranked
-    by their first rules, and searched in one call (``_plain``).  Schemas
-    share one compiled alternation ``lhs_prefix([range]*?)lhs_suffix``: the
-    lazy repeat gives each schema's shortest instantiation, and the order
-    of the alternatives gives declaration order.  Completion, which changes
+    per lhs; then the lhs, ranked by their first rules, and the schemas are
+    compiled into one ``re`` alternation (``_compile``) that finds each
+    redex in one call.  Schemas share one compiled alternation
+    ``lhs_prefix([range]*?)lhs_suffix``: the lazy repeat gives each schema's
+    shortest instantiation, and the order of the alternatives gives
+    declaration order.  Completion, which changes
     one rule at a time and keeps the schemas, derives each system's matcher
     from the last one's (``_derived``): the schema part is shared, and the
     derived matcher scans its table from a count of its own, so only the
@@ -163,9 +159,14 @@ class _Matcher:
         return sorted(plain, key=lambda lhs: plain[lhs][0][0])
 
     def _compile(self) -> None:
-        """Compiles the ranked lhs into the one alternation ``_plain``
-        searches; with no plain rule, into a pattern that never matches."""
-        self.search = re.compile("|".join(map(re.escape, self.ranked())) or "(?!)").search
+        """Compiles the ranked lhs, then the schema alternation, into the one
+        alternation ``leftmost`` and ``_plain`` search: a plain lhs matches
+        with no group, schema k with its variable as group k + 1; with
+        neither, the pattern never matches."""
+        alts = list(map(re.escape, self.ranked()))
+        if self.pattern is not None:
+            alts.append(self.pattern.pattern)
+        self.search = re.compile("|".join(alts) or "(?!)").search
 
     def _entry(self, rank: int, r: Rule) -> tuple:
         """The table entry of ``r``: its declaration rank, the rule, its rhs
@@ -220,20 +221,29 @@ class _Matcher:
         """The word a mirror string stands for."""
         return tuple(map(self.letters.__getitem__, s))
 
-    def leftmost(self, s: str, plain_from: int = 0, schema_from: int = 0):
-        """The leftmost redex of ``s`` as ``(i, j, a, b, entry)``: the lhs
-        is ``s[i:j]``, the schema variable ``s[a:b]`` (empty for a plain
-        rule), and the result is ``entry``'s rhs prefix, the variable and
-        its rhs suffix.  At a position the first declared plain rule wins,
-        then the first declared schema.  No plain redex may start before
-        ``plain_from`` and no schema redex before ``schema_from``."""
+    def leftmost(self, s: str, lo: int = 0):
+        """The leftmost redex of ``s`` from ``lo`` on, as ``(i, j, a, b,
+        entry)``: the lhs is ``s[i:j]``, the schema variable ``s[a:b]``
+        (empty for a plain rule), and the result is ``entry``'s rhs prefix,
+        the variable and its rhs suffix.  At a position the first declared
+        plain rule wins, then the first declared schema with its shortest
+        variable; an empty lhs at the end is no redex.  A compiled matcher
+        makes one search; otherwise the schema alternation is searched, then
+        the table scanned up to its match."""
         n = len(s)
-        m = self.pattern.search(s, schema_from) if self.pattern is not None else None
-        if m is not None and m.start() == n:
-            m = None  # an empty lhs at the end of the word is no redex
-        found = self._plain(s, plain_from, n if m is None else m.start() + 1)
-        if found is not None or m is None:
-            return found
+        search = self.search
+        if search is not None:
+            m = search(s, lo)
+            if m is not None and m.lastindex is None:  # a plain lhs
+                i, j = m.span()
+                return i, j, j, j, self.plain[m.group()][0]
+        else:
+            m = self.pattern.search(s, lo) if self.pattern is not None else None
+            found = self._plain(s, lo, n if m is None else min(m.start() + 1, n))
+            if found is not None:
+                return found
+        if m is None or m.start() == n:
+            return None
         k = m.lastindex - 1
         a, b = m.span(k + 1)
         return m.start(), m.end(), a, b, self.schemas[k]
@@ -242,15 +252,19 @@ class _Matcher:
         """The first plain redex starting in ``[lo, hi)``, as ``leftmost``
         gives it.
 
-        A compiled matcher searches its ranked alternation over
+        A compiled matcher searches its joint alternation over
         ``s[lo:hi + maxlhs - 1]``, where every lhs starting before ``hi``
         ends; the search gives the leftmost start and there the first
-        ranked lhs.  Otherwise the table is probed at each position for
-        each lhs length, and the positions probed are counted: the table is
-        compiled once they reach ``_COMPILE_AFTER`` per lhs."""
+        ranked lhs, and it goes on past a schema's match.  Otherwise the
+        table is probed at each position for each lhs length, and the
+        positions probed are counted: the table is compiled once they reach
+        ``_COMPILE_AFTER`` per lhs."""
         search = self.search
         if search is not None:
-            m = search(s, lo, hi + self.maxlhs - 1)
+            end, hi = hi + self.maxlhs - 1, min(hi, len(s))  # no lhs is empty
+            m = search(s, lo, end)
+            while m is not None and m.lastindex is not None and m.start() < hi:
+                m = search(s, m.start() + 1, end)
             if m is None or m.start() >= hi:
                 return None
             i, j = m.span()
@@ -273,6 +287,15 @@ class _Matcher:
             if self.scanned >= _COMPILE_AFTER * len(plain):
                 self._compile()
         return found
+
+    def _clear(self, s: str, i: int, c: int) -> bool:
+        """Whether no schema redex can start before ``i`` in ``s``, just
+        rewritten at its leftmost redex ``i`` with ``s[:c]`` kept: a new one
+        must reach ``c``, so a character outside the range in
+        ``s[i + |lhs_prefix| - 1 : c - |lhs_suffix| + 1]``, which starts in
+        the rewrite's prefix, rules each schema out; none is read before ``i``."""
+        alts = self.alts
+        return not i or all(out.search(s, i + lp - 1, c - ls + 1) for _, lp, _, ls, out in alts)
 
     def _front(self, k: int, b: int) -> tuple:
         """The frontiers ``(F, V, N, Q)`` of the schema alternatives at the
@@ -503,29 +526,23 @@ def _leftmost_steps(w: Word, s: str, m: _Matcher) -> Iterator[tuple]:
     After a rewrite at ``i`` that leaves the string unchanged before
     ``c`` (``c = i``, or the variable's end for a schema that keeps its
     prefix), a redex that is new must reach ``c``; every other redex
-    already existed, so it starts at ``i`` or later.  So no plain redex starts
-    before ``c - max|lhs| + 1``, and no schema redex before the start of
-    its range run up to ``c - |lhs_suffix| + 1``, less ``|lhs_prefix|``.
-    Each range keeps a span ``[r, e)`` of range characters, with
-    ``r = 0`` or a character outside the range at ``r - 1``, across steps:
-    a rewrite at ``c >= r`` only cuts ``e`` to ``c``, so the run starts
-    come from short scans, not from a copy of the prefix.
+    already existed, so it starts at ``i`` or later.
 
-    After a schema rewrite at ``p`` with no schema redex possible before
-    ``p``, the leftmost redex is a plain one in ``[c - max|lhs| + 1, p]``
-    (a plain redex at ``p`` wins over a schema), or else a schema redex at
-    ``p`` (see ``_resume``), or else lies after ``p``.  Every other step,
-    a schema redex that does not start at ``p`` again, and a variable
-    shorter than ``_RESUME_MIN`` fall back to the full search of
-    ``leftmost``; ``_front`` starts the frontiers from the schema redex it
-    finds.  So each step is the leftmost-start, first-declared,
-    shortest-variable redex that a search from 0 would find.
+    After a schema rewrite at ``p`` with a variable of at least
+    ``_RESUME_MIN`` letters and no schema redex possible before ``p``
+    (``_Matcher._clear``), the leftmost redex is a plain one in
+    ``[c - max|lhs| + 1, p]`` (a plain redex at ``p`` wins over a schema),
+    or else a schema redex at ``p`` (see ``_resume``), or else lies after
+    ``p``, where one search from ``p + 1`` finds it.  Every other step takes
+    one search of ``leftmost`` from the start of the string, and ``_front``
+    starts the frontiers from the schema redex it finds.  So each step is
+    the leftmost-start, first-declared, shortest-variable redex that a
+    search from 0 would find; no state but the frontiers outlives a step.
     """
     found = m.leftmost(s)
     if found is None:
         return
-    leftmost, maxlhs, runs, lastout = m.leftmost, m.maxlhs, m.runs, m.lastout
-    spans = [[0, 0] for _ in lastout]  # per range: [r, e)
+    leftmost, maxlhs, clear = m.leftmost, m.maxlhs, m._clear
     front = None  # the frontiers of a schema redex's start, once resumed from
     for _ in range(STEP_CAP):
         i, j, a, b, (k, x, rpre, rsuf, keep) = found
@@ -534,37 +551,17 @@ def _leftmost_steps(w: Word, s: str, m: _Matcher) -> Iterator[tuple]:
         d += len(s)
         yield s, i, j, a, b, x
         c = b if keep else i
-        for span in spans:
-            if c < span[0]:
-                span[0] = span[1] = 0
-            elif c < span[1]:
-                span[1] = c
-        schema_from = i
-        for lp, ls, r in runs:
-            span, to = spans[r], c - ls + 1
-            if to > span[1]:
-                out = lastout[r].match(s, span[1], to)
-                if out is not None:
-                    span[0] = out.end()
-                span[1] = to
-            elif to < span[0]:
-                out = lastout[r].match(s, 0, to) if to > 0 else None
-                span[0], span[1] = 0 if out is None else out.end(), max(0, to)
-            if span[0] - lp < schema_from:
-                schema_from = max(0, span[0] - lp)
-        found = None
-        if keep is not None and schema_from == i and b - a >= _RESUME_MIN:
+        if keep is None or b - a < _RESUME_MIN or not clear(s, i, c):
+            found, front = leftmost(s), None
+        else:
             lo = c - maxlhs + 1
-            if lo <= i:
-                found = m._plain(s, max(0, lo), i + 1)
+            found = m._plain(s, max(0, lo), i + 1) if lo <= i else None
             if found is None:
                 if front is None:  # the full search found this redex
                     front = m._front(k, b)
                 found = m._resume(s, i, c, j, d, front)
                 if found is None:
-                    found, front = leftmost(s, i + 1, i + 1), None
-        else:
-            found, front = leftmost(s, max(0, min(i, c - maxlhs + 1)), schema_from), None
+                    found, front = leftmost(s, i + 1), None
         if found is None:
             return
     raise RewriteError(f"step cap exceeded while reducing {word_str(w)}")

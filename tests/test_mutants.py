@@ -26,6 +26,7 @@ import reference_completion as ref
 import reference_rewrite as ref_rewrite
 import rwlab
 import test_compiled_search as compiled_search
+import test_one_search as one_search
 import test_phi_differential as phi
 import test_suffix_families as suffix
 from rwlab import casestudy, completion, invariant, obstruction, rewrite, ring, squier, structure
@@ -308,6 +309,21 @@ def a_derived_matcher_inherits_its_parents_count(monkeypatch):
         rewrite._Matcher, "_derived", "m._index()", "m._index(); m.scanned = self.scanned"
     )
     monkeypatch.setattr(rewrite._Matcher, "_derived", fault)
+
+
+def the_joint_alternation_puts_the_schemas_first(monkeypatch):
+    fault = _mutated(
+        rewrite._Matcher,
+        "_compile",
+        "alts.append(self.pattern.pattern)",
+        "alts.insert(0, self.pattern.pattern)",
+    )
+    monkeypatch.setattr(rewrite._Matcher, "_compile", fault)
+
+
+def the_resume_is_entered_without_its_guard(monkeypatch):
+    fault = _mutated(rewrite, "_leftmost_steps", " or not clear(s, i, c)", "")
+    _patch_everywhere(monkeypatch, rewrite, "_leftmost_steps", fault)
 
 
 def invert_keeps_the_edge_order(monkeypatch):
@@ -674,6 +690,18 @@ KILL_MATRIX = {
     "a derived matcher inherits its parent's count": (
         a_derived_matcher_inherits_its_parents_count,
         few_compiles_in_a_q_run,
+    ),
+    # at h a b the plain rule C_pp and schema Cb_pp's empty instance match
+    "the joint alternation lists the schemas before the plain lhs": (
+        the_joint_alternation_puts_the_schemas_first,
+        lambda: one_search.steps_match(preset("Qbar"), one_search.PLAIN_FIRST_WORDS),
+    ),
+    # S1's rewrite at 1 makes a redex of S2 at 0, whose range holds h
+    "the resume chain is entered without its guard": (
+        the_resume_is_entered_without_its_guard,
+        lambda: one_search.steps_match(
+            one_search.GUARDED, [one_search.GUARDED_WORD], one_search.uncompiled_copy
+        ),
     ),
     "invert keeps the edge order": (
         invert_keeps_the_edge_order,

@@ -393,9 +393,9 @@ def test_reduction_path_skips_the_validating_walk(monkeypatch):
 
 def test_a_rewrite_before_a_run_resets_the_run():
     # r0 makes h h h a, then S0 rewrites h a at 2 and at 1; the rewrite at
-    # 1 lands before the start of the range run the step at 2 left, so that
-    # run's span must be reset: a span kept past it hides the last match,
-    # at 0, and stops at h a d d
+    # 1 lands before the start of the range run the step at 2 left, and a
+    # search that trusted that run would miss the last match, at 0, and
+    # stop at h a d d
     p = parse_presentation(
         """
         letters h a b c d
