@@ -16,7 +16,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -27,6 +26,7 @@ from .core import (
     Rule,
     RuleSchema,
     RwlabError,
+    ValidationError,
     Word,
     instantiate_schema,
     shortlex_key,
@@ -784,30 +784,47 @@ def _one_step_neighbors(w: Word, table, max_len: int) -> List[Word]:
 
 
 def bfs_equivalence_oracle(u: Word, v: Word, p: Presentation, max_len: int) -> bool:
-    """Decide u ↔* v inside the length-bounded universe by breadth-first
-    closure under rule applications in both directions.
+    """Decide u ↔* v inside the length-bounded universe by a breadth-first
+    search from both ends at once, under rule applications in both
+    directions.
+
+    The table holds every rule both ways round, and a step inside the bound
+    stays inside it read backwards, so the one-step relation is symmetric:
+    a word reached from both ends joins them.  Each round expands one whole
+    level of the side whose frontier is smaller.  The answer is True as soon
+    as a neighbour is in the other side's seen set, and False as soon as a
+    frontier is empty: that side's component inside the bound is then
+    closed, and the other word is not in it.
 
     Independent of normalization: no ordering, no strategy, no schemas
-    beyond the presentation's plain rules.
+    beyond the presentation's plain rules.  ``ValidationError`` naming the
+    first letter of ``u`` or ``v`` that ``p`` does not declare.
     """
     if len(u) > max_len or len(v) > max_len:
         raise RwlabError("oracle inputs must respect the length bound")
     if p.schemas:
         raise RwlabError("the oracle only handles plain-rule presentations")
+    for x in u + v:
+        if x not in p.alphabet:
+            raise ValidationError(f"undeclared letter {x}")
     if u == v:
         return True
     forward = [(r.lhs, r.rhs) for r in p.rules]
     table = _replacement_table(forward + [(dst, src) for src, dst in forward])
-    seen = {u}
-    frontier = deque([u])
+    frontier, seen = [u], {u}
+    other_frontier, other_seen = [v], {v}
     while frontier:
-        w = frontier.popleft()
-        for nxt in _one_step_neighbors(w, table, max_len):
-            if nxt == v:
-                return True
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
+        level = []
+        for w in frontier:
+            for nxt in _one_step_neighbors(w, table, max_len):
+                if nxt in other_seen:
+                    return True
+                if nxt not in seen:
+                    seen.add(nxt)
+                    level.append(nxt)
+        frontier = level
+        if len(frontier) > len(other_frontier):
+            frontier, seen, other_frontier, other_seen = other_frontier, other_seen, frontier, seen
     return False
 
 
@@ -856,7 +873,9 @@ def equivalence_classes(p: Presentation, max_len: int):
     the prefixes x sweep two arithmetic progressions.  No word is built.
     Returns ``classof(word) -> representative index``; ``RwlabError``,
     before anything is allocated, when the universe has more than
-    ``rewrite.ENUMERATION_CAP`` words.
+    ``rewrite.ENUMERATION_CAP`` words.  ``classof`` raises
+    ``ValidationError`` naming the first letter of its word that ``p`` does
+    not declare.
     """
     if p.schemas:
         raise RwlabError("the oracle only handles plain-rule presentations")
@@ -895,6 +914,9 @@ def equivalence_classes(p: Presentation, max_len: int):
                         uf.union(left + t, left_step, right + t, right_step, prefixes)
 
     def classof(w: Word) -> int:
-        return uf.find(offsets[len(w)] + value(w))
+        try:
+            return uf.find(offsets[len(w)] + value(w))
+        except KeyError as exc:
+            raise ValidationError(f"undeclared letter {exc.args[0]}") from None
 
     return classof

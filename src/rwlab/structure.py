@@ -66,9 +66,19 @@ class Ball:
 def cayley_ball(p: Presentation, center: Word, radius: int) -> Ball:
     """Least right-multiplication distances from ``center`` up to ``radius``;
     ``RwlabError`` once the ball has more than ``BALL_VERTEX_CAP`` vertices.
-    The successors ``normalize(u·g)`` are memoized by the normal-form cache."""
+    The successors ``normalize(u·g)`` are asked of a fresh successor table,
+    and each is memoized by the normal-form cache."""
+    return _ball(p, center, radius, {})
+
+
+def _ball(p: Presentation, center: Word, radius: int, successors: dict) -> Ball:
+    """``cayley_ball`` through ``successors``, which maps a normal form ``u``
+    of ``p`` to the list of ``normalize(u·g)`` over the letters ``g`` of
+    ``p``: an entry missing is added, one present is read, so balls that
+    share the table ask ``normalize`` once per vertex and letter."""
     if radius < 0:
         raise RwlabError(f"radius must be non-negative (got {radius})")
+    letters = p.alphabet.letters
     start = normalize(center, p)
     distances = {start: 0}
     frontier = deque([start])
@@ -77,8 +87,10 @@ def cayley_ball(p: Presentation, center: Word, radius: int) -> Ball:
         d = distances[u]
         if d == radius:
             continue
-        for g in p.alphabet.letters:
-            v = normalize(u + (g,), p)
+        after = successors.get(u)
+        if after is None:
+            after = successors[u] = [normalize(u + (g,), p) for g in letters]
+        for v in after:
             if v not in distances:
                 distances[v] = d + 1
                 frontier.append(v)
@@ -137,8 +149,14 @@ def isometry_check(
     "unreachable within radius" treated as a value.  ``RwlabError``, before
     any per-vertex ball is built, when there are more than
     ``rewrite.ENUMERATION_CAP`` ordered pairs.
+
+    Each presentation keeps one successor table for the whole check, so
+    ``normalize(u·g)`` is asked once per check and not once per ball that
+    reaches ``u``; the distances are those of a fresh ``cayley_ball`` per
+    vertex.
     """
-    ball1, ball2 = cayley_ball(p1, center, radius), cayley_ball(p2, center, radius)
+    after1, after2 = {}, {}
+    ball1, ball2 = _ball(p1, center, radius, after1), _ball(p2, center, radius, after2)
     report = IsometryReport(radius, center, vertex_sets_match=set(ball1.distances) == set(ball2.distances))
     if not report.vertex_sets_match:
         return report
@@ -152,7 +170,8 @@ def isometry_check(
     )
     vertices = sorted(ball1.distances, key=lambda w: shortlex_key(w, p1.ordering))
     for u in vertices:
-        du1, du2 = cayley_ball(p1, u, radius).distances, cayley_ball(p2, u, radius).distances
+        du1 = _ball(p1, u, radius, after1).distances
+        du2 = _ball(p2, u, radius, after2).distances
         for v in vertices:
             report.pair_count += 1
             d1, d2 = du1.get(v), du2.get(v)

@@ -11,6 +11,12 @@ a table keyed by their first letter.  The classes crash on a rule with an
 empty lhs (``lhs[0]``) and on a step that leaves the length-bounded universe;
 the differential tests keep to presentations on which they do not.
 
+``bfs_equivalence_oracle_one_sided`` is the later BFS, unchanged but for its
+name and that of its neighbour helper: it steps through the replacement
+table that ``rwlab.completion`` still uses, but searches from ``u`` alone,
+so it expands the whole component of ``u`` inside the bound whenever ``v``
+is not in it.
+
 ``equivalence_classes_by_neighbours`` is the later closure, unchanged: it
 walks every word of the universe in rank order, builds each one-step
 neighbour through the replacement table the BFS still uses, and ranks it
@@ -105,6 +111,34 @@ def bfs_equivalence_oracle(u: Word, v: Word, p: Presentation, max_len: int) -> b
     while frontier:
         w = frontier.popleft()
         for nxt in _one_step_neighbors(w, rules, max_len):
+            if nxt == v:
+                return True
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return False
+
+
+def bfs_equivalence_oracle_one_sided(u: Word, v: Word, p: Presentation, max_len: int) -> bool:
+    """Decide u ↔* v inside the length-bounded universe by breadth-first
+    closure under rule applications in both directions.
+
+    Independent of normalization: no ordering, no strategy, no schemas
+    beyond the presentation's plain rules.
+    """
+    if len(u) > max_len or len(v) > max_len:
+        raise RwlabError("oracle inputs must respect the length bound")
+    if p.schemas:
+        raise RwlabError("the oracle only handles plain-rule presentations")
+    if u == v:
+        return True
+    forward = [(r.lhs, r.rhs) for r in p.rules]
+    table = _replacement_table(forward + [(dst, src) for src, dst in forward])
+    seen = {u}
+    frontier = deque([u])
+    while frontier:
+        w = frontier.popleft()
+        for nxt in _table_neighbors(w, table, max_len):
             if nxt == v:
                 return True
             if nxt not in seen:

@@ -61,6 +61,7 @@ from test_rewrite import UNORIENTED
 from test_rewrite_differential import assert_same
 from test_rewrite_one_string import CUT_RUN, CUT_RUN_WORD
 from test_squier_differential import assert_valid
+from test_structure import skewed_p
 from test_suffix_families import NON_CONFLUENT
 from test_witness_differential import commutator_cases_match, constants_stay_with_their_ambient
 
@@ -419,6 +420,18 @@ def isometry_skips_the_last_vertex(monkeypatch):
     _patch_everywhere(monkeypatch, structure, "isometry_check", fault)
 
 
+def the_meet_test_reads_its_own_side(monkeypatch):
+    fault = _mutated(
+        completion, "bfs_equivalence_oracle", "if nxt in other_seen:", "if nxt in seen:"
+    )
+    _patch_everywhere(monkeypatch, completion, "bfs_equivalence_oracle", fault)
+
+
+def both_presentations_share_a_successor_table(monkeypatch):
+    fault = _mutated(structure, "isometry_check", "after1, after2 = {}, {}", "after1 = after2 = {}")
+    _patch_everywhere(monkeypatch, structure, "isometry_check", fault)
+
+
 def passes(assertion):
     """A check that holds when ``assertion()`` raises nothing."""
 
@@ -561,6 +574,14 @@ def z_is_zero(name):
 
 def isometry_counts_pairs(radius, pairs):
     return lambda: structure.isometry_check(preset("M4"), preset("N4"), radius).pair_count == pairs
+
+
+def oracle_separates(u, v, bound):
+    return lambda: not completion.bfs_equivalence_oracle(word(u), word(v), preset("Q"), bound)
+
+
+def skewed_isometry_violations(radius, count):
+    return lambda: len(structure.isometry_check(preset("P"), skewed_p(), radius).violations) == count
 
 
 def few_compiles_in_a_q_run():
@@ -752,6 +773,16 @@ KILL_MATRIX = {
     "isometry_check skips the last vertex": (
         isometry_skips_the_last_vertex,
         isometry_counts_pairs(1, 49),
+    ),
+    # the second level of a reaches back to a, which its own side has seen
+    "the meet test reads the expanding side's own seen set": (
+        the_meet_test_reads_its_own_side,
+        oracle_separates("a", "b", 4),
+    ),
+    # P's successors stand in for those of P2, whose d(b', ε) is unreachable
+    "one successor table is shared by both presentations": (
+        both_presentations_share_a_successor_table,
+        skewed_isometry_violations(1, 1),
     ),
 }
 

@@ -1,11 +1,21 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
 from rwlab import rewrite, structure
-from rwlab.casestudy import verify_isometry
-from rwlab.core import EMPTY, Alphabet, OrderingSpec, Presentation, Rule, RwlabError, word
+from rwlab.casestudy import preset, verify_isometry
+from rwlab.core import (
+    EMPTY,
+    Alphabet,
+    OrderingSpec,
+    Presentation,
+    Rule,
+    RwlabError,
+    shortlex_key,
+    word,
+)
 from rwlab.rewrite import enumerate_normal_forms, normalize
 from rwlab.structure import (
     HClass,
@@ -186,13 +196,13 @@ def test_cayley_ball_stops_past_the_vertex_cap(Qbar, monkeypatch):
 
 
 def test_isometry_check_stops_past_the_pair_cap(M4, N4, monkeypatch):
-    balls = []
+    balls, ball = [], structure._ball
 
     def counted_ball(*args):
         balls.append(args)
-        return cayley_ball(*args)
+        return ball(*args)
 
-    monkeypatch.setattr(structure, "cayley_ball", counted_ball)
+    monkeypatch.setattr(structure, "_ball", counted_ball)
     vertices = len(cayley_ball(M4, EMPTY, 2).distances)
     balls.clear()
     monkeypatch.setattr(rewrite, "ENUMERATION_CAP", vertices**2 - 1)
@@ -201,3 +211,49 @@ def test_isometry_check_stops_past_the_pair_cap(M4, N4, monkeypatch):
     assert len(balls) == 2  # the two balls around the center, none per vertex
     monkeypatch.setattr(rewrite, "ENUMERATION_CAP", vertices**2)
     assert isometry_check(M4, N4, 2).pair_count == vertices**2
+
+
+def skewed_p():
+    """A fresh P with ``b' b -> b'`` in place of ``I_b'``: around ε its balls
+    of radius 1 and 2 hold the same normal forms as P's, at other distances."""
+    p = preset("P")
+    rules = tuple(Rule("B", word("b' b"), word("b'")) if r.name == "I_b'" else r for r in p.rules)
+    return Presentation(p.alphabet, rules, (), p.ordering)
+
+
+def fresh_ball_report(p1, p2, radius):
+    """The pair count and violations of ``isometry_check(p1, p2, radius)``
+    from a fresh ``cayley_ball`` per vertex, on fresh presentations."""
+    p1, p2 = dataclasses.replace(p1), dataclasses.replace(p2)
+    ball = cayley_ball(p1, EMPTY, radius).distances
+    vertices = sorted(ball, key=lambda w: shortlex_key(w, p1.ordering))
+    violations = []
+    for u in vertices:
+        du1, du2 = cayley_ball(p1, u, radius).distances, cayley_ball(p2, u, radius).distances
+        violations += [(u, v, du1.get(v), du2.get(v)) for v in vertices if du1.get(v) != du2.get(v)]
+    return len(vertices) ** 2, violations
+
+
+@pytest.mark.parametrize(
+    "first, second, radius, violations",
+    [("M4", "N4", r, 0) for r in (1, 2, 3)] + [("P", "skewed", 1, 1), ("P", "skewed", 2, 18)],
+)
+def test_shared_successor_tables_give_the_distances_of_fresh_balls(
+    first, second, radius, violations, monkeypatch
+):
+    p1, p2 = (skewed_p() if name == "skewed" else preset(name) for name in (first, second))
+    balls, ball = [], structure._ball
+
+    def recorded_ball(*args):
+        balls.append((*args[:3], ball(*args)))
+        return balls[-1][-1]
+
+    monkeypatch.setattr(structure, "_ball", recorded_ball)
+    report = isometry_check(p1, p2, radius)
+    monkeypatch.undo()
+    assert (report.pair_count, report.violations) == fresh_ball_report(p1, p2, radius)
+    assert len(report.violations) == violations
+    # the two balls around the center, then two per vertex
+    assert len(balls) == 2 + 2 * len(balls[0][-1].distances)
+    for p, center, r, got in balls:
+        assert got.distances == cayley_ball(dataclasses.replace(p), center, r).distances
